@@ -37,9 +37,10 @@ void shard_line(std::string& out, const char* name, std::uint32_t shard,
 }
 
 /// The deterministic tier: everything here derives from settled post-drain
-/// counters and the canonical merged sample order — no wall clock, no
-/// scrape-time state — so a rate-paced live run and an offline replay of
-/// the same trace render byte-identical text.
+/// counters and the workers' RTT histograms, merged bin by bin — no wall
+/// clock, no scrape-time state, no dependence on sample order — so a
+/// rate-paced live run and an offline replay of the same trace render
+/// byte-identical text.
 std::string render_final_report(const runtime::ShardedMonitor& monitor,
                                 std::uint64_t cycle) {
   std::string out;
@@ -67,10 +68,7 @@ std::string render_final_report(const runtime::ShardedMonitor& monitor,
   line(out, "dart_lost_to_crash_total", merged.runtime.lost_to_crash);
   line(out, "dart_samples_total", merged.samples);
 
-  analytics::LogHistogram hist;
-  for (const core::RttSample& sample : monitor.merged_samples()) {
-    hist.add(sample.rtt());
-  }
+  const analytics::LogHistogram hist = monitor.rtt_histogram();
   line(out, "dart_rtt_ns_count", hist.count());
   line(out, "dart_rtt_ns_min", hist.min());
   line(out, "dart_rtt_ns_max", hist.max());

@@ -211,7 +211,10 @@ std::vector<std::uint8_t> encode_frame(const SnapshotFrame& frame) {
     ++sections;
   };
   if (frame.has_info) {
+    // Sized up front: growing an empty vector by push_back and then by a
+    // range insert trips a GCC 12 -O3 -Wstringop-overflow false positive.
     std::vector<std::uint8_t> body;
+    body.reserve(4 + frame.info.name.size() + 3 * 8);
     put_u32(body, static_cast<std::uint32_t>(frame.info.name.size()));
     body.insert(body.end(), frame.info.name.begin(), frame.info.name.end());
     put_u64(body, frame.info.expected_routed);

@@ -16,7 +16,9 @@ VantageExporter::VantageExporter(VantageExporterConfig config,
                                  SnapshotSink& sink)
     : config_(std::move(config)), sink_(sink) {
   if (config_.name.empty()) {
-    config_.name = "v" + std::to_string(config_.vantage);
+    // 'v', not "v": GCC 12 -O3 flags a one-char literal + std::string with a
+    // -Werror=restrict false positive.
+    config_.name = 'v' + std::to_string(config_.vantage);
   }
 }
 

@@ -49,9 +49,14 @@ void ShardedMonitor::start(MonitorFactory factory) {
 #if defined(DART_TELEMETRY)
     shard->metrics = config_.telemetry;
 #endif
-    // The callback writes the worker-private log: the worker thread is the
-    // only caller of monitor->process, hence the only writer.
-    shard->monitor = factory(i, shard->samples.callback());
+    // The callback writes the worker-private log and histogram: the worker
+    // thread is the only caller of monitor->process, hence the only writer.
+    // The callback lives in the shard's own monitor, so `owner` outlives it.
+    Shard& owner = *shard;
+    shard->monitor = factory(i, [&owner](const core::RttSample& sample) {
+      owner.samples.append(sample);
+      owner.rtt.add(sample.rtt());
+    });
     shard->pending.reserve(config_.batch_size);
     shards_.push_back(std::move(shard));
   }
@@ -346,6 +351,15 @@ std::vector<core::RttSample> ShardedMonitor::merged_samples() const {
     merged.insert(merged.end(), samples.begin(), samples.end());
   }
   deterministic_order(merged);
+  return merged;
+}
+
+analytics::LogHistogram ShardedMonitor::rtt_histogram() const {
+  assert(finished_ && "results require finish()");
+  analytics::LogHistogram merged;
+  for (const auto& shard : shards_) {
+    if (!shard->detached) merged.merge(shard->rtt);
+  }
   return merged;
 }
 

@@ -1,14 +1,20 @@
 // ShardedMonitor: flow-affinity parallel replay across N worker threads.
 //
-//                      +-> [ring] -> worker 0: DartMonitor -> SampleLog 0
-//   packets -> router -+-> [ring] -> worker 1: DartMonitor -> SampleLog 1
-//                      +-> [ring] -> worker 2: DartMonitor -> SampleLog 2
+//                      +-> [ring] -> worker 0: DartMonitor -> log 0 + hist 0
+//   packets -> router -+-> [ring] -> worker 1: DartMonitor -> log 1 + hist 1
+//                      +-> [ring] -> worker 2: DartMonitor -> log 2 + hist 2
 //
 // The caller's thread routes each packet by the canonical 4-tuple hash onto
 // one of N shards; each shard is a worker thread owning a private monitor
 // (no shared mutable state between shards). Handoff is batched (~256
 // packets per push) through bounded SPSC rings; a full ring backpressures
 // the router, bounding memory at O(shards * queue depth * batch).
+//
+// Each worker's sample sink both appends to its shard's SampleLog ("log")
+// and bins the RTT into its shard's LogHistogram ("hist"), so the RTT
+// distribution is aggregated as it is measured: `rtt_histogram()` merges
+// the N shard histograms bin by bin at drain, with no per-sample work left
+// to do.
 //
 // Determinism: both directions of a connection hash to the same shard and
 // the single router preserves arrival order into each FIFO ring, so every
@@ -17,9 +23,12 @@
 // tables), the merged sample stream is therefore bit-identical *as a
 // multiset* to the single-monitor reference, and merged DartStats equal the
 // reference counters; `merged_samples()` returns the canonical sorted order
-// so equal multisets compare equal as vectors. Bounded tables shared by
-// many flows break this equivalence by design (shards see different
-// collision patterns); the differential tests pin down both regimes.
+// so equal multisets compare equal as vectors. A LogHistogram is
+// order-independent (bin counts plus min and max), so the merged histogram
+// equals one filled from `merged_samples()` in any regime. Bounded tables
+// shared by many flows break the single-monitor equivalence by design
+// (shards see different collision patterns); the differential tests pin
+// down both regimes.
 //
 // Graceful degradation: backpressure is *bounded*. When a shard's ring
 // stays full past the OverloadPolicy's deadline (spin -> exponential
@@ -43,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "analytics/histogram.hpp"
 #include "analytics/sample_log.hpp"
 #include "common/packet.hpp"
 #include "common/thread_annotations.hpp"
@@ -193,9 +203,18 @@ class ShardedMonitor {
   core::RuntimeHealth health() const;
 
   /// All shards' samples in the canonical `sample_less` order — the
-  /// deterministic merge. Valid only after finish(); skips force-detached
-  /// shards (their logs are not safely readable).
+  /// deterministic merge, for tests and CSV export; aggregates read
+  /// rtt_histogram() instead. Copies and sorts every sample. Valid only
+  /// after finish(); skips force-detached shards (their logs are not safely
+  /// readable).
   std::vector<core::RttSample> merged_samples() const;
+
+  /// The RTT distribution of every sample, binned by the workers as they
+  /// emitted it and merged across shards (exact: every shard histogram has
+  /// the default layout). Equal to a LogHistogram filled from
+  /// merged_samples(), without copying or sorting a sample. Valid only
+  /// after finish(); skips force-detached shards, like merged_samples().
+  analytics::LogHistogram rtt_histogram() const;
 
   /// Wait up to `timeout_ns` for any force-detached workers to finally
   /// exit (e.g. after a fault plan released a hang). Returns true when
@@ -207,9 +226,10 @@ class ShardedMonitor {
 
   // Lock-free cross-thread protocol, in DART_PUBLISHED_BY terms: the
   // constructing thread publishes monitor/faults/metrics to the worker via
-  // thread creation; the worker publishes samples/final_stats back with its
-  // exited release-store, which finish() acquires via join (or an exited
-  // load, for a detached worker). Everything else is single-thread-owned.
+  // thread creation; the worker publishes samples/rtt/final_stats back with
+  // its exited release-store, which finish() acquires via join (or an
+  // exited load, for a detached worker). Everything else is
+  // single-thread-owned.
   struct Shard {
     explicit Shard(std::size_t queue_batches) : queue(queue_batches) {}
 
@@ -217,6 +237,7 @@ class ShardedMonitor {
     // Worker-owned while running; readable only after exited.
     std::unique_ptr<ReplayMonitor> monitor DART_PUBLISHED_BY(exited);
     analytics::SampleLog samples DART_PUBLISHED_BY(exited);
+    analytics::LogHistogram rtt DART_PUBLISHED_BY(exited);
     core::DartStats final_stats DART_PUBLISHED_BY(exited);
     PacketBatch pending;  // router-side accumulation
     std::thread thread;

@@ -336,13 +336,10 @@ int run_vantage_sharded(const VantageOptions& options,
         stats.packets_processed + stats.runtime.shed_packets +
         stats.runtime.abandoned_packets + stats.runtime.lost_to_crash);
   }
-  // The sharded runtime only settles its sample stream at finish(), so the
-  // histogram rides the final frame (heartbeats at the barriers carry no
-  // state anyway).
-  dart::analytics::LogHistogram rtt;
-  for (const dart::core::RttSample& sample : monitor.merged_samples()) {
-    rtt.add(sample.rtt());
-  }
+  // The workers' histograms are readable only after finish(), so the
+  // merged histogram rides the final frame (heartbeats at the barriers
+  // carry no state anyway).
+  const dart::analytics::LogHistogram rtt = monitor.rtt_histogram();
   const std::uint64_t epochs_fired = slice.size() / interval;
   exporter.publish_final(
       epochs_fired + 1, slice.size(), nullptr,

@@ -3,16 +3,22 @@
 // carries the exact accounting identity, (2) a rate-paced live run renders
 // byte-identical text to an unpaced offline replay of the same trace, and
 // (3) stop is drain-to-barrier — a mid-run SIGTERM settles results instead
-// of abandoning them.
+// of abandoning them. The RTT lines, rendered from the workers' merged
+// histograms, are also held to a reference rendered from the sorted merged
+// sample stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "analytics/histogram.hpp"
 #include "daemon/epoch_runner.hpp"
 #include "daemon/replay_source.hpp"
 #include "gen/workload.hpp"
+#include "runtime/sharded_monitor.hpp"
 
 namespace dart {
 namespace {
@@ -58,6 +64,58 @@ void expect_identity(const std::string& report) {
   const std::uint64_t lost =
       report_value(report, "dart_lost_to_crash_total");
   EXPECT_EQ(processed + shed + abandoned + lost, routed);
+}
+
+// The report's dart_rtt_ns* lines, in order.
+std::string rtt_lines(const std::string& report) {
+  std::istringstream in(report);
+  std::string out;
+  for (std::string text; std::getline(in, text);) {
+    if (text.rfind("dart_rtt_ns", 0) != 0) continue;
+    out += text;
+    out += '\n';
+  }
+  return out;
+}
+
+std::string format_double(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+// The dart_rtt_ns* lines rendered from a LogHistogram filled in canonical
+// sample order: the merged_samples() of a ShardedMonitor with the
+// runner's shard count and monitor config, fed the same trace.
+std::string reference_rtt_lines(const trace::Trace& trace,
+                                const daemon::DaemonConfig& config) {
+  runtime::ShardedConfig sharded;
+  sharded.shards = config.shards;
+  runtime::ShardedMonitor monitor(sharded, config.dart);
+  monitor.process_all(trace.packets());
+  monitor.finish();
+  analytics::LogHistogram hist;
+  for (const core::RttSample& sample : monitor.merged_samples()) {
+    hist.add(sample.rtt());
+  }
+  std::string out;
+  const auto counter = [&out](const char* name, std::uint64_t value) {
+    out += name;
+    out += ' ';
+    out += std::to_string(value);
+    out += '\n';
+  };
+  counter("dart_rtt_ns_count", hist.count());
+  counter("dart_rtt_ns_min", hist.min());
+  counter("dart_rtt_ns_max", hist.max());
+  for (const double q : {0.5, 0.9, 0.99}) {
+    out += "dart_rtt_ns{quantile=\"";
+    out += format_double(q);
+    out += "\"} ";
+    out += format_double(hist.count() == 0 ? 0.0 : hist.quantile(q));
+    out += '\n';
+  }
+  return out;
 }
 
 TEST(EpochRunner, DrainsUnpacedReplayWithIdentity) {
@@ -177,6 +235,48 @@ TEST(EpochRunner, EmptySourceDrainsCleanly) {
   EXPECT_EQ(runner.status().state, daemon::DaemonStatus::State::kDrained);
   EXPECT_TRUE(runner.status().source_exhausted);
   expect_identity(report);
+}
+
+// The workers' histograms, merged at drain, render the same RTT lines as a
+// histogram filled from the sorted merged samples — for one shard and for
+// several.
+TEST(EpochRunner, RttLinesMatchSortedSampleReference) {
+  const trace::Trace trace = daemon_workload();
+  for (const std::uint32_t shards : {1u, 3u}) {
+    daemon::DaemonConfig config = runner_config(1000);
+    config.shards = shards;
+    daemon::EpochRunner runner(config);
+    daemon::ReplaySource source{trace};
+    const std::string report = runner.run_cycle(source, {});
+
+    EXPECT_GT(report_value(report, "dart_rtt_ns_count"), 0U);
+    EXPECT_EQ(report_value(report, "dart_rtt_ns_count"),
+              report_value(report, "dart_samples_total"));
+    EXPECT_EQ(rtt_lines(report), reference_rtt_lines(trace, config))
+        << "at " << shards << " shards";
+  }
+}
+
+// No samples: count, min and max render 0 and so does every quantile, both
+// for an empty source and for one packet, which can never close an RTT.
+TEST(EpochRunner, SampleFreeCycleRendersZeroRttLines) {
+  trace::Trace one_packet;
+  one_packet.add(daemon_workload().packets().front());
+  for (const trace::Trace& input : {trace::Trace{}, one_packet}) {
+    daemon::EpochRunner runner(runner_config(100));
+    daemon::ReplaySource source{input};
+    const std::string report = runner.run_cycle(source, {});
+
+    EXPECT_EQ(report_value(report, "dart_routed_total"), input.size());
+    EXPECT_EQ(report_value(report, "dart_samples_total"), 0U);
+    EXPECT_EQ(rtt_lines(report),
+              "dart_rtt_ns_count 0\n"
+              "dart_rtt_ns_min 0\n"
+              "dart_rtt_ns_max 0\n"
+              "dart_rtt_ns{quantile=\"0.5\"} 0\n"
+              "dart_rtt_ns{quantile=\"0.90000000000000002\"} 0\n"
+              "dart_rtt_ns{quantile=\"0.98999999999999999\"} 0\n");
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "baseline/tcptrace_const.hpp"
@@ -108,8 +109,14 @@ INSTANTIATE_TEST_SUITE_P(
           info.param.policy == EvictionPolicy::kEvictYoungest ? "Youngest"
           : info.param.policy == EvictionPolicy::kEvictOldest ? "Oldest"
                                                               : "Never";
-      return "k" + std::to_string(info.param.stages) + "r" +
-             std::to_string(info.param.budget) + policy;
+      // Appended, not concatenated: GCC 12 at -O3 flags `"k" + string`
+      // with a -Werror=restrict false positive.
+      std::string name = "k";
+      name += std::to_string(info.param.stages);
+      name += 'r';
+      name += std::to_string(info.param.budget);
+      name += policy;
+      return name;
     });
 
 }  // namespace

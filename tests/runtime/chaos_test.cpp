@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -59,6 +60,7 @@ struct RunResult {
   core::DartStats merged;
   core::RuntimeHealth health;
   std::vector<core::RttSample> samples;
+  std::uint64_t rtt_count = 0;  ///< rtt_histogram().count()
 };
 
 RunResult run_with_plan(const trace::Trace& trace,
@@ -69,8 +71,8 @@ RunResult run_with_plan(const trace::Trace& trace,
   runtime::ShardedMonitor sharded(config, monitor_config());
   sharded.process_all(trace.packets());
   sharded.finish();
-  return {sharded.merged_stats(), sharded.health(),
-          sharded.merged_samples()};
+  return {sharded.merged_stats(), sharded.health(), sharded.merged_samples(),
+          sharded.rtt_histogram().count()};
 }
 
 RunResult fault_free_reference(const trace::Trace& trace) {
@@ -96,7 +98,8 @@ TEST(Chaos, StalledWorkerShedsInsteadOfDeadlocking) {
   sharded.process_all(trace.packets());
   sharded.finish();
   const RunResult faulty{sharded.merged_stats(), sharded.health(),
-                         sharded.merged_samples()};
+                         sharded.merged_samples(),
+                         sharded.rtt_histogram().count()};
 
   EXPECT_GT(faulty.health.shed_packets, 0U);
   EXPECT_GT(faulty.health.backpressure_events, 0U);
@@ -132,6 +135,9 @@ TEST(Chaos, KilledWorkerShedsDeterministically) {
   EXPECT_EQ(first.health.shed_batches, second.health.shed_batches);
   EXPECT_EQ(first.merged.packets_processed, second.merged.packets_processed);
   EXPECT_EQ(first.samples, second.samples);
+  // The dead worker's histogram keeps exactly the samples its log kept.
+  EXPECT_EQ(first.rtt_count, first.samples.size());
+  EXPECT_EQ(second.rtt_count, second.samples.size());
 
   // merged == fault_free − shed, exactly.
   EXPECT_EQ(first.merged.packets_processed + first.health.shed_packets,
@@ -178,6 +184,9 @@ TEST(Chaos, HangedWorkerIsForceDetachedNotWaitedForever) {
   EXPECT_EQ(sharded.shard_samples(0).size(), 0U);
   EXPECT_EQ(sharded.shard_stats(0).packets_processed, 0U);
   EXPECT_EQ(sharded.shard_stats(0).runtime.forced_detaches, 1U);
+  // The merged histogram skips the detached shard exactly as the merged
+  // samples do.
+  EXPECT_EQ(sharded.rtt_histogram().count(), sharded.merged_samples().size());
 
   // Release the hang so the worker can run to completion against its
   // keepalive reference; the monitor must outlast nothing — but waiting
