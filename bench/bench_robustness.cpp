@@ -13,7 +13,7 @@
 // the bounded-backpressure policy, mapping worker slowdown to shed rate
 // and RTT-sample coverage (graceful degradation instead of a stalled
 // pipeline).
-// And two recovery sweeps for the supervised runtime (DESIGN.md §9):
+// And two recovery sweeps for the runtime's recovery policy (DESIGN.md §9):
 //   * checkpoint overhead — barrier cadence vs replay throughput and image
 //     size, the cost side of the recovery trade;
 //   * crash recovery (fault-injection builds only) — kill a worker at
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "runtime/shard_supervisor.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 #if defined(DART_FAULT_INJECTION)
@@ -197,13 +196,13 @@ trace::Trace recovery_trace() {
   return gen::build_campus(campus);
 }
 
-runtime::SupervisorConfig recovery_base_config() {
-  runtime::SupervisorConfig config;
+runtime::ShardedConfig recovery_base_config() {
+  runtime::ShardedConfig config;
   config.shards = 4;
   config.batch_size = 64;
   config.queue_batches = 64;
   config.overload.shed_deadline_ns = sec(10);
-  config.hang_detection_ns = 0;
+  config.restart_budget = 3;
   return config;
 }
 
@@ -223,15 +222,15 @@ void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
   // ~10k packets per shard: cadences chosen to span one cut per shard up
   // to one per few batches.
   for (std::uint64_t interval : {0ULL, 8192ULL, 2048ULL, 1024ULL, 512ULL}) {
-    runtime::SupervisorConfig config = recovery_base_config();
+    runtime::ShardedConfig config = recovery_base_config();
     config.checkpoint.interval_packets = interval;
 
-    std::unique_ptr<runtime::ShardSupervisor> supervisor;
+    std::unique_ptr<runtime::ShardedMonitor> supervisor;
     const bench::BenchRow row = bench::measure_row(
         "ckpt_cadence_" +
             (interval == 0 ? std::string("off") : std::to_string(interval)),
         "supervised", config.shards, packets, /*warmup=*/0, /*reps=*/1, [&] {
-          supervisor = std::make_unique<runtime::ShardSupervisor>(
+          supervisor = std::make_unique<runtime::ShardedMonitor>(
               config, monitor_config_hw());
           supervisor->process_all(trace.packets());
           supervisor->finish();
@@ -272,8 +271,7 @@ void recovery_sweep() {
   std::printf("\n-- crash recovery: checkpoint cadence vs loss window --\n");
   const trace::Trace trace = recovery_trace();
 
-  runtime::SupervisorConfig clean_config = recovery_base_config();
-  runtime::ShardSupervisor clean(clean_config, monitor_config_hw());
+  runtime::ShardedMonitor clean(recovery_base_config(), monitor_config_hw());
   clean.process_all(trace.packets());
   clean.finish();
   const double clean_samples =
@@ -285,11 +283,11 @@ void recovery_sweep() {
     for (std::uint64_t kill_at : {10ULL, 80ULL, 140ULL}) {
       runtime::FaultPlan plan;
       plan.kill(/*shard=*/0, kill_at);
-      runtime::SupervisorConfig config = recovery_base_config();
+      runtime::ShardedConfig config = recovery_base_config();
       config.checkpoint.interval_packets = interval;
       config.faults = &plan;
 
-      runtime::ShardSupervisor supervisor(config, monitor_config_hw());
+      runtime::ShardedMonitor supervisor(config, monitor_config_hw());
       supervisor.process_all(trace.packets());
       supervisor.finish();
       const core::RuntimeHealth health = supervisor.health();

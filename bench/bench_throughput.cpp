@@ -207,12 +207,12 @@ BENCHMARK(BM_WorkloadGeneration)
 // Scalar-vs-batched trajectory rows (DESIGN.md §11).
 //
 // The two single-shard rows are the heart of the persisted trajectory: the
-// same DartReplayMonitor driven through the two worker inner loops the
-// sharded runtime can run — a virtual call per packet (scalar) vs one
+// same DartReplayMonitor driven a virtual call per packet (scalar) vs one
 // process_batch call per 256-packet ring batch (batched SoA with hash
-// precomputation and register-row prefetch). The shard sweep then shows the
-// same toggle end-to-end through router + rings. Emitted as dart-bench-v1
-// JSON (--json) and folded into BENCH_pr6.json by scripts/bench_persist.py.
+// precomputation and register-row prefetch, the sharded runtime's worker
+// loop). The shard sweep then runs the batched loop end-to-end through
+// router + rings. Emitted as dart-bench-v1 JSON (--json) and folded into
+// BENCH_pr6.json by scripts/bench_persist.py.
 
 core::DartConfig hot_config() {
   core::DartConfig config;
@@ -289,25 +289,20 @@ std::vector<bench::BenchRow> batching_trajectory(bool quick) {
 
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     if (quick && shards > 2) break;
-    for (const bool batched : {false, true}) {
-      const auto run = [&]() -> double {
-        runtime::ShardedConfig config;
-        config.shards = shards;
-        config.batched_workers = batched;
-        runtime::ShardedMonitor sharded(config, hot_config());
-        const double ns = bench::timed_section_ns([&] {
-          sharded.process_all(trace.packets());
-          sharded.finish();
-        });
-        benchmark::DoNotOptimize(sharded.merged_stats().samples);
-        return ns;
-      };
-      rows.push_back(bench::measure_row_timed(
-          std::string("sharded_") + (batched ? "batched" : "scalar") + "_" +
-              std::to_string(shards) + "shard",
-          batched ? "batched" : "scalar", shards, packets, warmup, reps,
-          run));
-    }
+    const auto run = [&]() -> double {
+      runtime::ShardedConfig config;
+      config.shards = shards;
+      runtime::ShardedMonitor sharded(config, hot_config());
+      const double ns = bench::timed_section_ns([&] {
+        sharded.process_all(trace.packets());
+        sharded.finish();
+      });
+      benchmark::DoNotOptimize(sharded.merged_stats().samples);
+      return ns;
+    };
+    rows.push_back(bench::measure_row_timed(
+        std::string("sharded_batched_") + std::to_string(shards) + "shard",
+        "batched", shards, packets, warmup, reps, run));
   }
   return rows;
 }

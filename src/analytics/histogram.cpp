@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace dart::analytics {
 
@@ -75,6 +76,14 @@ double LogHistogram::cdf_at(Timestamp threshold) const {
 bool LogHistogram::same_layout(const LogHistogram& other) const {
   return log_min_ == other.log_min_ && log_step_ == other.log_step_ &&
          counts_.size() == other.counts_.size();
+}
+
+void LogHistogram::absorb(LogHistogram&& other) {
+  if (total_ == 0 && same_layout(other)) {
+    *this = std::move(other);
+  } else {
+    merge(other);
+  }
 }
 
 void LogHistogram::merge(const LogHistogram& other) {

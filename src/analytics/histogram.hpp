@@ -57,6 +57,11 @@ class LogHistogram {
   /// denominators stay consistent either way.
   void merge(const LogHistogram& other);
 
+  /// Steal `other`'s mass: a move when this histogram is empty and shares
+  /// `other`'s layout, merge() otherwise. Leaves `other` valid but
+  /// unspecified.
+  void absorb(LogHistogram&& other);
+
   /// Rebuild a histogram from an exported layout plus raw bin counts (the
   /// telemetry fold's import path). `seen_min`/`seen_max` seed the extreme
   /// trackers; total is the sum of `bins`.

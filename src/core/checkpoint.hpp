@@ -130,7 +130,7 @@ CheckpointError read_info(const CheckpointImage& image, CheckpointInfo* info);
 struct DartStats;
 
 /// Extract just the counters (kStats section) from a validated image —
-/// how the supervisor salvages a tombstoned shard's last-known accounting
+/// how the sharded runtime salvages a detached worker's last-known accounting
 /// without rehydrating a whole monitor.
 CheckpointError read_stats(const CheckpointImage& image, DartStats* stats);
 

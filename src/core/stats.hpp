@@ -30,8 +30,8 @@ struct RuntimeHealth {
   /// processed-and-merged nor shed, so they are unaccounted coverage loss.
   std::uint64_t abandoned_packets = 0;
 
-  // Crash-recovery accounting (the ShardSupervisor's checkpoint/restart
-  // path). The extended identity is
+  // Crash-recovery accounting (ShardedMonitor's checkpoint/restart
+  // policy). The extended identity is
   //
   //     processed + shed + abandoned + lost_to_crash == routed
   //

@@ -1,6 +1,5 @@
 #include "runtime/checkpoint_coordinator.hpp"
 
-#include <iterator>
 #include <utility>
 
 namespace dart::runtime {
@@ -23,13 +22,13 @@ bool CheckpointCoordinator::commit(std::uint32_t shard,
                                    std::uint64_t incarnation,
                                    core::CheckpointImage&& image,
                                    const core::SnapshotMeta& meta,
-                                   std::vector<core::RttSample>&& samples) {
+                                   analytics::SampleLog&& samples,
+                                   analytics::LogHistogram&& rtt) {
   Slot& slot = *slots_[shard];
   const common::MutexLock lock(slot.mutex);
   if (slot.owner != incarnation) return false;
-  slot.committed.insert(slot.committed.end(),
-                        std::make_move_iterator(samples.begin()),
-                        std::make_move_iterator(samples.end()));
+  slot.samples.absorb(std::move(samples));
+  slot.rtt.absorb(std::move(rtt));
   if (!image.empty()) {
     slot.image = std::move(image);
     slot.meta = meta;
@@ -37,13 +36,6 @@ bool CheckpointCoordinator::commit(std::uint32_t shard,
     ++slot.cuts;
   }
   return true;
-}
-
-bool CheckpointCoordinator::commit_samples(
-    std::uint32_t shard, std::uint64_t incarnation,
-    std::vector<core::RttSample>&& samples) {
-  return commit(shard, incarnation, core::CheckpointImage{}, {},
-                std::move(samples));
 }
 
 bool CheckpointCoordinator::latest(std::uint32_t shard,
@@ -57,18 +49,21 @@ bool CheckpointCoordinator::latest(std::uint32_t shard,
   return true;
 }
 
-std::vector<core::RttSample> CheckpointCoordinator::committed_samples(
-    std::uint32_t shard) const {
-  const Slot& slot = *slots_[shard];
+void CheckpointCoordinator::seal(std::uint32_t shard,
+                                 analytics::SampleLog* samples,
+                                 analytics::LogHistogram* rtt) {
+  Slot& slot = *slots_[shard];
   const common::MutexLock lock(slot.mutex);
-  return slot.committed;
+  slot.owner = slot.next_id++;
+  *samples = std::move(slot.samples);
+  *rtt = std::move(slot.rtt);
 }
 
 std::uint64_t CheckpointCoordinator::committed_sample_count(
     std::uint32_t shard) const {
   const Slot& slot = *slots_[shard];
   const common::MutexLock lock(slot.mutex);
-  return slot.committed.size();
+  return slot.samples.size();
 }
 
 std::uint64_t CheckpointCoordinator::checkpoints_cut(

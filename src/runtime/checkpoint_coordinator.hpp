@@ -1,23 +1,24 @@
-// CheckpointCoordinator: the durable side of the supervised shard runtime.
+// CheckpointCoordinator: the durable side of the sharded runtime's crash
+// recovery.
 //
 // Workers cut checkpoint images at epoch barriers (markers the router
 // injects into each shard's ring every N delivered packets and/or T virtual
-// seconds) and *commit* them here, together with the samples they emitted
-// since the previous barrier. The coordinator is what survives a worker
-// crash: the supervisor rehydrates a replacement monitor from the latest
-// committed image and merges only committed samples, so everything a dead
-// worker did after its last commit is rolled back as one bounded loss
-// window.
+// seconds) and *commit* them here, together with the samples — and their
+// RTT histogram — emitted since the previous barrier. The coordinator is
+// what survives a worker crash: ShardedMonitor rehydrates a replacement
+// monitor from the latest committed image, and committed samples are never
+// rolled back, so everything a dead worker did after its last commit is
+// lost as one bounded window.
 //
-// Commits are fenced by incarnation id. The supervisor bumps the shard's
-// owner id *before* it gives up on a worker (dead or hung), so a detached
-// worker that wakes up later and tries to commit is rejected under the same
-// mutex that serializes commits — a zombie can never overwrite its
-// successor's state or smuggle rolled-back samples into the merge.
+// Commits are fenced by incarnation id. The runtime bumps the shard's owner
+// id *before* it gives up on a worker (dead or hung), so a detached worker
+// that wakes up later and tries to commit is rejected under the same mutex
+// that serializes commits — a zombie can never overwrite its successor's
+// state or smuggle rolled-back samples into the results.
 //
-// Consistency invariant: after every accepted commit,
-//     committed_samples(shard).size() == meta.sample_cursor
-//                                     == stats.samples in the image,
+// Consistency invariant: after every accepted image commit,
+//     committed_sample_count(shard) == meta.sample_cursor
+//                                   == stats.samples in the image,
 // because a worker commits exactly the samples it emitted before the cut
 // and a successor restores its sample counter from the same image.
 #pragma once
@@ -26,9 +27,10 @@
 #include <memory>
 #include <vector>
 
+#include "analytics/histogram.hpp"
+#include "analytics/sample_log.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/checkpoint.hpp"
-#include "core/rtt_sample.hpp"
 
 namespace dart::runtime {
 
@@ -54,34 +56,32 @@ class CheckpointCoordinator {
   CheckpointCoordinator(const CheckpointCoordinator&) = delete;
   CheckpointCoordinator& operator=(const CheckpointCoordinator&) = delete;
 
-  /// Supervisor side: transfer ownership of `shard` to a new incarnation
-  /// and return its id. Every commit carrying an older id is rejected from
-  /// this point on — call it *before* reading recovery state, so a zombie
-  /// cannot slip a commit in between.
+  /// Runtime side: transfer ownership of `shard` to a new incarnation and
+  /// return its id. Every commit carrying an older id is rejected from this
+  /// point on — call it *before* reading recovery state, so a zombie cannot
+  /// slip a commit in between.
   std::uint64_t begin_incarnation(std::uint32_t shard);
 
-  /// Worker side: commit a cut image plus the samples emitted since the
-  /// previous commit. Returns false (and changes nothing) unless
-  /// `incarnation` currently owns the shard. An empty image (a monitor
-  /// without checkpoint support) commits the samples only.
+  /// Worker side: commit a cut image plus the samples and histogram emitted
+  /// since the previous commit (both are consumed either way). Returns
+  /// false (and changes nothing) unless `incarnation` currently owns the
+  /// shard. An empty image (a monitor without checkpoint support) commits
+  /// the samples only.
   bool commit(std::uint32_t shard, std::uint64_t incarnation,
               core::CheckpointImage&& image, const core::SnapshotMeta& meta,
-              std::vector<core::RttSample>&& samples);
+              analytics::SampleLog&& samples, analytics::LogHistogram&& rtt);
 
-  /// Worker side: commit trailing samples with no image (the clean
-  /// end-of-input path). Fenced like commit().
-  bool commit_samples(std::uint32_t shard, std::uint64_t incarnation,
-                      std::vector<core::RttSample>&& samples);
-
-  /// Supervisor side: copy out the latest committed image and its meta.
+  /// Runtime side: copy out the latest committed image and its meta.
   /// False when the shard has never committed one.
   bool latest(std::uint32_t shard, core::CheckpointImage* image,
               core::SnapshotMeta* meta) const;
 
-  /// Samples committed so far (barrier commits + end-of-input commits), in
-  /// per-shard emission order.
-  std::vector<core::RttSample> committed_samples(std::uint32_t shard) const;
+  /// Runtime side, once per shard at shutdown: fence every incarnation off
+  /// for good and move the committed samples and histogram out.
+  void seal(std::uint32_t shard, analytics::SampleLog* samples,
+            analytics::LogHistogram* rtt);
 
+  /// Samples committed so far, in per-shard emission order.
   std::uint64_t committed_sample_count(std::uint32_t shard) const;
 
   /// Accepted image commits for `shard` / across all shards.
@@ -94,7 +94,7 @@ class CheckpointCoordinator {
 
  private:
   // Every field is written by whichever thread holds the commit mutex —
-  // workers at barrier commits, the supervisor at ownership transfers and
+  // workers at barrier commits, the router at ownership transfers and
   // recovery reads — so all of them are GUARDED_BY it, and a clang
   // -Wthread-safety build (DART_THREAD_SAFETY=ON) proves every access
   // locks first. The zombie-fencing argument in the file comment *depends*
@@ -107,7 +107,8 @@ class CheckpointCoordinator {
     bool has_image DART_GUARDED_BY(mutex) = false;
     core::CheckpointImage image DART_GUARDED_BY(mutex);
     core::SnapshotMeta meta DART_GUARDED_BY(mutex);
-    std::vector<core::RttSample> committed DART_GUARDED_BY(mutex);
+    analytics::SampleLog samples DART_GUARDED_BY(mutex);
+    analytics::LogHistogram rtt DART_GUARDED_BY(mutex);
     std::uint64_t cuts DART_GUARDED_BY(mutex) = 0;
   };
 

@@ -145,9 +145,9 @@ FaultPlan::Action FaultPlan::before_pop(std::uint32_t shard,
   if (shard >= shards_.size()) return Action::kContinue;
   ShardFaults& state = shards_[shard];
   if (batches_done >= state.hang_at) {
-    // hang_fired lives under the hang mutex: with a supervised runtime the
-    // blocked zombie and its restarted successor exist concurrently, and
-    // both reach this check.
+    // hang_fired lives under the hang mutex: with a restart budget the
+    // blocked zombie and its replacement exist concurrently, and both
+    // reach this check.
     common::UniqueLock lock(hang_mutex_);
     if (!state.hang_fired) {
       state.hang_fired = true;  // one-shot: after release the worker resumes

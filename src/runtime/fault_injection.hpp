@@ -55,12 +55,12 @@ class FaultPlan {
                    std::uint64_t batches, std::uint64_t delay_ns);
 
   /// Worker `shard` exits its loop after processing exactly `after_batches`
-  /// batches; the runtime sheds whatever it never consumed. `times` bounds
-  /// how many workers the fault claims: under a supervised runtime a
-  /// restarted worker counts batches from zero, so times == 1 (the default)
-  /// crashes the shard exactly once while a large value re-kills every
-  /// successor until the supervisor's restart budget runs out. Plain
-  /// ShardedMonitor never restarts a worker, so `times` is moot there.
+  /// batches; without a replacement the runtime sheds whatever it never
+  /// consumed. `times` bounds how many workers the fault claims: a
+  /// replacement worker counts batches from zero, so times == 1 (the
+  /// default) crashes the shard exactly once while a large value re-kills
+  /// every successor until the restart budget runs out. With the default
+  /// budget of 0 no worker is ever replaced, so `times` is moot there.
   FaultPlan& kill(std::uint32_t shard, std::uint64_t after_batches,
                   std::uint64_t times = 1);
 
@@ -132,9 +132,10 @@ class FaultPlan {
   /// the rewritten epoch for a frame whose true epoch is `epoch`.
   bool exporter_skewed_epoch(std::uint64_t epoch, std::uint64_t* skewed) const;
 
-  /// Worker hook: called before each pop attempt with the number of batches
-  /// this worker has fully processed. kExit means "die now" (kill fault);
-  /// the hang fault blocks inside this call.
+  /// Worker hook: called for each popped packet batch, before it is
+  /// processed, with the number of batches this worker has fully
+  /// processed. kExit means "die now" (kill fault; the runtime parks the
+  /// popped batch for a successor); the hang fault blocks inside this call.
   Action before_pop(std::uint32_t shard, std::uint64_t batches_done);
 
   /// Worker hook: called after a successful pop, before the batch is

@@ -41,11 +41,11 @@ class ReplayMonitor {
   /// without Dart-shaped counters may return a default-constructed value.
   virtual core::DartStats stats() const = 0;
 
-  /// Checkpoint support (the supervised runtime's crash-recovery path).
+  /// Checkpoint support (the sharded runtime's crash-recovery policy).
   /// A monitor that opts in must make snapshot()/restore() a faithful
   /// round-trip of its entire measurement state; the default opts out, and
-  /// the supervisor then restarts such shards from empty state (barrier-
-  /// committed samples are still salvaged).
+  /// the runtime then restarts such shards from empty state (barrier-
+  /// committed samples are still kept).
   virtual bool supports_checkpoint() const { return false; }
   virtual core::CheckpointImage snapshot(const core::SnapshotMeta&) const {
     return {};

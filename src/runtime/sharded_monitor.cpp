@@ -17,15 +17,54 @@
 #endif
 
 namespace dart::runtime {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          Clock::now().time_since_epoch())
+          .count());
+}
+
+// Poll a worker's exited flag until it is set or `deadline` passes. The
+// final re-check sides with a worker that exits right at the deadline:
+// without it, a worker that finishes its last batch as the deadline fires
+// would be detached and its fully-merged results discarded.
+bool wait_exited(const std::atomic<bool>& exited, Clock::time_point deadline) {
+  while (!exited.load(std::memory_order_acquire)) {
+    if (Clock::now() >= deadline) {
+      return exited.load(std::memory_order_acquire);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+}  // namespace
 
 ShardedMonitor::ShardedMonitor(const ShardedConfig& config,
                                MonitorFactory factory)
     : config_(config),
-      router_(config.shards == 0 ? 1 : config.shards, config.route_seed) {
-  if (config_.shards == 0) config_.shards = 1;
+      factory_(std::move(factory)),
+      router_(config.shards == 0 ? 1 : config.shards, config.route_seed),
+      coordinator_(std::make_shared<CheckpointCoordinator>(router_.shards())),
+      barriers_(config.checkpoint.enabled()) {
+  config_.shards = router_.shards();
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.queue_batches == 0) config_.queue_batches = 1;
-  start(std::move(factory));
+  shards_.reserve(config_.shards);
+  for (std::uint32_t i = 0; i < config_.shards; ++i) {
+    auto shard = std::make_unique<Shard>();
+    shard->index = i;
+    shard->pending.reserve(config_.batch_size);
+    shards_.push_back(std::move(shard));
+  }
+  // Every monitor is built before any worker starts, so a throwing factory
+  // leaves no thread behind.
+  for (auto& shard : shards_) incarnate(*shard, 0, nullptr);
+  for (auto& shard : shards_) launch(*shard);
 }
 
 // Validate before any shard exists so an infeasible config throws the
@@ -37,158 +76,151 @@ ShardedMonitor::ShardedMonitor(const ShardedConfig& config,
 
 ShardedMonitor::~ShardedMonitor() { shutdown(); }
 
-void ShardedMonitor::start(MonitorFactory factory) {
-  shards_.reserve(config_.shards);
-  for (std::uint32_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_shared<Shard>(config_.queue_batches);
-    shard->index = i;
-    shard->batched = config_.batched_workers;
+bool ShardedMonitor::incarnate(Shard& shard, std::uint64_t base_cursor,
+                               const core::CheckpointImage* image) {
+  auto inc = std::make_shared<Incarnation>(config_.queue_batches);
+  inc->shard = shard.index;
+  // Taking ownership here is the fence: any commit still in flight from a
+  // predecessor (or a released zombie) is rejected from this instant.
+  inc->id = coordinator_->begin_incarnation(shard.index);
+  inc->base_cursor = base_cursor;
+  inc->coordinator = coordinator_;
 #if defined(DART_FAULT_INJECTION)
-    shard->faults = config_.faults;
+  inc->faults = config_.faults;
 #endif
 #if defined(DART_TELEMETRY)
-    shard->metrics = config_.telemetry;
+  inc->metrics = config_.telemetry;
 #endif
-    // The callback writes the worker-private log and histogram: the worker
-    // thread is the only caller of monitor->process, hence the only writer.
-    // The callback lives in the shard's own monitor, so `owner` outlives it.
-    Shard& owner = *shard;
-    shard->monitor = factory(i, [&owner](const core::RttSample& sample) {
-      owner.samples.append(sample);
-      owner.rtt.add(sample.rtt());
-    });
-    shard->pending.reserve(config_.batch_size);
-    shards_.push_back(std::move(shard));
+  // The callback writes the incarnation's private log and histogram: its
+  // worker thread is the only caller of monitor->process, hence the only
+  // writer. The callback lives in the incarnation's own monitor, so `raw`
+  // outlives it.
+  Incarnation* raw = inc.get();
+  inc->monitor = factory_(shard.index, [raw](const core::RttSample& sample) {
+    raw->samples.append(sample);
+    raw->rtt.add(sample.rtt());
+  });
+  bool restored = false;
+  if (image != nullptr && inc->monitor->supports_checkpoint()) {
+    restored = !inc->monitor->restore(*image);
   }
-  for (auto& shard : shards_) {
-    // The worker keeps its own reference so a force-detached thread that
-    // wakes up after this monitor is destroyed still touches live memory.
-    shard->thread = std::thread(
-        [keepalive = shard] { worker_loop(*keepalive); });
-  }
+  shard.inc = std::move(inc);
+  shard.hb_armed = false;
+  return restored;
 }
 
-void ShardedMonitor::worker_loop(Shard& shard) {
-  PacketBatch batch;
-  std::uint64_t batches_done = 0;
-  bool killed = false;
+void ShardedMonitor::launch(Shard& shard) {
+  shard.inc->thread =
+      std::thread([keepalive = shard.inc] { worker_loop(*keepalive); });
+}
+
+// ---------------------------------------------------------------------------
+// Worker side.
+
+void ShardedMonitor::commit_barrier(Incarnation& inc, const Work& marker) {
+  // The marker is an in-band quiesce point: every packet delivered before it
+  // has been processed, so the monitor state *is* the state at stream
+  // position marker.cursor.
+  assert(inc.base_cursor + inc.packets_done.load(std::memory_order_relaxed) ==
+         marker.cursor);
+  core::SnapshotMeta meta;
+  meta.epoch = marker.epoch;
+  meta.cursor = marker.cursor;
+  meta.sample_cursor = inc.monitor->stats().samples;
+  core::CheckpointImage image;
+  if (inc.monitor->supports_checkpoint()) image = inc.monitor->snapshot(meta);
+#if defined(DART_TELEMETRY)
+  const auto commit_start =
+      inc.metrics != nullptr ? Clock::now() : Clock::time_point{};
+#endif
+  // Fenced: a zombie's commit is rejected and its samples discarded — they
+  // belong to a window already written off.
+  const bool accepted =
+      inc.coordinator->commit(inc.shard, inc.id, std::move(image), meta,
+                              std::move(inc.samples), std::move(inc.rtt));
+  inc.samples.clear();
+  inc.rtt = analytics::LogHistogram{};
+#if defined(DART_TELEMETRY)
+  if (inc.metrics != nullptr) {
+    const auto elapsed = Clock::now() - commit_start;
+    inc.metrics->commit_latency->at(0).observe(static_cast<Timestamp>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+            .count()));
+    if (accepted) {
+      inc.metrics->checkpoint_commits->at(inc.shard).inc();
+    } else {
+      inc.metrics->checkpoint_rejected->at(inc.shard).inc();
+    }
+  }
+#else
+  (void)accepted;
+#endif
+}
+
+void ShardedMonitor::worker_loop(Incarnation& inc) {
+  Work work;
   bool done_seen = false;
   for (;;) {
+    if (inc.queue.try_pop(work)) {
+      if (work.epoch != 0) {
+        commit_barrier(inc, work);
+        continue;
+      }
 #if defined(DART_FAULT_INJECTION)
-    if (shard.faults != nullptr &&
-        shard.faults->before_pop(shard.index, batches_done) ==
+      if (inc.faults != nullptr) {
+        if (inc.faults->before_pop(inc.shard, inc.batches_done) ==
             FaultPlan::Action::kExit) {
-      killed = true;
-      break;
-    }
-#endif
-    if (shard.queue.try_pop(batch)) {
-#if defined(DART_FAULT_INJECTION)
-      if (shard.faults != nullptr) {
-        shard.faults->after_pop(shard.index, batches_done);
-      }
-#endif
-#if defined(DART_TELEMETRY)
-      const auto batch_start = shard.metrics != nullptr
-                                   ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
-#endif
-      if (shard.batched) {
-        shard.monitor->process_batch(batch);
-      } else {
-        for (const PacketRecord& packet : batch) {
-          shard.monitor->process(packet);
+          // Park the popped-but-unprocessed batch: a kill loses only
+          // processed-uncommitted state, never in-flight input — which is
+          // why a kill landing on a barrier loses nothing at all.
+          inc.limbo = std::move(work);
+          inc.dead.store(true, std::memory_order_release);
+          break;
         }
+        inc.faults->after_pop(inc.shard, inc.batches_done);
       }
+#endif
 #if defined(DART_TELEMETRY)
-      if (shard.metrics != nullptr) {
-        const auto elapsed =
-            std::chrono::steady_clock::now() - batch_start;
-        shard.metrics->batch_latency->at(shard.index)
-            .observe(static_cast<Timestamp>(
+      const auto batch_start =
+          inc.metrics != nullptr ? Clock::now() : Clock::time_point{};
+#endif
+      inc.monitor->process_batch(work.batch);
+      inc.packets_done.fetch_add(work.batch.size(),
+                                 std::memory_order_release);
+#if defined(DART_TELEMETRY)
+      if (inc.metrics != nullptr) {
+        const auto elapsed = Clock::now() - batch_start;
+        inc.metrics->batch_latency->at(inc.shard).observe(
+            static_cast<Timestamp>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                     .count()));
-        shard.metrics->batch_fill->at(shard.index)
-            .observe(static_cast<Timestamp>(batch.size()));
-        shard.metrics->worker_batches->at(shard.index).inc();
-        shard.metrics->worker_packets->at(shard.index).inc(batch.size());
+        inc.metrics->batch_fill->at(inc.shard).observe(
+            static_cast<Timestamp>(work.batch.size()));
+        inc.metrics->worker_batches->at(inc.shard).inc();
+        inc.metrics->worker_packets->at(inc.shard).inc(work.batch.size());
       }
 #endif
-      batch.clear();
-      ++batches_done;
+#if defined(DART_FAULT_INJECTION)
+      ++inc.batches_done;
+#endif
+      work.batch.clear();
       continue;
     }
     // The done flag is published after the router's last push, so an empty
     // pop observed *after* the flag means the ring is empty for good.
     if (done_seen) break;
-    if (shard.input_done.load(std::memory_order_acquire)) {
+    if (inc.input_done.load(std::memory_order_acquire)) {
       done_seen = true;
       continue;  // one more pass drains anything pushed before the flag
     }
     std::this_thread::yield();
   }
-  if (killed) shard.dead.store(true, std::memory_order_release);
-  shard.final_stats = shard.monitor->stats();
-  shard.exited.store(true, std::memory_order_release);
+  inc.final_stats = inc.monitor->stats();
+  inc.exited.store(true, std::memory_order_release);
 }
 
-void ShardedMonitor::flush_shard(Shard& shard) {
-  if (shard.pending.empty()) return;
-  PacketBatch batch = std::move(shard.pending);
-  shard.pending.clear();  // moved-from: restore a defined empty state
-  shard.pending.reserve(config_.batch_size);
-  shard.routed_packets += batch.size();
-  push_or_shed(shard, std::move(batch));
-#if defined(DART_TELEMETRY)
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->ring_occupancy->at(shard.index)
-        .set(static_cast<std::int64_t>(shard.queue.size_approx()));
-  }
-#endif
-}
-
-void ShardedMonitor::push_or_shed(Shard& shard, PacketBatch&& batch) {
-  OverloadGovernor governor(config_.overload);
-  bool contended = false;
-#if defined(DART_TELEMETRY)
-  telemetry::RuntimeMetrics* const tm = config_.telemetry;
-  bool backoff_counted = false;
-#endif
-  for (;;) {
-    // A dead worker consumes nothing ever again: shed without waiting.
-    if (shard.dead.load(std::memory_order_relaxed)) break;
-    if (shard.queue.try_push(std::move(batch))) return;
-    if (!contended) {
-      contended = true;
-      ++shard.health.backpressure_events;
-    }
-    const OverloadDecision decision = governor.next();
-    if (decision.action == OverloadAction::kShed) {
-#if defined(DART_TELEMETRY)
-      if (tm != nullptr) tm->governor_sheds->at(shard.index).inc();
-#endif
-      break;
-    }
-    if (decision.action == OverloadAction::kSleep) {
-      ++shard.health.backoff_sleeps;
-#if defined(DART_TELEMETRY)
-      if (tm != nullptr) {
-        tm->backpressure_sleeps->at(shard.index).inc();
-        if (!backoff_counted) {
-          backoff_counted = true;  // ladder transition, not per-sleep
-          tm->governor_backoffs->at(shard.index).inc();
-        }
-      }
-#endif
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(decision.sleep_ns));
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  ++shard.health.shed_batches;
-  shard.health.shed_packets += batch.size();
-}
+// ---------------------------------------------------------------------------
+// Router side: delivery, barriers, health watching.
 
 void ShardedMonitor::process(const PacketRecord& packet) {
   if (finished_) {
@@ -197,6 +229,7 @@ void ShardedMonitor::process(const PacketRecord& packet) {
   Shard& shard = *shards_[router_.route(packet.tuple)];
   shard.pending.push_back(packet);
   if (shard.pending.size() >= config_.batch_size) flush_shard(shard);
+  if (barriers_) maybe_barrier(shard, packet.ts);
   ++routed_total_;
   if (config_.on_epoch &&
       closes_epoch(routed_total_, config_.epoch_interval_packets)) {
@@ -215,49 +248,272 @@ void ShardedMonitor::process_all(std::span<const PacketRecord> packets) {
 
 std::uint64_t ShardedMonitor::shard_routed_cursor(std::uint32_t shard) const {
   const Shard& s = *shards_[shard];
-  return s.routed_packets + s.pending.size();
+  return s.routed + s.pending.size();
 }
 
-void ShardedMonitor::join_or_detach(Shard& shard) {
-  if (!shard.thread.joinable()) return;
-  if (config_.join_timeout_ns == 0) {
-    shard.thread.join();
-    return;
+void ShardedMonitor::flush_shard(Shard& shard) {
+  if (shard.pending.empty()) return;
+  Work work;
+  work.batch = std::move(shard.pending);
+  shard.pending.clear();  // moved-from: restore a defined empty state
+  shard.pending.reserve(config_.batch_size);
+  shard.routed += work.batch.size();
+  deliver(shard, std::move(work));
+}
+
+void ShardedMonitor::maybe_barrier(Shard& shard, Timestamp ts) {
+  if (shard.retired) return;
+  if (!shard.barrier_ts_armed) {
+    shard.barrier_ts_armed = true;
+    shard.last_barrier_ts = ts;
   }
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::nanoseconds(config_.join_timeout_ns);
-  while (!shard.exited.load(std::memory_order_acquire)) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      // Deadline racing a clean exit must side with the worker: without
-      // this final re-check, a worker that finishes its last batch right
-      // at the deadline gets detached and its fully-merged stats and
-      // samples silently discarded.
-      if (shard.exited.load(std::memory_order_acquire)) break;
-      // The worker is wedged. Abandon it with a diagnostic rather than
-      // hanging shutdown forever; its keepalive reference makes a later
-      // wake-up safe, and its results are written off as abandoned.
-      shard.thread.detach();
-      shard.detached = true;
-      shard.health.forced_detaches = 1;
-      shard.health.abandoned_packets =
-          shard.routed_packets - shard.health.shed_packets;
+  const CheckpointPolicy& policy = config_.checkpoint;
+  const bool packets_due =
+      policy.interval_packets != 0 &&
+      shard.delivered + shard.pending.size() - shard.last_barrier_delivered >=
+          policy.interval_packets;
+  const bool vtime_due = policy.interval_vtime_ns != 0 &&
+                         ts - shard.last_barrier_ts >= policy.interval_vtime_ns;
+  if (!packets_due && !vtime_due) return;
+  // Epoch barrier: everything routed so far goes in front of the marker,
+  // so the marker's cursor is exactly the shard stream position it cuts.
+  flush_shard(shard);
+  Work marker;
+  marker.epoch = ++shard.epoch;
+  marker.cursor = shard.delivered;
+  shard.last_barrier_delivered = shard.delivered;
+  shard.last_barrier_ts = ts;
+  deliver(shard, std::move(marker));
+}
+
+void ShardedMonitor::shed(Shard& shard, const Work& work) {
+  if (work.epoch != 0) return;  // a skipped barrier sheds no coverage
+  ++shard.health.shed_batches;
+  shard.health.shed_packets += work.batch.size();
+}
+
+void ShardedMonitor::deliver(Shard& shard, Work&& work) {
+  const std::uint64_t packets = work.batch.size();
+  OverloadGovernor governor(config_.overload);
+  bool contended = false;
+#if defined(DART_TELEMETRY)
+  telemetry::RuntimeMetrics* const tm = config_.telemetry;
+  bool backoff_counted = false;
+#endif
+  for (;;) {
+    if (shard.retired) {
+      shed(shard, work);
       return;
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    Incarnation& inc = *shard.inc;
+    if (inc.dead.load(std::memory_order_acquire)) {
+      recover_dead(shard);
+      continue;
+    }
+    if (inc.queue.try_push(std::move(work))) {
+      shard.delivered += packets;
+#if defined(DART_TELEMETRY)
+      if (tm != nullptr) {
+        tm->ring_occupancy->at(shard.index)
+            .set(static_cast<std::int64_t>(inc.queue.size_approx()));
+      }
+#endif
+      return;
+    }
+    if (!contended) {
+      contended = true;
+      ++shard.health.backpressure_events;
+    }
+    // Hang detection: the heartbeat only matters while we are backpressured
+    // — an idle worker's frozen counter just means an empty ring.
+    if (config_.hang_detection_ns != 0) {
+      const std::uint64_t done =
+          inc.packets_done.load(std::memory_order_acquire);
+      const std::uint64_t now = now_ns();
+      if (!shard.hb_armed || shard.hb_done != done) {
+        shard.hb_armed = true;
+        shard.hb_done = done;
+        shard.hb_since_ns = now;
+      } else if (now - shard.hb_since_ns >= config_.hang_detection_ns) {
+        recover_hung(shard);
+        continue;
+      }
+    }
+    const OverloadDecision decision = governor.next();
+    if (decision.action == OverloadAction::kShed) {
+#if defined(DART_TELEMETRY)
+      if (tm != nullptr) tm->governor_sheds->at(shard.index).inc();
+#endif
+      shed(shard, work);
+      return;
+    }
+    if (decision.action == OverloadAction::kSleep) {
+      ++shard.health.backoff_sleeps;
+#if defined(DART_TELEMETRY)
+      if (tm != nullptr) {
+        tm->backpressure_sleeps->at(shard.index).inc();
+        if (!backoff_counted) {
+          backoff_counted = true;  // ladder transition, not per-sleep
+          tm->governor_backoffs->at(shard.index).inc();
+        }
+      }
+#endif
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(decision.sleep_ns));
+    } else {
+      std::this_thread::yield();
+    }
   }
-  shard.thread.join();
 }
 
-void ShardedMonitor::drain_as_shed(Shard& shard) {
-  // Only called after the worker has exited (acquire on `exited` +
-  // join), so this thread is the sole consumer of the ring.
-  PacketBatch batch;
-  while (shard.queue.try_pop(batch)) {
-    ++shard.health.shed_batches;
-    shard.health.shed_packets += batch.size();
-    batch.clear();
+void ShardedMonitor::requeue(Shard& shard, std::vector<Work>&& carryover) {
+  // Redeliver a dead predecessor's unconsumed input to the successor, in
+  // FIFO order, ahead of anything the router routes next (recovery runs
+  // synchronously on the router thread, so nothing can interleave).
+  for (Work& work : carryover) {
+    const std::uint64_t packets = work.batch.size();
+    for (;;) {
+      if (shard.retired) {
+        shed(shard, work);
+        break;
+      }
+      Incarnation& inc = *shard.inc;
+      if (inc.dead.load(std::memory_order_acquire)) {
+        // The successor died before swallowing the backlog; recursion is
+        // bounded by the restart budget.
+        recover_dead(shard);
+        continue;
+      }
+      if (inc.queue.try_push(std::move(work))) {
+        shard.health.replayed_after_restore += packets;
+        break;
+      }
+      std::this_thread::yield();
+    }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Recovery.
+
+void ShardedMonitor::recover_dead(Shard& shard) {
+  const std::shared_ptr<Incarnation> dead = shard.inc;
+  // Fence before touching anything else (symmetry with the hung path; a
+  // dead worker has already stopped committing).
+  coordinator_->begin_incarnation(shard.index);
+  if (dead->thread.joinable()) dead->thread.join();
+  ++shard.health.workers_killed;
+
+  // Unconsumed input: the parked limbo batch precedes the ring content in
+  // stream order (it was popped first).
+  std::vector<Work> carryover;
+  if (!dead->limbo.batch.empty()) carryover.push_back(std::move(dead->limbo));
+  for (Work work; dead->queue.try_pop(work);) {
+    carryover.push_back(std::move(work));
+  }
+
+  if (shard.restarts >= config_.restart_budget) {
+    // Not replaced: the worker retires with the stats and samples it
+    // exited with, and the shard degrades to the shed path.
+    shard.retired = true;
+    for (const Work& work : carryover) shed(shard, work);
+    return;
+  }
+
+  ++shard.restarts;
+  ++shard.health.recovered;
+  const std::uint64_t frontier =
+      dead->base_cursor + dead->packets_done.load(std::memory_order_acquire);
+  core::CheckpointImage image;
+  core::SnapshotMeta meta;
+  const bool has_image = coordinator_->latest(shard.index, &image, &meta);
+  const bool restored =
+      incarnate(shard, frontier, has_image ? &image : nullptr);
+  launch(shard);
+  // The loss window is exactly what the dead worker processed beyond the
+  // state its successor resumes from. max() keeps repeated crashes from
+  // re-counting a window an earlier crash already lost.
+  const std::uint64_t floor =
+      std::max<std::uint64_t>(restored ? meta.cursor : 0, dead->base_cursor);
+  if (frontier > floor) shard.health.lost_to_crash += frontier - floor;
+  requeue(shard, std::move(carryover));
+}
+
+bool ShardedMonitor::detach(Shard& shard, core::CheckpointImage* image) {
+  std::shared_ptr<Incarnation> hung = std::move(shard.inc);
+  // Fence FIRST: if the zombie wakes between here and a restart, its commit
+  // must already be rejected — otherwise it could overwrite the very image
+  // a successor is about to restore.
+  coordinator_->begin_incarnation(shard.index);
+  ++shard.health.forced_detaches;
+  core::SnapshotMeta meta;
+  const bool has_image = coordinator_->latest(shard.index, image, &meta) &&
+                         !core::read_stats(*image, &shard.salvaged);
+  if (!has_image) shard.salvaged = core::DartStats{};
+  // The zombie's ring is unsalvageable (it may still pop from it), so
+  // everything delivered past the surviving state is abandoned. Windows
+  // below this incarnation's base were already counted by earlier crashes.
+  const std::uint64_t floor =
+      std::max<std::uint64_t>(has_image ? meta.cursor : 0, hung->base_cursor);
+  shard.health.abandoned_packets += shard.delivered - floor;
+  // Hand the zombie its exit condition for a later wake-up, then abandon
+  // it; the keepalive reference keeps its world alive indefinitely.
+  hung->input_done.store(true, std::memory_order_release);
+  hung->thread.detach();
+  shard.detached.push_back(std::move(hung));
+  return has_image;
+}
+
+void ShardedMonitor::recover_hung(Shard& shard) {
+  core::CheckpointImage image;
+  const bool has_image = detach(shard, &image);
+  if (shard.restarts >= config_.restart_budget) {
+    shard.retired = true;  // results fall back to the salvaged image
+    return;
+  }
+  ++shard.restarts;
+  ++shard.health.recovered;
+  incarnate(shard, shard.delivered, has_image ? &image : nullptr);
+  launch(shard);
+}
+
+// ---------------------------------------------------------------------------
+// Shutdown and results.
+
+void ShardedMonitor::reap(Shard& shard) {
+  while (!shard.retired) {
+    Incarnation& inc = *shard.inc;
+    inc.input_done.store(true, std::memory_order_release);
+    if (config_.join_timeout_ns != 0 &&
+        !wait_exited(inc.exited,
+                     Clock::now() +
+                         std::chrono::nanoseconds(config_.join_timeout_ns))) {
+      // Wedged past the shutdown budget: detach it, but start no
+      // successor — there is no further input to feed one.
+      core::CheckpointImage image;
+      detach(shard, &image);
+      shard.retired = true;
+      return;
+    }
+    inc.thread.join();
+    if (!inc.dead.load(std::memory_order_acquire)) return;  // clean exit
+    recover_dead(shard);  // replace and drain again, or retire
+  }
+}
+
+void ShardedMonitor::settle(Shard& shard) {
+  coordinator_->seal(shard.index, &shard.samples, &shard.rtt);
+  if (shard.inc) {
+    // Joined: a clean exit, or a dead worker retired with what it had.
+    // Without checkpoints nothing was committed, so both moves are O(1).
+    Incarnation& inc = *shard.inc;
+    shard.samples.absorb(std::move(inc.samples));
+    shard.rtt.absorb(std::move(inc.rtt));
+    shard.result = inc.final_stats;
+  } else {
+    shard.result = shard.salvaged;
+  }
+  shard.result.runtime = shard.health;
 }
 
 void ShardedMonitor::finish() {
@@ -272,38 +528,22 @@ void ShardedMonitor::shutdown() noexcept {
   finished_ = true;
   for (auto& shard : shards_) {
     flush_shard(*shard);
-    shard->input_done.store(true, std::memory_order_release);
-  }
-  // Join only after every shard got its done flag, so workers drain in
-  // parallel rather than serially behind the first join.
-  for (auto& shard : shards_) join_or_detach(*shard);
-  for (auto& shard : shards_) {
-    if (shard->detached) {
-      // Worker may still be running: its monitor stats and samples are
-      // unreadable. Report only the router-side accounting (the dead flag
-      // is atomic, so a kill observed before the detach still counts).
-      if (shard->dead.load(std::memory_order_acquire)) {
-        shard->health.workers_killed = 1;
-      }
-      shard->result = core::DartStats{};
-    } else {
-      if (shard->dead.load(std::memory_order_acquire)) {
-        shard->health.workers_killed = 1;
-        drain_as_shed(*shard);
-      }
-      shard->result = shard->final_stats;
+    if (!shard->retired) {
+      shard->inc->input_done.store(true, std::memory_order_release);
     }
-    shard->result.runtime = shard->health;
   }
+  // Reap only after every worker got its done flag, so workers drain in
+  // parallel rather than serially behind the first join.
+  for (auto& shard : shards_) reap(*shard);
+  for (auto& shard : shards_) settle(*shard);
 #if defined(DART_TELEMETRY)
   // Quiesce fold: authoritative counters are written exactly once, from
-  // the merged per-shard results, after workers have joined. Folding live
-  // would double-count work a force-detached worker did but the merge
-  // discarded.
+  // the settled per-shard results. Live per-batch counts include work a
+  // detached or rolled-back worker did that the results discard, so they
+  // must never feed this tier.
   if (config_.telemetry != nullptr) {
     for (const auto& shard : shards_) {
-      config_.telemetry->fold_authoritative(shard->index,
-                                            shard->routed_packets,
+      config_.telemetry->fold_authoritative(shard->index, shard->routed,
                                             shard->result);
     }
   }
@@ -313,8 +553,6 @@ void ShardedMonitor::shutdown() noexcept {
 const analytics::SampleLog& ShardedMonitor::shard_samples(
     std::uint32_t shard) const {
   assert(finished_ && "results require finish()");
-  static const analytics::SampleLog kEmpty;
-  if (shards_[shard]->detached) return kEmpty;
   return shards_[shard]->samples;
 }
 
@@ -340,13 +578,10 @@ core::RuntimeHealth ShardedMonitor::health() const {
 std::vector<core::RttSample> ShardedMonitor::merged_samples() const {
   assert(finished_ && "results require finish()");
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    if (!shard->detached) total += shard->samples.size();
-  }
+  for (const auto& shard : shards_) total += shard->samples.size();
   std::vector<core::RttSample> merged;
   merged.reserve(total);
   for (const auto& shard : shards_) {
-    if (shard->detached) continue;
     const auto& samples = shard->samples.samples();
     merged.insert(merged.end(), samples.begin(), samples.end());
   }
@@ -357,21 +592,16 @@ std::vector<core::RttSample> ShardedMonitor::merged_samples() const {
 analytics::LogHistogram ShardedMonitor::rtt_histogram() const {
   assert(finished_ && "results require finish()");
   analytics::LogHistogram merged;
-  for (const auto& shard : shards_) {
-    if (!shard->detached) merged.merge(shard->rtt);
-  }
+  for (const auto& shard : shards_) merged.merge(shard->rtt);
   return merged;
 }
 
 bool ShardedMonitor::await_detached(std::uint64_t timeout_ns) const {
   assert(finished_ && "await_detached() requires finish()");
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(timeout_ns);
+  const auto deadline = Clock::now() + std::chrono::nanoseconds(timeout_ns);
   for (const auto& shard : shards_) {
-    if (!shard->detached) continue;
-    while (!shard->exited.load(std::memory_order_acquire)) {
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    for (const auto& zombie : shard->detached) {
+      if (!wait_exited(zombie->exited, deadline)) return false;
     }
   }
   return true;

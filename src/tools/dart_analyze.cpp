@@ -11,7 +11,7 @@
 //           implicit or explicit seq_cst on the packet path is either a
 //           perf bug or an unstated algorithm assumption)
 //   CON002  no raw std::thread / detach() outside the sharded runtime's
-//           worker management (thread lifetime is the supervisor's job)
+//           worker management (thread lifetime is ShardedMonitor's job)
 //   CON003  no wall-clock reads in deterministic (replay) code — virtual
 //           time only, or two runs of one trace stop being comparable
 //   CON004  no unordered-container iteration feeding exported or merged
@@ -387,14 +387,14 @@ void check_con002(const std::string& code,
         {"CON002", file,
          line_of(lines, static_cast<std::size_t>(it->position())),
          "raw thread creation outside the shard runtime; workers belong to "
-         "ShardedMonitor / ShardSupervisor"});
+         "ShardedMonitor"});
   }
   for (std::sregex_iterator it(code.begin(), code.end(), kDetach), end;
        it != end; ++it) {
     findings.push_back(
         {"CON002", file,
          line_of(lines, static_cast<std::size_t>(it->position())),
-         "detach() outside the shard runtime; only the supervisor may "
+         "detach() outside the shard runtime; only ShardedMonitor may "
          "abandon a worker"});
   }
 }
@@ -734,7 +734,6 @@ FileClass classify(const std::string& rel) {
                 starts("src/analytics/");
   const std::string base = fs::path(rel).filename().string();
   fc.threads_ok = base.rfind("sharded_monitor.", 0) == 0 ||
-                  base.rfind("shard_supervisor.", 0) == 0 ||
                   base.rfind("query_server.", 0) == 0;
   // Everything that publishes snapshot frames for a concurrent reader:
   // the fleet subsystem and the dart-fleet CLI around it.

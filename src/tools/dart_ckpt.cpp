@@ -1,5 +1,5 @@
 // dart-ckpt: inspect and verify Dart checkpoint images (the recovery
-// artifacts the supervised shard runtime cuts at epoch barriers).
+// artifacts the sharded runtime cuts at epoch barriers).
 //
 //   dart-ckpt inspect <file>    print header, cursors, CRC and sections
 //   dart-ckpt verify <file>     deep-validate; exit 0 iff fully restorable

@@ -6,8 +6,8 @@
 // snapshots (config, stats, RT, PT, shadow — the complete monitor state),
 // identical sample streams *in emission order*, identical collapse /
 // optimistic-ACK event streams, and — through the sharded runtime —
-// identical per-shard and merged results between the batched and scalar
-// worker modes, including the deterministic telemetry export text.
+// per-shard results identical to a scalar replay of each shard's stream,
+// plus a deterministic telemetry export independent of the ring batching.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,6 +17,7 @@
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "runtime_check.hpp"
 
 #if defined(DART_TELEMETRY)
 #include "telemetry/export.hpp"
@@ -178,55 +179,52 @@ TEST(BatchDifferential, SynInclusionMatchesScalar) {
   expect_identical(scalar, batched, "+SYN");
 }
 
-// The sharded runtime's two worker modes (process_batch vs per-packet
-// loop) must produce identical per-shard and merged results: same router,
-// same rings, same arrival order — only the worker's inner loop differs.
+// The sharded runtime's batched worker loop must reproduce, shard by
+// shard, a scalar DartMonitor::process replay of exactly the subsequence
+// the router sends that shard: same stats, same samples in emission order.
 TEST(BatchDifferential, ShardedWorkerModesAgreePerShard) {
   const auto trace = gen::build_campus(base_campus());
 
   for (const bool bounded : {false, true}) {
     const core::DartConfig dart_config =
         bounded ? bounded_config() : unbounded_config();
+    runtime::ShardedConfig config;
+    config.shards = 4;
+    runtime::ShardedMonitor sharded(config, dart_config);
+    sharded.process_all(trace.packets());
+    sharded.finish();
 
-    runtime::ShardedConfig scalar_config;
-    scalar_config.shards = 4;
-    scalar_config.batched_workers = false;
-    runtime::ShardedMonitor scalar(scalar_config, dart_config);
-    scalar.process_all(trace.packets());
-    scalar.finish();
-
-    runtime::ShardedConfig batched_config;
-    batched_config.shards = 4;
-    batched_config.batched_workers = true;
-    runtime::ShardedMonitor batched(batched_config, dart_config);
-    batched.process_all(trace.packets());
-    batched.finish();
-
-    for (std::uint32_t i = 0; i < scalar.shards(); ++i) {
-      EXPECT_EQ(scalar.shard_stats(i), batched.shard_stats(i))
-          << "shard " << i << " stats diverged (bounded=" << bounded << ")";
-      EXPECT_EQ(scalar.shard_samples(i).samples(),
-                batched.shard_samples(i).samples())
-          << "shard " << i << " samples diverged (bounded=" << bounded << ")";
+    const auto refs = runtime_check::per_shard_reference(
+        dart_config, trace.packets(), sharded.config());
+    core::DartStats merged_ref;
+    for (std::uint32_t i = 0; i < sharded.shards(); ++i) {
+      runtime_check::expect_shard_matches(
+          sharded, i, refs[i], bounded ? "bounded" : "unbounded");
+      merged_ref += refs[i].stats;
     }
-    EXPECT_EQ(scalar.merged_stats(), batched.merged_stats());
-    EXPECT_EQ(scalar.merged_samples(), batched.merged_samples());
+    const core::RuntimeHealth health = sharded.health();
+    EXPECT_EQ(health.shed_packets, 0U);
+    EXPECT_EQ(health.abandoned_packets, 0U);
+    core::DartStats merged = sharded.merged_stats();
+    merged.runtime = core::RuntimeHealth{};
+    EXPECT_EQ(merged, merged_ref);
   }
 }
 
 #if defined(DART_TELEMETRY)
 // Deterministic-tier telemetry is derived from the merged results at
-// quiesce time, so the exported text must be byte-identical between the
-// two worker modes.
+// quiesce time, so the exported text must be byte-identical however the
+// router cuts the stream into ring batches — one packet per batch or the
+// default 256.
 TEST(BatchDifferential, DeterministicTelemetryExportIsIdentical) {
   const auto trace = gen::build_campus(base_campus());
 
-  const auto deterministic_export = [&](bool batched_workers) {
+  const auto deterministic_export = [&](std::size_t batch_size) {
     telemetry::Registry registry(4);
     telemetry::RuntimeMetrics metrics(registry);
     runtime::ShardedConfig config;
     config.shards = 4;
-    config.batched_workers = batched_workers;
+    config.batch_size = batch_size;
     config.telemetry = &metrics;
     runtime::ShardedMonitor sharded(config, bounded_config());
     sharded.process_all(trace.packets());
@@ -236,14 +234,15 @@ TEST(BatchDifferential, DeterministicTelemetryExportIsIdentical) {
     return telemetry::to_prometheus(registry.snapshot(options));
   };
 
-  const std::string scalar_text = deterministic_export(false);
-  const std::string batched_text = deterministic_export(true);
-  EXPECT_FALSE(scalar_text.empty());
-  EXPECT_EQ(scalar_text, batched_text);
+  const std::string single_text = deterministic_export(1);
+  const std::string default_text =
+      deterministic_export(runtime::ShardedConfig{}.batch_size);
+  EXPECT_FALSE(single_text.empty());
+  EXPECT_EQ(single_text, default_text);
 }
 
 // The live tier's batch_fill histogram is the batching observability hook:
-// it must record one observation per dequeued ring batch in either mode.
+// it must record one observation per dequeued ring batch.
 TEST(BatchDifferential, BatchFillHistogramRecordsEveryBatch) {
   const auto trace = gen::build_campus(base_campus());
   telemetry::Registry registry(2);

@@ -2,11 +2,11 @@
 // cut into batches — fixed widths, the ring-batch capacity, random
 // mid-flow splits, interleaved scalar calls — the monitor's observable
 // behaviour and end-state snapshot must be bit-identical to the scalar
-// reference. Also covers the two runtime hazards the batching refactor
-// could have introduced: a batch split straddling a checkpoint epoch
-// barrier (supervised runtime), a forced-shed window (fault-injected
-// worker kill), and the partial-final-batch flush at shutdown — the
-// mirror of the MinFilter partial-tail bug class fixed in PR 5.
+// reference. Also covers the runtime hazards batching could introduce —
+// a batch split straddling a checkpoint epoch barrier, a forced-shed
+// window (fault-injected worker kill), and the partial-final-batch flush
+// at shutdown, the mirror of the MinFilter partial-tail bug class — by
+// holding each shard to a scalar replay of its own stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +18,8 @@
 #include "core/dart_monitor.hpp"
 #include "core/packet_batch.hpp"
 #include "gen/workload.hpp"
-#include "runtime/shard_supervisor.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "runtime_check.hpp"
 
 #if defined(DART_FAULT_INJECTION)
 #include "runtime/fault_injection.hpp"
@@ -28,33 +28,7 @@
 namespace dart {
 namespace {
 
-// The fuzz_test generator's distribution: uniformly random packets over a
-// tiny tuple pool so table collisions, retransmission edges, duplicate
-// ACKs, and wraparounds all fire constantly.
-std::vector<PacketRecord> garbage(std::uint64_t seed, std::size_t count) {
-  Rng rng(seed);
-  std::vector<PacketRecord> packets;
-  packets.reserve(count);
-  Timestamp ts = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    PacketRecord p;
-    ts += rng.uniform_int(0, 100000);
-    p.ts = ts;
-    p.tuple.src_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x0A080000)};
-    p.tuple.dst_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x17340000)};
-    p.tuple.src_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.tuple.dst_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.seq = static_cast<SeqNum>(rng.next_u64());
-    p.ack = static_cast<SeqNum>(rng.next_u64());
-    p.payload = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-    p.flags = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.outbound = rng.bernoulli(0.5);
-    packets.push_back(p);
-  }
-  return packets;
-}
+using runtime_check::garbage;
 
 core::DartConfig stress_config() {
   core::DartConfig config;
@@ -214,36 +188,32 @@ TEST_P(BatchFuzz, PartialFinalBatchIsFlushedNotDropped) {
   dart_config.include_syn = true;
   dart_config.leg = core::LegMode::kBoth;
 
-  std::vector<core::RttSample> reference;
-  core::DartMonitor single(dart_config, [&](const core::RttSample& sample) {
-    reference.push_back(sample);
-  });
-  single.process_all(packets);
-  runtime::deterministic_order(reference);
+  const std::vector<core::RttSample> reference =
+      runtime_check::single_monitor_samples(dart_config, packets);
 
-  for (const bool batched_workers : {false, true}) {
-    runtime::ShardedConfig config;
-    config.shards = 3;
-    config.batch_size = 64;
-    config.batched_workers = batched_workers;
-    runtime::ShardedMonitor sharded(config, dart_config);
-    sharded.process_all(packets);
-    sharded.finish();
+  runtime::ShardedConfig config;
+  config.shards = 3;
+  config.batch_size = 64;
+  runtime::ShardedMonitor sharded(config, dart_config);
+  sharded.process_all(packets);
+  sharded.finish();
 
-    EXPECT_EQ(sharded.merged_stats().packets_processed, packets.size())
-        << "batched_workers=" << batched_workers
-        << ": the partial final batch was not flushed";
-    EXPECT_EQ(sharded.health().shed_packets, 0U);
-    EXPECT_EQ(sharded.merged_samples(), reference)
-        << "batched_workers=" << batched_workers;
+  EXPECT_EQ(sharded.merged_stats().packets_processed, packets.size())
+      << "the partial final batch was not flushed";
+  EXPECT_EQ(sharded.health().shed_packets, 0U);
+  EXPECT_EQ(sharded.merged_samples(), reference);
+  const auto refs =
+      runtime_check::per_shard_reference(dart_config, packets, config);
+  for (std::uint32_t i = 0; i < config.shards; ++i) {
+    runtime_check::expect_shard_matches(sharded, i, refs[i], "partial tail");
   }
 }
 
-// A batch split straddling a checkpoint epoch barrier: the supervised
-// runtime interleaves barrier markers between ring batches, so with a
-// batch width that never divides the barrier interval, every epoch
-// boundary lands mid-batch-stream. Both worker modes must commit the same
-// checkpoints and produce identical merged results.
+// A batch split straddling a checkpoint epoch barrier: the runtime
+// interleaves barrier markers between ring batches, so with a batch width
+// that never divides the barrier interval, every epoch boundary lands
+// mid-batch-stream. Each shard must still match a scalar replay of its
+// stream, and cut exactly one checkpoint per full interval it received.
 TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
   const auto packets = garbage(GetParam() ^ 0xEB0C, 20000);
 
@@ -251,50 +221,37 @@ TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
   dart_config.include_syn = true;
   dart_config.leg = core::LegMode::kBoth;
 
-  const auto run_supervised = [&](bool batched_workers) {
-    runtime::SupervisorConfig config;
-    config.shards = 2;
-    config.batch_size = 7;  // never divides the barrier interval
-    config.checkpoint.interval_packets = 1000;
-    config.batched_workers = batched_workers;
-    runtime::ShardSupervisor supervisor(config, dart_config);
-    supervisor.process_all(packets);
-    supervisor.finish();
-    return std::tuple(supervisor.merged_stats(), supervisor.merged_samples(),
-                      supervisor.checkpoints_cut());
-  };
+  runtime::ShardedConfig config;
+  config.shards = 2;
+  config.batch_size = 7;  // never divides the barrier interval
+  config.checkpoint.interval_packets = 1000;
+  runtime::ShardedMonitor sharded(config, dart_config);
+  sharded.process_all(packets);
+  sharded.finish();
 
-  const auto [scalar_stats, scalar_samples, scalar_ckpts] =
-      run_supervised(false);
-  const auto [batched_stats, batched_samples, batched_ckpts] =
-      run_supervised(true);
-
-  EXPECT_GT(scalar_ckpts, 0U);
-  EXPECT_EQ(scalar_ckpts, batched_ckpts);
-  // RuntimeHealth carries wall-clock backpressure counters that may differ
-  // between any two runs; compare its deterministic fields explicitly and
-  // mask it out of the full-struct comparison.
-  EXPECT_EQ(scalar_stats.runtime.shed_packets,
-            batched_stats.runtime.shed_packets);
-  EXPECT_EQ(scalar_stats.runtime.abandoned_packets,
-            batched_stats.runtime.abandoned_packets);
-  EXPECT_EQ(scalar_stats.runtime.lost_to_crash,
-            batched_stats.runtime.lost_to_crash);
-  core::DartStats scalar_masked = scalar_stats;
-  core::DartStats batched_masked = batched_stats;
-  scalar_masked.runtime = core::RuntimeHealth{};
-  batched_masked.runtime = core::RuntimeHealth{};
-  EXPECT_EQ(scalar_masked, batched_masked);
-  EXPECT_EQ(scalar_samples, batched_samples);
+  const auto refs =
+      runtime_check::per_shard_reference(dart_config, packets, config);
+  std::uint64_t expected_cuts = 0;
+  for (std::uint32_t i = 0; i < config.shards; ++i) {
+    runtime_check::expect_shard_matches(sharded, i, refs[i], "barriers");
+    expected_cuts += refs[i].packets.size() / 1000;
+  }
+  EXPECT_GT(sharded.checkpoints_cut(), 0U);
+  EXPECT_EQ(sharded.checkpoints_cut(), expected_cuts);
+  const core::RuntimeHealth health = sharded.health();
+  EXPECT_EQ(health.shed_packets, 0U);
+  EXPECT_EQ(health.abandoned_packets, 0U);
+  EXPECT_EQ(health.lost_to_crash, 0U);
+  runtime_check::expect_histogram_of_samples(sharded);
 }
 
 #if defined(DART_FAULT_INJECTION)
 // A forced-shed window: kill one worker mid-run so the router sheds the
 // remainder of its shard's stream. The packets processed before the kill
 // are a deterministic prefix (the fault fires on the worker's batch
-// clock), so both worker modes must agree on every processed-side result
-// and on the shed totals; only wall-clock noise (backpressure counters)
-// may differ.
+// clock), so the killed shard must match a scalar replay of exactly that
+// prefix, the healthy shard its whole stream, and shed absorbs exactly
+// the rest.
 TEST_P(BatchFuzz, ForcedShedWindowMatchesAcrossWorkerModes) {
   const auto packets = garbage(GetParam() ^ 0x5EED, 20000);
 
@@ -302,38 +259,31 @@ TEST_P(BatchFuzz, ForcedShedWindowMatchesAcrossWorkerModes) {
   dart_config.include_syn = true;
   dart_config.leg = core::LegMode::kBoth;
 
-  const auto run_with_kill = [&](bool batched_workers) {
-    runtime::FaultPlan faults;
-    faults.kill(0, 3);  // shard 0 dies after exactly 3 batches
-    runtime::ShardedConfig config;
-    config.shards = 2;
-    config.batch_size = 16;
-    config.batched_workers = batched_workers;
-    config.faults = &faults;
-    runtime::ShardedMonitor sharded(config, dart_config);
-    sharded.process_all(packets);
-    sharded.finish();
-    return std::tuple(sharded.merged_stats(), sharded.merged_samples());
-  };
+  runtime::FaultPlan faults;
+  faults.kill(0, 3);  // shard 0 dies after exactly 3 batches
+  runtime::ShardedConfig config;
+  config.shards = 2;
+  config.batch_size = 16;
+  config.faults = &faults;
+  runtime::ShardedMonitor sharded(config, dart_config);
+  sharded.process_all(packets);
+  sharded.finish();
 
-  const auto [scalar_stats, scalar_samples] = run_with_kill(false);
-  const auto [batched_stats, batched_samples] = run_with_kill(true);
-
-  // The shed window is real in both runs...
-  EXPECT_GT(scalar_stats.runtime.shed_packets, 0U);
-  // ...identically sized (routed and processed prefixes are deterministic,
-  // and shed absorbs exactly the rest)...
-  EXPECT_EQ(scalar_stats.runtime.shed_packets,
-            batched_stats.runtime.shed_packets);
-  EXPECT_EQ(scalar_stats.packets_processed, batched_stats.packets_processed);
-  // ...and the monitor-side results are identical once the wall-clock
-  // backpressure noise is masked out.
-  core::DartStats scalar_masked = scalar_stats;
-  core::DartStats batched_masked = batched_stats;
-  scalar_masked.runtime = core::RuntimeHealth{};
-  batched_masked.runtime = core::RuntimeHealth{};
-  EXPECT_EQ(scalar_masked, batched_masked);
-  EXPECT_EQ(scalar_samples, batched_samples);
+  constexpr std::uint64_t kPrefix = 3 * 16;
+  const auto refs = runtime_check::per_shard_reference(
+      dart_config, packets, config, /*limit=*/{kPrefix});
+  EXPECT_EQ(sharded.shard_stats(0).packets_processed, kPrefix);
+  for (std::uint32_t i = 0; i < config.shards; ++i) {
+    runtime_check::expect_shard_matches(sharded, i, refs[i], "forced shed");
+  }
+  // The shed window is real, and it is exactly the killed shard's
+  // unprocessed remainder.
+  const core::RuntimeHealth health = sharded.health();
+  EXPECT_GT(health.shed_packets, 0U);
+  EXPECT_EQ(health.shed_packets, refs[0].packets.size() - kPrefix);
+  EXPECT_EQ(health.workers_killed, 1U);
+  EXPECT_EQ(sharded.merged_stats().packets_processed + health.shed_packets,
+            packets.size());
 }
 #endif  // DART_FAULT_INJECTION
 

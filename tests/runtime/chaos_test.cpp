@@ -23,6 +23,7 @@
 #include "gen/workload.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "runtime_check.hpp"
 
 namespace dart {
 namespace {
@@ -281,14 +282,8 @@ TEST(Chaos, SkewedTimestampsDegradeGracefully) {
 
   // Sharded replay of the skewed trace matches a single monitor fed the
   // same skewed stream: flow order is preserved regardless of timestamps.
-  std::vector<core::RttSample> reference;
-  core::DartMonitor single(monitor_config(),
-                           [&reference](const core::RttSample& sample) {
-                             reference.push_back(sample);
-                           });
-  single.process_all(skewed.packets());
-  runtime::deterministic_order(reference);
-  EXPECT_EQ(first.samples, reference);
+  EXPECT_EQ(first.samples, runtime_check::single_monitor_samples(
+                               monitor_config(), skewed.packets()));
 }
 
 TEST(Chaos, CombinedStallAndKillAcrossShards) {

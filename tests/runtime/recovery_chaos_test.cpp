@@ -1,5 +1,5 @@
-// Recovery chaos suite: kills and hangs workers under the ShardSupervisor
-// and asserts the crash-recovery contract end to end:
+// Recovery chaos suite: kills and hangs workers under ShardedMonitor's
+// recovery policy and asserts the crash-recovery contract end to end:
 //
 //   (i)   bounded loss  — a kill between barriers loses exactly the packets
 //                         the dead worker processed after its last committed
@@ -12,7 +12,9 @@
 //   (iii) accounting    — processed + shed + abandoned + lost_to_crash ==
 //                         routed, under any number of crashes;
 //   (iv)  fencing       — a zombie released after the run cannot alter the
-//                         committed results.
+//                         committed results;
+//   (v)   histogram     — rtt_histogram() is exactly the histogram of the
+//                         committed samples, under every rollback.
 //
 // Only built with -DDART_FAULT_INJECTION=ON (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -23,7 +25,8 @@
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
 #include "runtime/fault_injection.hpp"
-#include "runtime/shard_supervisor.hpp"
+#include "runtime/sharded_monitor.hpp"
+#include "runtime_check.hpp"
 
 namespace dart {
 namespace {
@@ -49,14 +52,13 @@ core::DartConfig monitor_config() {
 // b1..b4, M(128), b5..b8, M(256), ...  A generous queue plus a long shed
 // deadline keeps the kill scenarios shed-free (loss comes only from the
 // crash window), and hang detection stays off except in the hang test.
-runtime::SupervisorConfig recovery_config(runtime::FaultPlan* plan) {
-  runtime::SupervisorConfig config;
+runtime::ShardedConfig recovery_config(runtime::FaultPlan* plan) {
+  runtime::ShardedConfig config;
   config.shards = 1;
   config.batch_size = 32;
   config.queue_batches = 8;
   config.checkpoint.interval_packets = 128;
   config.overload.shed_deadline_ns = sec(10);
-  config.hang_detection_ns = 0;
   config.restart_budget = 3;
   config.faults = plan;
   return config;
@@ -70,10 +72,11 @@ struct RunResult {
 };
 
 RunResult run_supervised(const trace::Trace& trace,
-                         const runtime::SupervisorConfig& config) {
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+                         const runtime::ShardedConfig& config) {
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
+  runtime_check::expect_histogram_of_samples(supervisor);
   return {supervisor.merged_stats(), supervisor.health(),
           supervisor.merged_samples(), supervisor.checkpoints_cut()};
 }
@@ -155,16 +158,17 @@ TEST(Recovery, RepeatedKillsExhaustBudgetAndDegradeToShed) {
 
   // Shard 0's worker dies on its very first pop, every incarnation: the
   // original plus restart_budget replacements are killed before the shard
-  // is tombstoned and degrades to the shed path. Shard 1 is untouched.
+  // retires and degrades to the shed path. Shard 1 is untouched.
   runtime::FaultPlan plan;
   plan.kill(/*shard=*/0, /*after_batches=*/0, /*times=*/1000);
-  runtime::SupervisorConfig config = recovery_config(&plan);
+  runtime::ShardedConfig config = recovery_config(&plan);
   config.shards = 2;
   config.queue_batches = 64;
 
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
+  runtime_check::expect_histogram_of_samples(supervisor);
 
   const core::RuntimeHealth health = supervisor.health();
   const core::DartStats merged = supervisor.merged_stats();
@@ -196,13 +200,14 @@ TEST(Recovery, HungWorkerIsReplacedAndZombieIsFencedOff) {
   // 128-cut and the crash window itself is empty.
   runtime::FaultPlan plan;
   plan.hang(/*shard=*/0, /*at_batch=*/4);
-  runtime::SupervisorConfig config = recovery_config(&plan);
+  runtime::ShardedConfig config = recovery_config(&plan);
   config.queue_batches = 4;
   config.hang_detection_ns = 100'000'000;  // 100 ms
 
-  runtime::ShardSupervisor supervisor(config, monitor_config());
+  runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
+  runtime_check::expect_histogram_of_samples(supervisor);
 
   const core::RuntimeHealth health = supervisor.health();
   const core::DartStats merged = supervisor.merged_stats();
@@ -220,10 +225,13 @@ TEST(Recovery, HungWorkerIsReplacedAndZombieIsFencedOff) {
   // batch, processes its abandoned ring to the end, tries to commit — and
   // the coordinator rejects the stale incarnation. Nothing changes.
   const std::vector<core::RttSample> committed = supervisor.merged_samples();
+  const analytics::LogHistogram committed_rtt = supervisor.rtt_histogram();
   const std::uint64_t cuts = supervisor.checkpoints_cut();
   plan.release_hangs();
   EXPECT_TRUE(supervisor.await_detached(sec(30)));
   EXPECT_EQ(supervisor.merged_samples(), committed);
+  runtime_check::expect_same_histogram(supervisor.rtt_histogram(),
+                                       committed_rtt);
   EXPECT_EQ(supervisor.checkpoints_cut(), cuts);
   EXPECT_EQ(supervisor.merged_stats().packets_processed,
             merged.packets_processed);
@@ -239,7 +247,7 @@ TEST(Recovery, NoCheckpointsMeansTheWholePrefixIsTheLossWindow) {
   // motivates cutting checkpoints at all.
   runtime::FaultPlan plan;
   plan.kill(/*shard=*/0, /*after_batches=*/5);
-  runtime::SupervisorConfig config = recovery_config(&plan);
+  runtime::ShardedConfig config = recovery_config(&plan);
   config.checkpoint = runtime::CheckpointPolicy{};  // disabled
 
   const RunResult faulty = run_supervised(trace, config);

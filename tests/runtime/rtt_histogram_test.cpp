@@ -14,9 +14,13 @@
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "runtime_check.hpp"
 
 namespace dart {
 namespace {
+
+using runtime_check::expect_same_histogram;
+using runtime_check::histogram_of;
 
 trace::Trace workload() {
   gen::CampusConfig config;
@@ -39,22 +43,6 @@ core::DartConfig monitor_config(bool bounded) {
     config.max_recirculations = 2;
   }
   return config;
-}
-
-analytics::LogHistogram reference_histogram(
-    const std::vector<core::RttSample>& samples) {
-  analytics::LogHistogram hist;
-  for (const core::RttSample& sample : samples) hist.add(sample.rtt());
-  return hist;
-}
-
-void expect_same_histogram(const analytics::LogHistogram& got,
-                           const analytics::LogHistogram& want) {
-  EXPECT_TRUE(got.same_layout(want));
-  EXPECT_EQ(got.bins(), want.bins());
-  EXPECT_EQ(got.count(), want.count());
-  EXPECT_EQ(got.min(), want.min());
-  EXPECT_EQ(got.max(), want.max());
 }
 
 class RttHistogram
@@ -81,7 +69,7 @@ TEST_P(RttHistogram, EqualsHistogramOfMergedSamples) {
   const std::vector<core::RttSample> merged = sharded.merged_samples();
   ASSERT_GT(merged.size(), 0U) << "workload must produce samples";
   const analytics::LogHistogram hist = sharded.rtt_histogram();
-  expect_same_histogram(hist, reference_histogram(merged));
+  expect_same_histogram(hist, histogram_of(merged));
   EXPECT_EQ(hist.count(), sharded.merged_stats().samples);
   if (bounded) {
     EXPECT_GT(sharded.merged_stats().pt_evictions, 0U)
@@ -97,7 +85,7 @@ TEST(RttHistogramEdge, EmptyTraceGivesEmptyHistogram) {
   sharded.finish();
 
   const analytics::LogHistogram hist = sharded.rtt_histogram();
-  expect_same_histogram(hist, reference_histogram(sharded.merged_samples()));
+  expect_same_histogram(hist, histogram_of(sharded.merged_samples()));
   EXPECT_EQ(hist.count(), 0U);
   EXPECT_EQ(hist.min(), 0U);
   EXPECT_EQ(hist.max(), 0U);

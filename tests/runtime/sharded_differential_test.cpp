@@ -12,39 +12,14 @@
 
 #include "baseline/strawman.hpp"
 #include "baseline/tcptrace.hpp"
-#include "common/random.hpp"
 #include "core/dart_monitor.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "runtime_check.hpp"
 
 namespace dart {
 namespace {
 
-// Mirrors tests/integration/fuzz_test.cpp's generator: uniformly random
-// packets over a small tuple pool, non-decreasing timestamps.
-std::vector<PacketRecord> garbage(std::uint64_t seed, std::size_t count) {
-  Rng rng(seed);
-  std::vector<PacketRecord> packets;
-  packets.reserve(count);
-  Timestamp ts = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    PacketRecord p;
-    ts += rng.uniform_int(0, 100000);
-    p.ts = ts;
-    p.tuple.src_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x0A080000)};
-    p.tuple.dst_ip = Ipv4Addr{static_cast<std::uint32_t>(
-        rng.uniform_int(0, 15) | 0x17340000)};
-    p.tuple.src_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.tuple.dst_port = static_cast<std::uint16_t>(rng.uniform_int(0, 7));
-    p.seq = static_cast<SeqNum>(rng.next_u64());
-    p.ack = static_cast<SeqNum>(rng.next_u64());
-    p.payload = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
-    p.flags = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    p.outbound = rng.bernoulli(0.5);
-    packets.push_back(p);
-  }
-  return packets;
-}
+using runtime_check::garbage;
 
 class ShardedDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDifferential,
@@ -57,12 +32,8 @@ TEST_P(ShardedDifferential, UnboundedDartAgreesExactlyOnGarbage) {
   config.include_syn = true;
   config.leg = core::LegMode::kBoth;
 
-  std::vector<core::RttSample> reference;
-  core::DartMonitor dart(config, [&](const core::RttSample& sample) {
-    reference.push_back(sample);
-  });
-  dart.process_all(packets);
-  runtime::deterministic_order(reference);
+  const std::vector<core::RttSample> reference =
+      runtime_check::single_monitor_samples(config, packets);
 
   for (std::uint32_t shards : {2u, 4u, 8u}) {
     runtime::ShardedConfig sharded_config;
@@ -71,7 +42,7 @@ TEST_P(ShardedDifferential, UnboundedDartAgreesExactlyOnGarbage) {
     sharded.process_all(packets);
     sharded.finish();
 
-    EXPECT_EQ(sharded.merged_stats().samples, dart.stats().samples);
+    EXPECT_EQ(sharded.merged_stats().samples, reference.size());
     EXPECT_EQ(sharded.merged_samples(), reference)
         << "garbage-stream divergence at " << shards << " shards";
   }

@@ -4,7 +4,7 @@
 //     processed + shed + abandoned + lost_to_crash == routed
 //
 // per shard and in aggregate, on healthy runs, under forced shedding, and
-// through the supervised checkpoint/recovery runtime — and the
+// with the checkpoint/recovery policy on — and the
 // deterministic-only snapshot must be byte-identical across two runs of the
 // same seeded workload.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "gen/workload.hpp"
-#include "runtime/shard_supervisor.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
@@ -172,11 +171,12 @@ TEST(RuntimeTelemetry, SupervisorExportsIdentityAndCommits) {
   telemetry::Registry registry(kShards);
   telemetry::RuntimeMetrics metrics(registry);
 
-  runtime::SupervisorConfig config;
+  runtime::ShardedConfig config;
   config.shards = kShards;
   config.checkpoint.interval_packets = 2048;
+  config.restart_budget = 3;
   config.telemetry = &metrics;
-  runtime::ShardSupervisor supervisor(config, reference_config());
+  runtime::ShardedMonitor supervisor(config, reference_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
 
