@@ -9,15 +9,21 @@
 
 #include <algorithm>
 #include <span>
+#include <sstream>
 #include <string_view>
+#include <thread>
 
 #include "baseline/dapper.hpp"
 #include "baseline/strawman.hpp"
 #include "baseline/tcptrace.hpp"
 #include "baseline/tcptrace_const.hpp"
 #include "bench_util.hpp"
+#include "daemon/epoch_runner.hpp"
+#include "daemon/net.hpp"
+#include "daemon/socket_source.hpp"
 #include "runtime/replay_monitor.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "trace/trace_io.hpp"
 
 #if defined(DART_TELEMETRY)
 #include "telemetry/registry.hpp"
@@ -202,6 +208,68 @@ BENCHMARK(BM_WorkloadGeneration)
     ->Arg(500)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Ingest rows: the two ways records enter dartd. Both decode 32-byte .dtrc
+// records a block at a time through the shared codec (trace_io.hpp).
+
+const std::string& serialized_trace() {
+  static const std::string bytes = [] {
+    std::ostringstream out;
+    trace::write_binary(shared_trace(), out);
+    return out.str();
+  }();
+  return bytes;
+}
+
+void BM_TraceRead(benchmark::State& state) {
+  const std::string& bytes = serialized_trace();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::istringstream in(bytes);  // the copy is not the reader's cost
+    state.ResumeTiming();
+    const trace::TraceReadResult result = trace::read_binary_checked(in);
+    benchmark::DoNotOptimize(result.packets_read);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(shared_trace().size()));
+}
+BENCHMARK(BM_TraceRead)->Unit(benchmark::kMillisecond);
+
+void BM_SocketIngest(benchmark::State& state) {
+  const std::vector<PacketRecord>& packets = shared_trace().packets();
+  std::vector<std::uint8_t> wire(packets.size() * trace::kPacketRecordBytes);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    trace::encode_packet_record(packets[i],
+                                wire.data() + i * trace::kPacketRecordBytes);
+  }
+  std::vector<PacketRecord> batch;
+  batch.reserve(daemon::DaemonConfig{}.poll_budget);
+  for (auto _ : state) {
+    // A loopback feeder writes the whole stream and closes; the clock
+    // covers connect to exhaustion, as a live feed would see it.
+    daemon::SocketSource source{0};
+    const int fd = daemon::connect_tcp_local(source.port());
+    if (fd < 0) {
+      state.SkipWithError("cannot connect to the ingest port");
+      break;
+    }
+    std::thread feeder([fd, &wire] {
+      daemon::write_all(fd, wire.data(), wire.size(), [] { return false; });
+      daemon::close_fd(fd);
+    });
+    std::uint64_t received = 0;
+    while (!source.exhausted()) {
+      batch.clear();
+      received += source.poll(batch, batch.capacity());
+    }
+    feeder.join();
+    benchmark::DoNotOptimize(received);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packets.size()));
+}
+BENCHMARK(BM_SocketIngest)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Scalar-vs-batched trajectory rows (DESIGN.md §11).

@@ -102,7 +102,7 @@ bool write_samples_csv(const std::vector<core::RttSample>& samples,
 bool write_samples_csv_file(const std::vector<core::RttSample>& samples,
                             const std::string& path) {
   std::ofstream out(path);
-  return out && write_samples_csv(samples, out);
+  return out && write_samples_csv(samples, out) && out.flush();
 }
 
 std::optional<std::vector<core::RttSample>> read_samples_csv(

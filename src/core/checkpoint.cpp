@@ -291,7 +291,9 @@ CheckpointError save_checkpoint(const CheckpointImage& image,
   if (!out) return CheckpointError::at(CheckpointErrorCode::kIoError, 0);
   out.write(reinterpret_cast<const char*>(image.bytes.data()),
             static_cast<std::streamsize>(image.bytes.size()));
-  if (!out) return CheckpointError::at(CheckpointErrorCode::kIoError, 0);
+  // Flush before reporting: a full disk surfaces only when the buffered
+  // tail is written, and the destructor would swallow that error.
+  if (!out.flush()) return CheckpointError::at(CheckpointErrorCode::kIoError, 0);
   return CheckpointError::ok();
 }
 

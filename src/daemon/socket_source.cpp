@@ -1,5 +1,7 @@
 #include "daemon/socket_source.hpp"
 
+#include <cstring>
+
 #include "daemon/net.hpp"
 #include "trace/trace_io.hpp"
 
@@ -11,14 +13,10 @@ constexpr std::size_t kRecordBytes =
 
 }  // namespace
 
-SocketSource::SocketSource(std::uint16_t port) {
-  static_assert(sizeof(pending_) == kRecordBytes,
-                "reassembly buffer must hold exactly one wire record");
+SocketSource::SocketSource(std::uint16_t port)
+    : buffer_(trace::kBlockRecords * kRecordBytes) {
   listen_fd_ = listen_tcp_local(port);
-  if (listen_fd_ < 0) {
-    exhausted_ = true;
-    return;
-  }
+  if (listen_fd_ < 0) return;
   port_ = local_port(listen_fd_);
 }
 
@@ -27,30 +25,15 @@ SocketSource::~SocketSource() {
   close_fd(listen_fd_);
 }
 
-std::size_t SocketSource::poll(std::vector<PacketRecord>& out,
-                               std::size_t max) {
-  if (exhausted_ || max == 0) return 0;
-  if (client_fd_ < 0) {
-    client_fd_ = try_accept(listen_fd_);
-    if (client_fd_ < 0) return 0;  // no feeder yet; stay non-blocking
-  }
+std::size_t SocketSource::decode_buffered(std::vector<PacketRecord>& out,
+                                          std::size_t max) {
   std::size_t appended = 0;
-  while (appended < max) {
-    const std::ptrdiff_t n = read_available(
-        client_fd_, pending_ + pending_len_, kRecordBytes - pending_len_);
-    if (n < 0) {
-      // Peer EOF (or a hard error): the stream is over for this feeder.
-      close_fd(client_fd_);
-      client_fd_ = -1;
-      exhausted_ = true;
-      break;
-    }
-    if (n == 0) break;  // no bytes ready now
-    pending_len_ += static_cast<std::size_t>(n);
-    if (pending_len_ < kRecordBytes) continue;
-    pending_len_ = 0;
+  while (appended < max && len_ - head_ >= kRecordBytes) {
     PacketRecord packet;
-    if (!trace::decode_packet_record(pending_, packet)) {
+    const bool valid =
+        trace::decode_packet_record(buffer_.data() + head_, packet);
+    head_ += kRecordBytes;
+    if (!valid) {
       ++rejected_;  // fixed-size framing: skip the record, stay in sync
       continue;
     }
@@ -60,12 +43,45 @@ std::size_t SocketSource::poll(std::vector<PacketRecord>& out,
   return appended;
 }
 
-bool SocketSource::exhausted() const { return exhausted_; }
+std::size_t SocketSource::poll(std::vector<PacketRecord>& out,
+                               std::size_t max) {
+  if (listen_fd_ < 0 || max == 0) return 0;
+  std::size_t appended = decode_buffered(out, max);
+  if (appended == max || eof_) return appended;
+  if (client_fd_ < 0) {
+    client_fd_ = try_accept(listen_fd_);
+    if (client_fd_ < 0) return appended;  // no feeder yet; stay non-blocking
+  }
+  while (appended < max) {
+    // Every whole record is decoded by now; carry the partial tail (under
+    // one record) to the front so the next read can complete it.
+    std::memmove(buffer_.data(), buffer_.data() + head_, len_ - head_);
+    len_ -= head_;
+    head_ = 0;
+    const std::ptrdiff_t n = read_available(
+        client_fd_, buffer_.data() + len_, buffer_.size() - len_);
+    if (n < 0) {
+      // Peer EOF (or a hard error): the stream is over for this feeder.
+      close_fd(client_fd_);
+      client_fd_ = -1;
+      eof_ = true;
+      break;
+    }
+    if (n == 0) break;  // no bytes ready now
+    len_ += static_cast<std::size_t>(n);
+    appended += decode_buffered(out, max - appended);
+  }
+  return appended;
+}
+
+// poll() reads again only after delivering every whole record it holds,
+// so once it has seen EOF at most a partial record is left in the buffer.
+bool SocketSource::exhausted() const { return listen_fd_ < 0 || eof_; }
 
 void SocketSource::rearm() {
-  if (listen_fd_ < 0) return;  // bind failed: permanently exhausted
-  exhausted_ = false;
-  pending_len_ = 0;
+  if (listen_fd_ < 0 || !eof_) return;  // bind failed, or feeder still live
+  eof_ = false;
+  head_ = len_ = 0;  // drop the trailing partial record, if any
 }
 
 }  // namespace dart::daemon

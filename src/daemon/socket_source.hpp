@@ -4,12 +4,21 @@
 // 32-byte little-endian records (trace::encode_packet_record), no header —
 // so a feeder can `dart-trace`-split a capture and pipe it in, and a test
 // can byte-compare against file replay. One feeder at a time: the source
-// accepts lazily inside poll() (never blocking; CON009), reads whatever
-// bytes are ready, and surfaces complete records. Peer EOF marks the
-// source exhausted; rearm() readies it for the next feeder/cycle.
+// accepts lazily inside poll() (never blocking; CON009).
+//
+// Ingest is block-at-a-time: each read(2) takes up to one block
+// (trace::kBlockRecords records) of whatever bytes are ready, poll()
+// decodes every whole record in the buffer through the shared codec, and
+// the bytes of a record split across reads carry over to the next read. A
+// poll that stops at `max` leaves the rest of the block buffered for the
+// next poll, and reads the socket again only once every whole buffered
+// record is delivered. So exhausted() turns true only after EOF has been
+// seen *and* no whole record is left to deliver. rearm() readies the
+// source for the next feeder/cycle.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "daemon/packet_source.hpp"
 
@@ -32,10 +41,10 @@ class SocketSource final : public PacketSource {
   /// failed.
   std::uint16_t port() const { return port_; }
 
-  /// Ready the source for the next feeder after EOF: clears the exhausted
-  /// state so poll() accepts a new connection. Partial trailing bytes from
-  /// the previous feeder are discarded (a truncated record cannot be
-  /// completed by an unrelated peer).
+  /// Ready the source for the next feeder after EOF: poll() accepts a new
+  /// connection again. A trailing partial record from the previous feeder
+  /// is discarded (a truncated record cannot be completed by an unrelated
+  /// peer). No-op while the current feeder is still connected.
   void rearm();
 
   /// Records dropped because they failed field validation (decode returned
@@ -43,13 +52,18 @@ class SocketSource final : public PacketSource {
   std::uint64_t rejected_records() const { return rejected_; }
 
  private:
+  /// Decodes up to `max` valid whole records from the buffer into `out`.
+  std::size_t decode_buffered(std::vector<PacketRecord>& out,
+                              std::size_t max);
+
   int listen_fd_ = -1;
   int client_fd_ = -1;
   std::uint16_t port_ = 0;
-  bool exhausted_ = false;
+  bool eof_ = false;  ///< the current feeder has closed its stream
   std::uint64_t rejected_ = 0;
-  std::uint8_t pending_[32];
-  std::size_t pending_len_ = 0;
+  std::vector<std::uint8_t> buffer_;  ///< one block of wire bytes
+  std::size_t head_ = 0;  ///< first byte not yet decoded
+  std::size_t len_ = 0;   ///< bytes held in buffer_
 };
 
 }  // namespace dart::daemon

@@ -109,7 +109,7 @@ bool write_pcap(const Trace& trace, std::ostream& out) {
 
 bool write_pcap_file(const Trace& trace, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
-  return out && write_pcap(trace, out);
+  return out && write_pcap(trace, out) && out.flush();
 }
 
 }  // namespace dart::trace

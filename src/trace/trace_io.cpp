@@ -2,91 +2,127 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
+#include <vector>
 
 namespace dart::trace {
 namespace {
 
 constexpr std::array<char, 4> kMagic = {'D', 'T', 'R', 'C'};
 
+// Both record streams share one record size, so one block buffer (and one
+// block size) serves the packet and the truth section alike.
+static_assert(kPacketRecordBytes == kTruthRecordBytes);
+constexpr std::size_t kRecordBytes = kPacketRecordBytes;
+constexpr std::size_t kBlockBytes = kBlockRecords * kRecordBytes;
+
 template <typename T>
-void put(std::ostream& out, T value) {
-  // Serialize little-endian regardless of host order.
-  std::array<char, sizeof(T)> bytes;
+constexpr T swap_bytes(T value) {
+  T swapped = 0;
   for (std::size_t i = 0; i < sizeof(T); ++i) {
-    bytes[i] = static_cast<char>((static_cast<std::uint64_t>(value) >>
-                                  (8 * i)) & 0xFF);
+    swapped = static_cast<T>((swapped << 8) | (value & 0xFF));
+    value = static_cast<T>(value >> 8);
   }
-  out.write(bytes.data(), bytes.size());
+  return swapped;
 }
 
-void put_tuple(std::ostream& out, const FourTuple& tuple) {
-  put<std::uint32_t>(out, tuple.src_ip.value());
-  put<std::uint32_t>(out, tuple.dst_ip.value());
-  put<std::uint16_t>(out, tuple.src_port);
-  put<std::uint16_t>(out, tuple.dst_port);
+// Fixed-width little-endian loads and stores: a memcpy the compiler turns
+// into one move, plus a byte swap compiled only on big-endian hosts.
+template <typename T>
+T load_le(const std::uint8_t* in) {
+  T value = 0;
+  std::memcpy(&value, in, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    value = swap_bytes(value);
+  }
+  return value;
 }
 
-/// Byte-counting little-endian reader: every failure site knows the stream
-/// offset it stopped at, so TraceError can point at the damage.
-class Reader {
+template <typename T>
+void store_le(std::uint8_t* out, T value) {
+  if constexpr (std::endian::native == std::endian::big) {
+    value = swap_bytes(value);
+  }
+  std::memcpy(out, &value, sizeof(T));
+}
+
+/// Bytes from the current position to end-of-stream, when the stream is
+/// seekable; nullopt otherwise (e.g. a pipe).
+std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
+  const auto pos = in.tellg();
+  if (pos == std::istream::pos_type(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(pos);
+  if (end == std::istream::pos_type(-1) || end < pos) return std::nullopt;
+  return static_cast<std::uint64_t>(end - pos);
+}
+
+/// Hands out the records of a stream one at a time while reading them a
+/// block per istream::read. offset() is the stream offset of the next
+/// record, so every failure can point at the start of the damaged record.
+class BlockReader {
  public:
-  explicit Reader(std::istream& in) : in_(in) {}
+  BlockReader(std::istream& in, std::uint64_t offset)
+      : in_(in), offset_(offset), block_(kBlockBytes) {}
 
-  template <typename T>
-  bool get(T& value) {
-    std::array<char, sizeof(T)> bytes;
-    if (!in_.read(bytes.data(), bytes.size())) return false;
-    offset_ += sizeof(T);
-    std::uint64_t accum = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      accum |= static_cast<std::uint64_t>(
-                   static_cast<std::uint8_t>(bytes[i]))
-               << (8 * i);
+  /// The next whole record, or nullptr when the stream ends inside it.
+  /// `records_left` (declared records of the current section not yet
+  /// handed out) caps each read, so the reader never consumes bytes past
+  /// the section's last record.
+  const std::uint8_t* next(std::uint64_t records_left) {
+    if (pos_ == len_) {
+      const std::uint64_t want =
+          std::min<std::uint64_t>(records_left, kBlockRecords) * kRecordBytes;
+      in_.read(reinterpret_cast<char*>(block_.data()),
+               static_cast<std::streamsize>(want));
+      len_ = static_cast<std::size_t>(in_.gcount());
+      pos_ = 0;
     }
-    value = static_cast<T>(accum);
-    return true;
-  }
-
-  bool get_tuple(FourTuple& tuple) {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    if (!get(src) || !get(dst) || !get(tuple.src_port) ||
-        !get(tuple.dst_port)) {
-      return false;
-    }
-    tuple.src_ip = Ipv4Addr{src};
-    tuple.dst_ip = Ipv4Addr{dst};
-    return true;
-  }
-
-  bool get_magic(std::array<char, 4>& magic) {
-    if (!in_.read(magic.data(), magic.size())) return false;
-    offset_ += magic.size();
-    return true;
+    if (len_ - pos_ < kRecordBytes) return nullptr;
+    const std::uint8_t* record = block_.data() + pos_;
+    pos_ += kRecordBytes;
+    offset_ += kRecordBytes;
+    return record;
   }
 
   std::uint64_t offset() const { return offset_; }
 
-  /// Bytes from the current position to end-of-stream, when the stream is
-  /// seekable; nullopt otherwise (e.g. a pipe).
-  std::optional<std::uint64_t> remaining() {
-    const auto pos = in_.tellg();
-    if (pos == std::istream::pos_type(-1)) return std::nullopt;
-    in_.seekg(0, std::ios::end);
-    const auto end = in_.tellg();
-    in_.seekg(pos);
-    if (end == std::istream::pos_type(-1) || end < pos) return std::nullopt;
-    return static_cast<std::uint64_t>(end - pos);
+ private:
+  std::istream& in_;
+  std::uint64_t offset_;
+  std::vector<std::uint8_t> block_;
+  std::size_t pos_ = 0;
+  std::size_t len_ = 0;
+};
+
+/// Collects encoded records into a block and writes once per full block.
+class BlockWriter {
+ public:
+  explicit BlockWriter(std::ostream& out) : out_(out), block_(kBlockBytes) {}
+
+  /// Room for the next `bytes` (at most one record) of output.
+  std::uint8_t* next(std::size_t bytes) {
+    if (len_ + bytes > block_.size()) flush();
+    std::uint8_t* slot = block_.data() + len_;
+    len_ += bytes;
+    return slot;
+  }
+
+  void flush() {
+    out_.write(reinterpret_cast<const char*>(block_.data()),
+               static_cast<std::streamsize>(len_));
+    len_ = 0;
   }
 
  private:
-  std::istream& in_;
-  std::uint64_t offset_ = 0;
+  std::ostream& out_;
+  std::vector<std::uint8_t> block_;
+  std::size_t len_ = 0;
 };
 
 TraceReadResult fail(TraceErrorCode code, std::uint64_t offset) {
@@ -119,115 +155,113 @@ std::string TraceError::to_string() const {
   return out;
 }
 
-namespace {
-
-template <typename T>
-void pack_le(std::uint8_t*& cursor, T value) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    *cursor++ = static_cast<std::uint8_t>(
-        (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xFF);
-  }
-}
-
-template <typename T>
-T unpack_le(const std::uint8_t*& cursor) {
-  std::uint64_t accum = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    accum |= static_cast<std::uint64_t>(*cursor++) << (8 * i);
-  }
-  return static_cast<T>(accum);
-}
-
-}  // namespace
-
 void encode_packet_record(const PacketRecord& packet, std::uint8_t* out) {
-  std::uint8_t* cursor = out;
-  pack_le<std::uint64_t>(cursor, packet.ts);
-  pack_le<std::uint32_t>(cursor, packet.tuple.src_ip.value());
-  pack_le<std::uint32_t>(cursor, packet.tuple.dst_ip.value());
-  pack_le<std::uint16_t>(cursor, packet.tuple.src_port);
-  pack_le<std::uint16_t>(cursor, packet.tuple.dst_port);
-  pack_le<std::uint32_t>(cursor, packet.seq);
-  pack_le<std::uint32_t>(cursor, packet.ack);
-  pack_le<std::uint16_t>(cursor, packet.payload);
-  pack_le<std::uint8_t>(cursor, packet.flags);
-  pack_le<std::uint8_t>(cursor, packet.outbound ? 1 : 0);
+  store_le<std::uint64_t>(out + 0, packet.ts);
+  store_le<std::uint32_t>(out + 8, packet.tuple.src_ip.value());
+  store_le<std::uint32_t>(out + 12, packet.tuple.dst_ip.value());
+  store_le<std::uint16_t>(out + 16, packet.tuple.src_port);
+  store_le<std::uint16_t>(out + 18, packet.tuple.dst_port);
+  store_le<std::uint32_t>(out + 20, packet.seq);
+  store_le<std::uint32_t>(out + 24, packet.ack);
+  store_le<std::uint16_t>(out + 28, packet.payload);
+  out[30] = packet.flags;
+  out[31] = packet.outbound ? 1 : 0;
 }
 
 bool decode_packet_record(const std::uint8_t* in, PacketRecord& packet) {
-  const std::uint8_t* cursor = in;
-  packet.ts = unpack_le<std::uint64_t>(cursor);
-  packet.tuple.src_ip = Ipv4Addr{unpack_le<std::uint32_t>(cursor)};
-  packet.tuple.dst_ip = Ipv4Addr{unpack_le<std::uint32_t>(cursor)};
-  packet.tuple.src_port = unpack_le<std::uint16_t>(cursor);
-  packet.tuple.dst_port = unpack_le<std::uint16_t>(cursor);
-  packet.seq = unpack_le<std::uint32_t>(cursor);
-  packet.ack = unpack_le<std::uint32_t>(cursor);
-  packet.payload = unpack_le<std::uint16_t>(cursor);
-  packet.flags = unpack_le<std::uint8_t>(cursor);
-  const std::uint8_t outbound = unpack_le<std::uint8_t>(cursor);
+  const std::uint8_t outbound = in[31];
   if (outbound > 1) return false;
+  packet.ts = load_le<std::uint64_t>(in + 0);
+  packet.tuple.src_ip = Ipv4Addr{load_le<std::uint32_t>(in + 8)};
+  packet.tuple.dst_ip = Ipv4Addr{load_le<std::uint32_t>(in + 12)};
+  packet.tuple.src_port = load_le<std::uint16_t>(in + 16);
+  packet.tuple.dst_port = load_le<std::uint16_t>(in + 18);
+  packet.seq = load_le<std::uint32_t>(in + 20);
+  packet.ack = load_le<std::uint32_t>(in + 24);
+  packet.payload = load_le<std::uint16_t>(in + 28);
+  packet.flags = in[30];
   packet.outbound = outbound != 0;
   return true;
 }
 
+void encode_truth_record(const TruthSample& truth, std::uint8_t* out) {
+  store_le<std::uint32_t>(out + 0, truth.tuple.src_ip.value());
+  store_le<std::uint32_t>(out + 4, truth.tuple.dst_ip.value());
+  store_le<std::uint16_t>(out + 8, truth.tuple.src_port);
+  store_le<std::uint16_t>(out + 10, truth.tuple.dst_port);
+  store_le<std::uint32_t>(out + 12, truth.eack);
+  store_le<std::uint64_t>(out + 16, truth.seq_ts);
+  store_le<std::uint64_t>(out + 24, truth.ack_ts);
+}
+
+bool decode_truth_record(const std::uint8_t* in, TruthSample& truth) {
+  const std::uint64_t seq_ts = load_le<std::uint64_t>(in + 16);
+  const std::uint64_t ack_ts = load_le<std::uint64_t>(in + 24);
+  // A truth RTT must be non-negative: ack observed before its data
+  // packet is an impossible record, not a measurement.
+  if (ack_ts < seq_ts) return false;
+  truth.tuple.src_ip = Ipv4Addr{load_le<std::uint32_t>(in + 0)};
+  truth.tuple.dst_ip = Ipv4Addr{load_le<std::uint32_t>(in + 4)};
+  truth.tuple.src_port = load_le<std::uint16_t>(in + 8);
+  truth.tuple.dst_port = load_le<std::uint16_t>(in + 10);
+  truth.eack = load_le<std::uint32_t>(in + 12);
+  truth.seq_ts = seq_ts;
+  truth.ack_ts = ack_ts;
+  return true;
+}
+
 bool write_binary(const Trace& trace, std::ostream& out) {
-  out.write(kMagic.data(), kMagic.size());
-  put<std::uint32_t>(out, kTraceFormatVersion);
-  put<std::uint64_t>(out, trace.packets().size());
-  put<std::uint64_t>(out, trace.truth().size());
+  BlockWriter writer(out);
+  std::uint8_t* header = writer.next(kHeaderBytes);
+  std::memcpy(header, kMagic.data(), kMagic.size());
+  store_le<std::uint32_t>(header + 4, kTraceFormatVersion);
+  store_le<std::uint64_t>(header + 8, trace.packets().size());
+  store_le<std::uint64_t>(header + 16, trace.truth().size());
   for (const PacketRecord& p : trace.packets()) {
-    put<std::uint64_t>(out, p.ts);
-    put_tuple(out, p.tuple);
-    put<std::uint32_t>(out, p.seq);
-    put<std::uint32_t>(out, p.ack);
-    put<std::uint16_t>(out, p.payload);
-    put<std::uint8_t>(out, p.flags);
-    put<std::uint8_t>(out, p.outbound ? 1 : 0);
+    encode_packet_record(p, writer.next(kRecordBytes));
   }
   for (const TruthSample& s : trace.truth()) {
-    put_tuple(out, s.tuple);
-    put<std::uint32_t>(out, s.eack);
-    put<std::uint64_t>(out, s.seq_ts);
-    put<std::uint64_t>(out, s.ack_ts);
+    encode_truth_record(s, writer.next(kRecordBytes));
   }
+  writer.flush();
   return static_cast<bool>(out);
 }
 
 bool write_binary_file(const Trace& trace, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
-  return out && write_binary(trace, out);
+  // Flush before reporting: a full disk surfaces only when the buffered
+  // tail is written, and the destructor would swallow that error.
+  return out && write_binary(trace, out) && out.flush();
 }
 
 TraceReadResult read_binary_checked(std::istream& in,
                                     const TraceReadOptions& options) {
-  Reader reader(in);
   if (!in.good()) return fail(TraceErrorCode::kIoError, 0);
 
-  // --- Header: damage here is fatal in every mode. ---
-  std::array<char, 4> magic;
-  if (!reader.get_magic(magic)) {
-    return fail(TraceErrorCode::kTruncatedHeader, reader.offset());
+  // --- Header: damage here is fatal in every mode. Read in one piece;
+  // the byte count reached says which field the stream ended inside.
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  in.read(reinterpret_cast<char*>(header.data()),
+          static_cast<std::streamsize>(header.size()));
+  const auto got = static_cast<std::uint64_t>(in.gcount());
+  if (got < 4) return fail(TraceErrorCode::kTruncatedHeader, 0);
+  if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0) {
+    return fail(TraceErrorCode::kBadMagic, 0);
   }
-  if (magic != kMagic) return fail(TraceErrorCode::kBadMagic, 0);
-  std::uint32_t version = 0;
-  std::uint64_t packet_count = 0;
-  std::uint64_t truth_count = 0;
-  if (!reader.get(version)) {
-    return fail(TraceErrorCode::kTruncatedHeader, reader.offset());
+  if (got < 8) return fail(TraceErrorCode::kTruncatedHeader, 4);
+  if (load_le<std::uint32_t>(header.data() + 4) != kTraceFormatVersion) {
+    return fail(TraceErrorCode::kBadVersion, 4);
   }
-  if (version != kTraceFormatVersion) {
-    return fail(TraceErrorCode::kBadVersion, reader.offset() - 4);
-  }
-  if (!reader.get(packet_count) || !reader.get(truth_count)) {
-    return fail(TraceErrorCode::kTruncatedHeader, reader.offset());
-  }
+  if (got < 16) return fail(TraceErrorCode::kTruncatedHeader, 8);
+  if (got < kHeaderBytes) return fail(TraceErrorCode::kTruncatedHeader, 16);
+  const std::uint64_t packet_count = load_le<std::uint64_t>(header.data() + 8);
+  const std::uint64_t truth_count = load_le<std::uint64_t>(header.data() + 16);
 
   // --- Count sanity: never trust a header enough to allocate for it. A
   // corrupt count either provably exceeds the stream (seekable: reject or
   // tolerate as full-stream truncation) or is capped for reservation so a
   // hostile header cannot demand terabytes before the first record fails.
-  const std::optional<std::uint64_t> remaining = reader.remaining();
+  const std::optional<std::uint64_t> remaining = remaining_bytes(in);
   bool counts_impossible = false;
   if (remaining.has_value()) {
     const std::uint64_t max_packets = *remaining / kPacketRecordBytes;
@@ -253,15 +287,13 @@ TraceReadResult read_binary_checked(std::istream& in,
                             : std::uint64_t{1} << 20;
   trace.packets().reserve(static_cast<std::size_t>(
       std::min(packet_count, reserve_cap)));
+  BlockReader reader(in, kHeaderBytes);
 
   // --- Packet records. ---
   for (std::uint64_t i = 0; i < packet_count; ++i) {
     const std::uint64_t record_start = reader.offset();
-    PacketRecord p;
-    std::uint8_t outbound = 0;
-    if (!reader.get(p.ts) || !reader.get_tuple(p.tuple) ||
-        !reader.get(p.seq) || !reader.get(p.ack) || !reader.get(p.payload) ||
-        !reader.get(p.flags) || !reader.get(outbound)) {
+    const std::uint8_t* record = reader.next(packet_count - i);
+    if (record == nullptr) {
       if (!options.tolerant) {
         return fail(TraceErrorCode::kTruncatedPacket, record_start);
       }
@@ -272,7 +304,8 @@ TraceReadResult read_binary_checked(std::istream& in,
       result.trace = std::move(trace);
       return result;
     }
-    if (outbound > 1) {
+    PacketRecord p;
+    if (!decode_packet_record(record, p)) {
       if (!options.tolerant) {
         return fail(TraceErrorCode::kBadFieldValue, record_start);
       }
@@ -282,7 +315,6 @@ TraceReadResult read_binary_checked(std::istream& in,
       ++result.skipped_records;
       continue;
     }
-    p.outbound = outbound != 0;
     trace.add(p);
     ++result.packets_read;
   }
@@ -294,9 +326,8 @@ TraceReadResult read_binary_checked(std::istream& in,
                                 : std::uint64_t{1} << 20)));
   for (std::uint64_t i = 0; i < truth_count; ++i) {
     const std::uint64_t record_start = reader.offset();
-    TruthSample s;
-    if (!reader.get_tuple(s.tuple) || !reader.get(s.eack) ||
-        !reader.get(s.seq_ts) || !reader.get(s.ack_ts)) {
+    const std::uint8_t* record = reader.next(truth_count - i);
+    if (record == nullptr) {
       if (!options.tolerant) {
         return fail(TraceErrorCode::kTruncatedTruth, record_start);
       }
@@ -307,9 +338,8 @@ TraceReadResult read_binary_checked(std::istream& in,
       result.trace = std::move(trace);
       return result;
     }
-    // A truth RTT must be non-negative: ack observed before its data
-    // packet is an impossible record, not a measurement.
-    if (s.ack_ts < s.seq_ts) {
+    TruthSample s;
+    if (!decode_truth_record(record, s)) {
       if (!options.tolerant) {
         return fail(TraceErrorCode::kBadFieldValue, record_start);
       }
@@ -361,7 +391,7 @@ bool write_csv(const Trace& trace, std::ostream& out) {
 
 bool write_csv_file(const Trace& trace, const std::string& path) {
   std::ofstream out(path);
-  return out && write_csv(trace, out);
+  return out && write_csv(trace, out) && out.flush();
 }
 
 }  // namespace dart::trace

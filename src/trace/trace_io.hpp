@@ -9,6 +9,11 @@
 //   truth:   u32 src_ip | u32 dst_ip | u16 sport | u16 dport | u32 eack |
 //            u64 seq_ts | u64 ack_ts
 //
+// The two record layouts are spelled out once, in the codec functions
+// below (encode/decode_packet_record, encode/decode_truth_record). The file
+// reader and writer, and the daemon's socket source, move whole blocks of
+// kBlockRecords records per stream call and run the codec over the block.
+//
 // Reading is hardened: a damaged capture is a *diagnosed* condition, never
 // undefined behaviour. read_binary_checked() returns a typed TraceError
 // (what went wrong, at which byte offset) plus per-record accounting; a
@@ -19,6 +24,7 @@
 // a corrupt header cannot demand terabytes of memory.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -36,6 +42,10 @@ inline constexpr std::uint64_t kPacketRecordBytes = 32;
 inline constexpr std::uint64_t kTruthRecordBytes = 32;
 inline constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8 + 8;
 
+/// Records moved per stream call by the block reader and writer (and per
+/// read(2) by the daemon's socket source): 64 KiB of records.
+inline constexpr std::size_t kBlockRecords = 2048;
+
 /// Serialize to a stream; returns false on I/O error.
 bool write_binary(const Trace& trace, std::ostream& out);
 bool write_binary_file(const Trace& trace, const std::string& path);
@@ -48,9 +58,17 @@ void encode_packet_record(const PacketRecord& packet,
                           std::uint8_t* out /* kPacketRecordBytes */);
 
 /// Returns false when a field is out of range (outbound flag > 1) — the
-/// same validation read_binary_checked applies per record.
+/// same validation read_binary_checked applies per record. `packet` is
+/// left untouched on failure.
 bool decode_packet_record(const std::uint8_t* in /* kPacketRecordBytes */,
                           PacketRecord& packet);
+
+/// Codec for one 32-byte truth record. Decode returns false (leaving
+/// `truth` untouched) for a negative RTT, ack_ts < seq_ts.
+void encode_truth_record(const TruthSample& truth,
+                         std::uint8_t* out /* kTruthRecordBytes */);
+bool decode_truth_record(const std::uint8_t* in /* kTruthRecordBytes */,
+                         TruthSample& truth);
 
 enum class TraceErrorCode : std::uint8_t {
   kNone = 0,

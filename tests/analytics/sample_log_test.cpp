@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 namespace dart::analytics {
@@ -92,6 +93,14 @@ TEST(SampleLog, HeaderMatchesDocumentedSchema) {
   EXPECT_EQ(buffer.str(),
             "src_ip,src_port,dst_ip,dst_port,eack,seq_ts_ns,ack_ts_ns,"
             "rtt_ns,leg\n");
+}
+
+TEST(SampleLog, WriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_samples_csv_file({sample(usec(1), usec(9))}, "/dev/full"));
+  SampleLog log;
+  log.append(sample(usec(1), usec(9)));
+  EXPECT_FALSE(log.write_csv_file("/dev/full"));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <vector>
 
 #include "core/dart_monitor.hpp"
@@ -230,6 +231,14 @@ TEST(Checkpoint, UnboundedTablesRoundTripToo) {
   expect_equivalent_future(original.monitor, original.samples,
                            restored.monitor, restored.samples,
                            workload(82));
+}
+
+TEST(Checkpoint, SaveToFullDeviceIsAnIoError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CheckpointImage image;
+  image.bytes.assign(256, 0xA5);
+  EXPECT_EQ(save_checkpoint(image, "/dev/full").code,
+            CheckpointErrorCode::kIoError);
 }
 
 }  // namespace

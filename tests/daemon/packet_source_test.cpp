@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "daemon/net.hpp"
@@ -183,6 +184,118 @@ TEST(SocketSource, RearmAcceptsTheNextFeeder) {
     EXPECT_EQ(got.size(), 2u) << "round " << round;
     EXPECT_TRUE(source.exhausted());
   }
+}
+
+// Block-at-a-time ingest: a feeder thread writes the whole stream at once
+// (far more than the socket buffers hold), so the source must read it a
+// block per read(2) and carry split records across reads.
+std::vector<PacketRecord> numbered_packets(std::size_t n) {
+  const trace::Trace trace = tiny_workload();
+  std::vector<PacketRecord> packets(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    packets[i] = trace.packets()[i % trace.size()];
+    packets[i].ts = i;  // every record distinct, so order is checkable
+  }
+  return packets;
+}
+
+/// Connects to `port`, then writes `bytes` and closes (EOF) from a thread.
+std::thread feed(std::uint16_t port, std::vector<std::uint8_t> bytes) {
+  const int fd = daemon::connect_tcp_local(port);
+  EXPECT_GE(fd, 0);
+  return std::thread([fd, bytes = std::move(bytes)] {
+    EXPECT_TRUE(daemon::write_all(fd, bytes.data(), bytes.size(),
+                                  [] { return false; }));
+    daemon::close_fd(fd);
+  });
+}
+
+TEST(SocketSource, MultiBlockWriteArrivesInOrderWithinMax) {
+  const std::vector<PacketRecord> packets =
+      numbered_packets(3 * trace::kBlockRecords + 517);
+  daemon::SocketSource source{0};
+  std::thread feeder = feed(source.port(), encode_all(packets));
+
+  std::vector<PacketRecord> got;
+  std::vector<PacketRecord> batch;
+  while (!source.exhausted()) {
+    batch.clear();
+    const std::size_t n = source.poll(batch, 100);
+    ASSERT_LE(n, 100u);
+    ASSERT_EQ(n, batch.size());
+    got.insert(got.end(), batch.begin(), batch.end());
+  }
+  feeder.join();
+  // The loop ends at exhausted(): reaching it with every record delivered
+  // means exhaustion never came early.
+  ASSERT_EQ(got.size(), packets.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], packets[i]) << "record " << i;
+  }
+  EXPECT_EQ(source.rejected_records(), 0u);
+}
+
+TEST(SocketSource, RecordsBufferedAtEofAreDeliveredBeforeExhausted) {
+  const std::vector<PacketRecord> packets = numbered_packets(300);
+  daemon::SocketSource source{0};
+  feed(source.port(), encode_all(packets)).join();  // peer already closed
+
+  // Poll until something arrives; a small max leaves most of the stream
+  // buffered in the source after the feeder's EOF.
+  std::vector<PacketRecord> got;
+  while (got.empty()) source.poll(got, 10);
+  EXPECT_LE(got.size(), 10u);
+  EXPECT_FALSE(source.exhausted());
+  const std::vector<PacketRecord> rest = drain(source, 10);
+  got.insert(got.end(), rest.begin(), rest.end());
+  ASSERT_EQ(got.size(), packets.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], packets[i]);
+  EXPECT_TRUE(source.exhausted());
+  std::vector<PacketRecord> none;
+  EXPECT_EQ(source.poll(none, 10), 0u);
+}
+
+TEST(SocketSource, TrailingPartialRecordIsDroppedAndRearmStartsClean) {
+  const std::vector<PacketRecord> packets = numbered_packets(9);
+  daemon::SocketSource source{0};
+
+  std::vector<std::uint8_t> first =
+      encode_all({packets.begin(), packets.begin() + 5});
+  const std::vector<std::uint8_t> sixth = encode_all({packets[5]});
+  first.insert(first.end(), sixth.begin(), sixth.begin() + 13);
+  feed(source.port(), first).join();
+  const std::vector<PacketRecord> got = drain(source, 64);
+  ASSERT_EQ(got.size(), 5u);  // the 13-byte tail never becomes a record
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], packets[i]);
+  EXPECT_TRUE(source.exhausted());
+
+  source.rearm();
+  EXPECT_FALSE(source.exhausted());
+  feed(source.port(), encode_all({packets.begin() + 5, packets.end()})).join();
+  const std::vector<PacketRecord> second = drain(source, 64);
+  ASSERT_EQ(second.size(), 4u);  // framed from the new feeder's first byte
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    EXPECT_EQ(second[i], packets[5 + i]);
+  }
+  EXPECT_EQ(source.rejected_records(), 0u);
+}
+
+TEST(SocketSource, InvalidRecordInsideALargeBlockIsRejectedAlone) {
+  const std::vector<PacketRecord> packets =
+      numbered_packets(2 * trace::kBlockRecords + 77);
+  const std::size_t bad = trace::kBlockRecords + 1000;
+  std::vector<std::uint8_t> bytes = encode_all(packets);
+  bytes[bad * trace::kPacketRecordBytes + 31] = 9;  // outbound flag > 1
+  daemon::SocketSource source{0};
+  std::thread feeder = feed(source.port(), std::move(bytes));
+  const std::vector<PacketRecord> got = drain(source, 100);
+  feeder.join();
+
+  ASSERT_EQ(got.size(), packets.size() - 1);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], packets[i < bad ? i : i + 1]) << "record " << i;
+  }
+  EXPECT_EQ(source.rejected_records(), 1u);
 }
 
 // Round-trip of the wire format itself: encode/decode is the .dtrc record

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 
 namespace dart::trace {
@@ -139,6 +140,13 @@ TEST(Pcap, OnePcapRecordPerPacket) {
   }
   const std::string bytes = render(trace);
   EXPECT_EQ(bytes.size(), 24U + 10U * (16U + 54U));
+}
+
+TEST(Pcap, WriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Trace trace;
+  trace.add(sample_packet());
+  EXPECT_FALSE(write_pcap_file(trace, "/dev/full"));
 }
 
 }  // namespace

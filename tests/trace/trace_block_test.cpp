@@ -1,0 +1,506 @@
+// Block-decode differential: the .dtrc reader and writer move whole blocks
+// of records per stream call, and must behave exactly like a reader and
+// writer that move one field at a time. The per-field implementations live
+// here as the oracle. Every case — clean reads, cuts at and around every
+// block boundary, seeded random cuts, and corrupt records at block edges —
+// must produce the oracle's TraceReadResult field for field, in strict and
+// tolerant mode, on a seekable stream and on a non-seekable one that
+// returns short reads.
+#include "trace/trace_io.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
+
+#include "common/random.hpp"
+
+namespace dart::trace {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Oracle: the per-field writer and reader.
+
+constexpr std::array<char, 4> kOracleMagic = {'D', 'T', 'R', 'C'};
+
+template <typename T>
+void put(std::ostream& out, T value) {
+  std::array<char, sizeof(T)> bytes;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>((static_cast<std::uint64_t>(value) >>
+                                  (8 * i)) & 0xFF);
+  }
+  out.write(bytes.data(), bytes.size());
+}
+
+void put_tuple(std::ostream& out, const FourTuple& tuple) {
+  put<std::uint32_t>(out, tuple.src_ip.value());
+  put<std::uint32_t>(out, tuple.dst_ip.value());
+  put<std::uint16_t>(out, tuple.src_port);
+  put<std::uint16_t>(out, tuple.dst_port);
+}
+
+std::string oracle_write(const Trace& trace) {
+  std::stringstream out;
+  out.write(kOracleMagic.data(), kOracleMagic.size());
+  put<std::uint32_t>(out, kTraceFormatVersion);
+  put<std::uint64_t>(out, trace.packets().size());
+  put<std::uint64_t>(out, trace.truth().size());
+  for (const PacketRecord& p : trace.packets()) {
+    put<std::uint64_t>(out, p.ts);
+    put_tuple(out, p.tuple);
+    put<std::uint32_t>(out, p.seq);
+    put<std::uint32_t>(out, p.ack);
+    put<std::uint16_t>(out, p.payload);
+    put<std::uint8_t>(out, p.flags);
+    put<std::uint8_t>(out, p.outbound ? 1 : 0);
+  }
+  for (const TruthSample& s : trace.truth()) {
+    put_tuple(out, s.tuple);
+    put<std::uint32_t>(out, s.eack);
+    put<std::uint64_t>(out, s.seq_ts);
+    put<std::uint64_t>(out, s.ack_ts);
+  }
+  return out.str();
+}
+
+class Reader {
+ public:
+  explicit Reader(std::istream& in) : in_(in) {}
+
+  template <typename T>
+  bool get(T& value) {
+    std::array<char, sizeof(T)> bytes;
+    if (!in_.read(bytes.data(), bytes.size())) return false;
+    offset_ += sizeof(T);
+    std::uint64_t accum = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      accum |= static_cast<std::uint64_t>(
+                   static_cast<std::uint8_t>(bytes[i]))
+               << (8 * i);
+    }
+    value = static_cast<T>(accum);
+    return true;
+  }
+
+  bool get_tuple(FourTuple& tuple) {
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    if (!get(src) || !get(dst) || !get(tuple.src_port) ||
+        !get(tuple.dst_port)) {
+      return false;
+    }
+    tuple.src_ip = Ipv4Addr{src};
+    tuple.dst_ip = Ipv4Addr{dst};
+    return true;
+  }
+
+  bool get_magic(std::array<char, 4>& magic) {
+    if (!in_.read(magic.data(), magic.size())) return false;
+    offset_ += magic.size();
+    return true;
+  }
+
+  std::uint64_t offset() const { return offset_; }
+
+  std::optional<std::uint64_t> remaining() {
+    const auto pos = in_.tellg();
+    if (pos == std::istream::pos_type(-1)) return std::nullopt;
+    in_.seekg(0, std::ios::end);
+    const auto end = in_.tellg();
+    in_.seekg(pos);
+    if (end == std::istream::pos_type(-1) || end < pos) return std::nullopt;
+    return static_cast<std::uint64_t>(end - pos);
+  }
+
+ private:
+  std::istream& in_;
+  std::uint64_t offset_ = 0;
+};
+
+TraceReadResult oracle_fail(TraceErrorCode code, std::uint64_t offset) {
+  TraceReadResult result;
+  result.error = {code, offset};
+  return result;
+}
+
+TraceReadResult oracle_read(std::istream& in, const TraceReadOptions& options) {
+  Reader reader(in);
+  if (!in.good()) return oracle_fail(TraceErrorCode::kIoError, 0);
+  std::array<char, 4> magic;
+  if (!reader.get_magic(magic)) {
+    return oracle_fail(TraceErrorCode::kTruncatedHeader, reader.offset());
+  }
+  if (magic != kOracleMagic) return oracle_fail(TraceErrorCode::kBadMagic, 0);
+  std::uint32_t version = 0;
+  std::uint64_t packet_count = 0;
+  std::uint64_t truth_count = 0;
+  if (!reader.get(version)) {
+    return oracle_fail(TraceErrorCode::kTruncatedHeader, reader.offset());
+  }
+  if (version != kTraceFormatVersion) {
+    return oracle_fail(TraceErrorCode::kBadVersion, reader.offset() - 4);
+  }
+  if (!reader.get(packet_count) || !reader.get(truth_count)) {
+    return oracle_fail(TraceErrorCode::kTruncatedHeader, reader.offset());
+  }
+  const std::optional<std::uint64_t> remaining = reader.remaining();
+  bool counts_impossible = false;
+  if (remaining.has_value()) {
+    const std::uint64_t max_packets = *remaining / kPacketRecordBytes;
+    const std::uint64_t max_truth = *remaining / kTruthRecordBytes;
+    if (packet_count > max_packets || truth_count > max_truth ||
+        (packet_count * kPacketRecordBytes +
+             truth_count * kTruthRecordBytes >
+         *remaining)) {
+      counts_impossible = true;
+    }
+  }
+  if (counts_impossible && !options.tolerant) {
+    return oracle_fail(TraceErrorCode::kImpossibleCount, kHeaderBytes - 16);
+  }
+  TraceReadResult result;
+  if (counts_impossible) {
+    result.error = {TraceErrorCode::kImpossibleCount, kHeaderBytes - 16};
+  }
+  Trace trace;
+  for (std::uint64_t i = 0; i < packet_count; ++i) {
+    const std::uint64_t record_start = reader.offset();
+    PacketRecord p;
+    std::uint8_t outbound = 0;
+    if (!reader.get(p.ts) || !reader.get_tuple(p.tuple) ||
+        !reader.get(p.seq) || !reader.get(p.ack) || !reader.get(p.payload) ||
+        !reader.get(p.flags) || !reader.get(outbound)) {
+      if (!options.tolerant) {
+        return oracle_fail(TraceErrorCode::kTruncatedPacket, record_start);
+      }
+      if (!result.error) {
+        result.error = {TraceErrorCode::kTruncatedPacket, record_start};
+      }
+      result.lost_records += (packet_count - i) + truth_count;
+      result.trace = std::move(trace);
+      return result;
+    }
+    if (outbound > 1) {
+      if (!options.tolerant) {
+        return oracle_fail(TraceErrorCode::kBadFieldValue, record_start);
+      }
+      if (!result.error) {
+        result.error = {TraceErrorCode::kBadFieldValue, record_start};
+      }
+      ++result.skipped_records;
+      continue;
+    }
+    p.outbound = outbound != 0;
+    trace.add(p);
+    ++result.packets_read;
+  }
+  for (std::uint64_t i = 0; i < truth_count; ++i) {
+    const std::uint64_t record_start = reader.offset();
+    TruthSample s;
+    if (!reader.get_tuple(s.tuple) || !reader.get(s.eack) ||
+        !reader.get(s.seq_ts) || !reader.get(s.ack_ts)) {
+      if (!options.tolerant) {
+        return oracle_fail(TraceErrorCode::kTruncatedTruth, record_start);
+      }
+      if (!result.error) {
+        result.error = {TraceErrorCode::kTruncatedTruth, record_start};
+      }
+      result.lost_records += truth_count - i;
+      result.trace = std::move(trace);
+      return result;
+    }
+    if (s.ack_ts < s.seq_ts) {
+      if (!options.tolerant) {
+        return oracle_fail(TraceErrorCode::kBadFieldValue, record_start);
+      }
+      if (!result.error) {
+        result.error = {TraceErrorCode::kBadFieldValue, record_start};
+      }
+      ++result.skipped_records;
+      continue;
+    }
+    trace.add_truth(s);
+    ++result.truth_read;
+  }
+  result.trace = std::move(trace);
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Streams and fixtures.
+
+/// A non-seekable stream buffer that hands out at most 7 bytes per refill
+/// (cycling 1..7) and refuses every seek, like a pipe with short reads.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= bytes_.size()) return traits_type::eof();
+    const std::size_t n =
+        std::min<std::size_t>(1 + refills_++ % 7, bytes_.size() - pos_);
+    char* base = bytes_.data() + pos_;
+    setg(base, base, base + n);
+    pos_ += n;
+    return traits_type::to_int_type(*base);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+  std::size_t refills_ = 0;
+};
+
+// Both sections span more than two blocks, and neither ends on a block
+// boundary.
+constexpr std::size_t kPackets = 2 * kBlockRecords + 37;
+constexpr std::size_t kTruth = 2 * kBlockRecords + 19;
+
+Trace multi_block_trace() {
+  Trace trace;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    const auto n = static_cast<std::uint32_t>(i);
+    PacketRecord p;
+    p.ts = std::uint64_t{0x0102030405060708} + i * 977;
+    p.tuple = FourTuple{Ipv4Addr{0x0A000000U + n}, Ipv4Addr{0xC0A80000U ^ n},
+                        static_cast<std::uint16_t>(1024 + n),
+                        static_cast<std::uint16_t>(65535 - n)};
+    p.seq = 0xFFFFFF00U + n * 1460;
+    p.ack = n * 7919;
+    p.payload = static_cast<std::uint16_t>(n % 1500);
+    p.flags = static_cast<std::uint8_t>(n & 0x3F);
+    p.outbound = (i % 3) == 0;
+    trace.add(p);
+  }
+  for (std::size_t i = 0; i < kTruth; ++i) {
+    const auto n = static_cast<std::uint32_t>(i);
+    TruthSample s;
+    s.tuple = FourTuple{Ipv4Addr{0xAC100000U + n}, Ipv4Addr{0x08080808U},
+                        static_cast<std::uint16_t>(40000 + n), 443};
+    s.eack = 0xFFFFF000U + n * 3;
+    s.seq_ts = (std::uint64_t{1} << 40) | (i * 1000);
+    s.ack_ts = s.seq_ts + 250 + i;
+    trace.add_truth(s);
+  }
+  return trace;
+}
+
+const std::string& multi_block_bytes() {
+  static const std::string bytes = oracle_write(multi_block_trace());
+  return bytes;
+}
+
+std::uint64_t packet_offset(std::size_t index) {
+  return kHeaderBytes + index * kPacketRecordBytes;
+}
+
+std::uint64_t truth_offset(std::size_t index) {
+  return packet_offset(kPackets) + index * kTruthRecordBytes;
+}
+
+void expect_same(const TraceReadResult& got, const TraceReadResult& want,
+                 const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(got.error.code, want.error.code);
+  EXPECT_EQ(got.error.offset, want.error.offset);
+  EXPECT_EQ(got.packets_read, want.packets_read);
+  EXPECT_EQ(got.truth_read, want.truth_read);
+  EXPECT_EQ(got.skipped_records, want.skipped_records);
+  EXPECT_EQ(got.lost_records, want.lost_records);
+  ASSERT_EQ(got.trace.has_value(), want.trace.has_value());
+  if (want.trace.has_value()) {
+    EXPECT_TRUE(got.trace->packets() == want.trace->packets());
+    EXPECT_TRUE(got.trace->truth() == want.trace->truth());
+  }
+}
+
+/// Reads `bytes` with the block reader and with the oracle, strict and
+/// tolerant, through a seekable and a non-seekable stream, and compares
+/// every pair.
+void expect_matches_oracle(const std::string& bytes, const std::string& label) {
+  for (const bool tolerant : {false, true}) {
+    const TraceReadOptions options{.tolerant = tolerant};
+    const std::string mode = tolerant ? " tolerant" : " strict";
+    {
+      std::stringstream a(bytes);
+      std::stringstream b(bytes);
+      expect_same(read_binary_checked(a, options), oracle_read(b, options),
+                  label + mode + " seekable");
+    }
+    {
+      TrickleBuf abuf(bytes);
+      TrickleBuf bbuf(bytes);
+      std::istream a(&abuf);
+      std::istream b(&bbuf);
+      expect_same(read_binary_checked(a, options), oracle_read(b, options),
+                  label + mode + " non-seekable");
+    }
+  }
+}
+
+/// Cut offsets at, and within ±31 bytes of, every block boundary of both
+/// sections (section starts and ends included).
+std::vector<std::size_t> boundary_cuts(std::size_t size) {
+  std::vector<std::uint64_t> boundaries;
+  for (std::size_t block = 0; block * kBlockRecords <= kPackets; ++block) {
+    boundaries.push_back(packet_offset(block * kBlockRecords));
+  }
+  for (std::size_t block = 0; block * kBlockRecords <= kTruth; ++block) {
+    boundaries.push_back(truth_offset(block * kBlockRecords));
+  }
+  boundaries.push_back(packet_offset(kPackets));
+  boundaries.push_back(truth_offset(kTruth));
+  std::vector<std::size_t> cuts;
+  for (const std::uint64_t boundary : boundaries) {
+    for (int delta = -31; delta <= 31; ++delta) {
+      const auto cut = static_cast<std::int64_t>(boundary) + delta;
+      if (cut >= 0 && static_cast<std::size_t>(cut) <= size) {
+        cuts.push_back(static_cast<std::size_t>(cut));
+      }
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+// ---------------------------------------------------------------------------
+// Cases.
+
+TEST(TraceBlock, WriterBytesMatchOracle) {
+  const Trace trace = multi_block_trace();
+  std::stringstream out;
+  ASSERT_TRUE(write_binary(trace, out));
+  EXPECT_TRUE(out.str() == multi_block_bytes());
+
+  std::stringstream empty;
+  ASSERT_TRUE(write_binary(Trace{}, empty));
+  EXPECT_EQ(empty.str(), oracle_write(Trace{}));
+
+  // Exactly one full block of packets and no truth: the writer's block
+  // holds the header too, so this straddles a write.
+  Trace one_block;
+  one_block.packets().assign(trace.packets().begin(),
+                             trace.packets().begin() + kBlockRecords);
+  std::stringstream block;
+  ASSERT_TRUE(write_binary(one_block, block));
+  EXPECT_TRUE(block.str() == oracle_write(one_block));
+}
+
+TEST(TraceBlock, CleanReadMatchesOracle) {
+  const std::string& bytes = multi_block_bytes();
+  expect_matches_oracle(bytes, "clean");
+  expect_matches_oracle(bytes + "trailing junk", "trailing bytes");
+  std::stringstream in(bytes);
+  const TraceReadResult result = read_binary_checked(in);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.trace->packets() == multi_block_trace().packets());
+  EXPECT_TRUE(result.trace->truth() == multi_block_trace().truth());
+}
+
+TEST(TraceBlock, ReaderStopsAfterTheLastRecord) {
+  // Like the per-field reader, the block reader consumes exactly the
+  // declared records, so a trace embedded in a larger stream leaves the
+  // bytes after it unread — seekable or not.
+  const std::string stream = multi_block_bytes() + "NEXT";
+  std::stringstream seekable(stream);
+  ASSERT_TRUE(read_binary_checked(seekable).ok());
+  std::string rest;
+  seekable >> rest;
+  EXPECT_EQ(rest, "NEXT");
+
+  TrickleBuf trickle(stream);
+  std::istream piped(&trickle);
+  ASSERT_TRUE(read_binary_checked(piped).ok());
+  rest.clear();
+  piped >> rest;
+  EXPECT_EQ(rest, "NEXT");
+}
+
+TEST(TraceBlock, HeaderCutsMatchOracle) {
+  const std::string& bytes = multi_block_bytes();
+  for (std::size_t cut = 0; cut <= kHeaderBytes; ++cut) {
+    expect_matches_oracle(bytes.substr(0, cut),
+                          "header cut at " + std::to_string(cut));
+  }
+}
+
+TEST(TraceBlock, CutsAtBlockBoundariesMatchOracle) {
+  const std::string& bytes = multi_block_bytes();
+  const std::vector<std::size_t> cuts = boundary_cuts(bytes.size());
+  ASSERT_GT(cuts.size(), 6U * 63U);  // seven boundaries, some clipped
+  for (const std::size_t cut : cuts) {
+    expect_matches_oracle(bytes.substr(0, cut),
+                          "cut at " + std::to_string(cut));
+  }
+}
+
+TEST(TraceBlock, RandomCutsMatchOracle) {
+  const std::string& bytes = multi_block_bytes();
+  Rng rng(0xB10C);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto cut =
+        static_cast<std::size_t>(rng.uniform_int(kHeaderBytes, bytes.size()));
+    expect_matches_oracle(bytes.substr(0, cut),
+                          "random cut at " + std::to_string(cut));
+  }
+}
+
+TEST(TraceBlock, CorruptRecordsAtBlockEdgesMatchOracle) {
+  // First and last record of every block, and the final record.
+  std::vector<std::size_t> packet_edges;
+  for (std::size_t first = 0; first < kPackets; first += kBlockRecords) {
+    packet_edges.push_back(first);
+    packet_edges.push_back(std::min(first + kBlockRecords, kPackets) - 1);
+  }
+  std::vector<std::size_t> truth_edges;
+  for (std::size_t first = 0; first < kTruth; first += kBlockRecords) {
+    truth_edges.push_back(first);
+    truth_edges.push_back(std::min(first + kBlockRecords, kTruth) - 1);
+  }
+  ASSERT_EQ(packet_edges.back(), kPackets - 1);
+  ASSERT_EQ(truth_edges.back(), kTruth - 1);
+
+  std::string all = multi_block_bytes();
+  for (const std::size_t index : packet_edges) {
+    std::string corrupt = multi_block_bytes();
+    const std::uint64_t outbound_byte = packet_offset(index) + 31;
+    corrupt[outbound_byte] = 0x05;  // outbound > 1
+    all[outbound_byte] = 0x05;
+    expect_matches_oracle(corrupt, "bad packet " + std::to_string(index));
+  }
+  for (const std::size_t index : truth_edges) {
+    // Negative RTT: clearing bits 40..47 of ack_ts drops it below seq_ts
+    // (every seq_ts has bit 40 set).
+    std::string corrupt = multi_block_bytes();
+    const std::uint64_t ack_ts_bits_40_47 = truth_offset(index) + 24 + 5;
+    corrupt[ack_ts_bits_40_47] = 0;
+    all[ack_ts_bits_40_47] = 0;
+    expect_matches_oracle(corrupt, "bad truth " + std::to_string(index));
+  }
+  expect_matches_oracle(all, "every edge corrupt");
+
+  std::stringstream in(all);
+  const TraceReadResult salvaged = read_binary_checked(in, {.tolerant = true});
+  EXPECT_EQ(salvaged.skipped_records, packet_edges.size() + truth_edges.size());
+  EXPECT_EQ(salvaged.error.code, TraceErrorCode::kBadFieldValue);
+  EXPECT_EQ(salvaged.error.offset, packet_offset(0));
+
+  // A corrupt edge record inside a truncated section: the first damage
+  // wins, exactly as in the oracle.
+  for (const std::size_t cut :
+       {packet_offset(kBlockRecords) + 5, truth_offset(kBlockRecords) + 17}) {
+    expect_matches_oracle(all.substr(0, cut),
+                          "corrupt then cut at " + std::to_string(cut));
+  }
+}
+
+}  // namespace
+}  // namespace dart::trace

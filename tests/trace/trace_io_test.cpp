@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 namespace dart::trace {
@@ -84,6 +85,18 @@ TEST(TraceIo, CsvHasHeaderAndOneLinePerPacket) {
   // Header + 2 packets = 3 newline-terminated lines.
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
   EXPECT_NE(text.find("10.8.1.1,40000"), std::string::npos);
+}
+
+// A full disk surfaces only when the buffered tail is flushed; the file
+// writers must report it instead of losing it in the stream destructor.
+TEST(TraceIo, BinaryWriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_binary_file(sample_trace(), "/dev/full"));
+}
+
+TEST(TraceIo, CsvWriteToFullDeviceFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_csv_file(sample_trace(), "/dev/full"));
 }
 
 }  // namespace
