@@ -274,13 +274,19 @@ BENCHMARK(BM_SocketIngest)->Unit(benchmark::kMillisecond)->UseRealTime();
 // ---------------------------------------------------------------------------
 // Scalar-vs-batched trajectory rows (DESIGN.md §11).
 //
-// The two single-shard rows are the heart of the persisted trajectory: the
+// The two `_1shard` rows are the heart of the persisted trajectory: the
 // same DartReplayMonitor driven a virtual call per packet (scalar) vs one
-// process_batch call per 256-packet ring batch (batched SoA with hash
-// precomputation and register-row prefetch, the sharded runtime's worker
-// loop). The shard sweep then runs the batched loop end-to-end through
-// router + rings. Emitted as dart-bench-v1 JSON (--json) and folded into
-// BENCH_pr6.json by scripts/bench_persist.py.
+// process_batch call per 256-packet ring batch (the sharded runtime's
+// worker loop, which at hot_config()'s ~400 MB of tables takes the
+// prefetched SoA wavefront). scripts/bench_persist.py reads the first
+// single-shard scalar and batched rows as the headline pair, so these two
+// are emitted first. The `_paper` rows repeat the comparison at the
+// paper's cache-resident geometry, on the other side of
+// DartMonitor::kPrefetchBudgetBytes, where process_batch runs the scalar
+// loop; `dart_prefetched_paper` drives the wavefront there directly to show
+// what that dispatch saves. The shard sweep then runs the batched loop
+// end-to-end through router + rings. Emitted as dart-bench-v1 JSON
+// (--json) and folded into BENCH_pr6.json by scripts/bench_persist.py.
 
 core::DartConfig hot_config() {
   core::DartConfig config;
@@ -300,6 +306,16 @@ core::DartConfig hot_config() {
   config.rt_size = 1 << 22;
   config.pt_size = 1 << 23;
   config.pt_stages = 1;
+  return config;
+}
+
+// The paper's bounded geometry (RT 2^16, PT 2^14 in 4 stages, ~2 MB): the
+// tables stay cache-resident, so process_batch runs the scalar loop.
+core::DartConfig paper_config() {
+  core::DartConfig config;
+  config.rt_size = 1 << 16;
+  config.pt_size = 1 << 14;
+  config.pt_stages = 4;
   return config;
 }
 
@@ -329,31 +345,51 @@ std::vector<bench::BenchRow> batching_trajectory(bool quick) {
   // zero-filling the ~400 MB of tables costs a mode-independent constant
   // that would otherwise be added to both sides of the scalar/batched
   // ratio and compress it toward 1.
-  const auto single_shard = [&](bool batched) -> double {
+  enum class Loop { kScalar, kBatched, kPrefetched };
+  const auto single_shard = [&](const core::DartConfig& config,
+                                Loop loop) -> double {
     std::uint64_t samples = 0;
     runtime::DartReplayMonitor replay(
-        hot_config(), [&samples](const core::RttSample&) { ++samples; });
+        config, [&samples](const core::RttSample&) { ++samples; });
     runtime::ReplayMonitor* monitor = &replay;  // worker's view: the base
     const std::span<const PacketRecord> all(trace.packets());
+    const auto for_each_batch = [&all](auto&& fn) {
+      for (std::size_t at = 0; at < all.size(); at += 256) {
+        fn(all.subspan(at, std::min<std::size_t>(256, all.size() - at)));
+      }
+    };
     const double ns = bench::timed_section_ns([&] {
-      if (batched) {
-        for (std::size_t at = 0; at < all.size(); at += 256) {
-          monitor->process_batch(
-              all.subspan(at, std::min<std::size_t>(256, all.size() - at)));
-        }
-      } else {
-        for (const PacketRecord& packet : all) monitor->process(packet);
+      switch (loop) {
+        case Loop::kScalar:
+          for (const PacketRecord& packet : all) monitor->process(packet);
+          break;
+        case Loop::kBatched:
+          for_each_batch([monitor](std::span<const PacketRecord> batch) {
+            monitor->process_batch(batch);
+          });
+          break;
+        case Loop::kPrefetched:
+          for_each_batch([&replay](std::span<const PacketRecord> batch) {
+            replay.monitor().process_prefetched(batch);
+          });
+          break;
       }
     });
     benchmark::DoNotOptimize(samples);
     return ns;
   };
-  rows.push_back(bench::measure_row_timed("dart_scalar_1shard", "scalar", 1,
-                                          packets, warmup, reps_hot,
-                                          [&] { return single_shard(false); }));
-  rows.push_back(bench::measure_row_timed("dart_batched_1shard", "batched", 1,
-                                          packets, warmup, reps_hot,
-                                          [&] { return single_shard(true); }));
+  const auto single_row = [&](const char* name, const char* mode,
+                              const core::DartConfig& config, Loop loop) {
+    rows.push_back(bench::measure_row_timed(
+        name, mode, 1, packets, warmup, reps_hot,
+        [&] { return single_shard(config, loop); }));
+  };
+  single_row("dart_scalar_1shard", "scalar", hot_config(), Loop::kScalar);
+  single_row("dart_batched_1shard", "batched", hot_config(), Loop::kBatched);
+  single_row("dart_scalar_paper", "scalar", paper_config(), Loop::kScalar);
+  single_row("dart_batched_paper", "batched", paper_config(), Loop::kBatched);
+  single_row("dart_prefetched_paper", "prefetched", paper_config(),
+             Loop::kPrefetched);
 
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     if (quick && shards > 2) break;

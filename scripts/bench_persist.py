@@ -17,8 +17,10 @@ re-running one binary replaces only its own rows, and validates the result:
 
 ``--check`` asserts the schema, that every row is well-formed with a
 positive Mpps, and that both a scalar and a batched single-shard row exist.
-``--min-speedup`` additionally enforces the batched/scalar single-shard
-ratio — used when committing a measured trajectory, not in CI smoke runs,
+The headline pair is the *first* single-shard ``dart_`` row of each mode
+(``bench_throughput`` emits its ``_1shard`` rows first).
+``--min-speedup`` additionally enforces the batched/scalar ratio of that
+pair — used when committing a measured trajectory, not in CI smoke runs,
 whose oversubscribed hosts make ratios meaningless.
 """
 

@@ -52,8 +52,10 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # restored at epoch barriers, never on the per-packet path) and likewise
 # exempt — the snapshot()/restore() members living in hot files stay linted.
 # The daemon's socket source decodes every live record in its block loop, so
-# it is a per-packet path too.
+# it is a per-packet path too, and so is hashing.hpp: its SlotHash computes
+# the table index of every RT and PT probe.
 HOT_GLOBS = [
+    "src/common/hashing.hpp",
     "src/core/*.hpp",
     "src/core/*.cpp",
     "src/runtime/spsc_ring.hpp",

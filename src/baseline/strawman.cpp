@@ -6,8 +6,8 @@ Strawman::Strawman(const StrawmanConfig& config,
                    core::SampleCallback on_sample)
     : config_(config),
       on_sample_(std::move(on_sample)),
-      hash_(config.hash_seed),
-      slots_(config.table_size == 0 ? 1 : config.table_size) {}
+      slots_(config.table_size == 0 ? 1 : config.table_size),
+      slot_hash_(config.hash_seed, 0, slots_.size()) {}
 
 void Strawman::process(const PacketRecord& packet) {
   ++stats_.packets_processed;
@@ -45,7 +45,7 @@ void Strawman::handle_seq(const FourTuple& tuple,
   const std::uint32_t sig = flow_signature(tuple);
   const SeqNum eack = packet.expected_ack();
   const std::uint64_t key = (std::uint64_t{sig} << 32) | eack;
-  Slot& slot = slots_[hash_(key, 0) % slots_.size()];
+  Slot& slot = slots_[slot_hash_(key)];
 
   if (slot.valid && !expired(slot, packet.ts)) {
     ++stats_.overwrites;  // blind replacement: biased against long RTTs
@@ -60,7 +60,7 @@ void Strawman::handle_ack(const FourTuple& data_tuple, SeqNum ack,
                           Timestamp now, core::LegMode leg) {
   const std::uint32_t sig = flow_signature(data_tuple);
   const std::uint64_t key = (std::uint64_t{sig} << 32) | ack;
-  Slot& slot = slots_[hash_(key, 0) % slots_.size()];
+  Slot& slot = slots_[slot_hash_(key)];
   if (!slot.valid || slot.flow_sig != sig || slot.eack != ack) return;
   if (expired(slot, now)) {
     slot.valid = false;

@@ -64,8 +64,8 @@ class Strawman {
   StrawmanConfig config_;
   core::SampleCallback on_sample_;
   StrawmanStats stats_;
-  HashFamily hash_;
   std::vector<Slot> slots_;
+  SlotHash slot_hash_;  // declared after slots_: built from its size
 };
 
 }  // namespace dart::baseline

@@ -32,14 +32,47 @@ class HashFamily {
  public:
   explicit constexpr HashFamily(std::uint64_t seed) : seed_(seed) {}
 
+  /// The salt that makes member `stage` independent of its siblings.
+  static constexpr std::uint64_t salt(std::uint64_t seed,
+                                      std::uint32_t stage) noexcept {
+    return mix64(seed + 0x632be59bd9b4e019ULL * (stage + 1));
+  }
+
   /// Hash `key` with the `stage`-th member of the family.
   constexpr std::uint64_t operator()(std::uint64_t key,
                                      std::uint32_t stage) const noexcept {
-    return mix64(key ^ mix64(seed_ + 0x632be59bd9b4e019ULL * (stage + 1)));
+    return mix64(key ^ salt(seed_, stage));
   }
 
  private:
   std::uint64_t seed_;
+};
+
+/// The slot index one family member assigns a key in a table of `slots`
+/// entries: exactly `HashFamily(seed)(key, member) % slots`, with the
+/// member's salt computed once and the reduction a mask whenever `slots` is
+/// a power of two (every deployed geometry, and `slots == 1`). Tables index
+/// through this on every probe, and checkpoint images store the indices it
+/// yields, so the mapping itself must never change. `slots` must be > 0.
+class SlotHash {
+ public:
+  constexpr SlotHash(std::uint64_t seed, std::uint32_t member,
+                     std::uint64_t slots)
+      : salt_(HashFamily::salt(seed, member)),
+        slots_(slots),
+        mask_(slots - 1),
+        pow2_((slots & (slots - 1)) == 0) {}
+
+  constexpr std::uint64_t operator()(std::uint64_t key) const noexcept {
+    const std::uint64_t hash = mix64(key ^ salt_);
+    return pow2_ ? hash & mask_ : hash % slots_;
+  }
+
+ private:
+  std::uint64_t salt_;
+  std::uint64_t slots_;
+  std::uint64_t mask_;
+  bool pow2_;
 };
 
 }  // namespace dart

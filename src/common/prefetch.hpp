@@ -1,11 +1,11 @@
 // Software prefetch shim.
 //
-// The batched hot path knows which RT slot and PT stage rows a packet will
+// The prefetched batch path knows which RT slot and PT stage rows a packet will
 // probe several packets before the probe happens (the hashes are computed
 // for the whole batch up front), so it can hide the table's cache misses
 // behind the decode of the intervening packets. Two distances are used:
 //
-//   prefetch_far  — issued ~32 packets ahead, targets L2. The L2 miss
+//   prefetch_far  — issued ~192 packets ahead, targets L2. The L2 miss
 //     queue holds several times more outstanding requests than the ~dozen
 //     L1 fill buffers, so far prefetches are how the loop gets memory-level
 //     parallelism past the single-core demand-miss ceiling.
@@ -33,16 +33,6 @@ inline void prefetch_far(const void* addr) noexcept {
 inline void prefetch_near(const void* addr) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(addr, 1, 3);
-#else
-  (void)addr;
-#endif
-}
-
-/// Hint that `addr` will be written soon — the single-distance variant for
-/// callers outside the two-level batched sweep.
-inline void prefetch_for_write(const void* addr) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(addr, 1, 2);
 #else
   (void)addr;
 #endif

@@ -7,7 +7,9 @@
 // tile into parallel arrays first — role bits, forward/reverse tuple
 // hashes, expected ACKs, timestamps — and the process loop then walks the
 // arrays branch-light, issuing software prefetches for the RT slot and PT
-// stage rows a fixed distance ahead of their probes.
+// stage rows a fixed distance ahead of their probes. DartMonitor takes
+// this path only for tables too large to stay cache-resident (see
+// DartMonitor::kPrefetchBudgetBytes); smaller tables run the scalar loop.
 //
 // The view is a *decode cache*, not a semantic layer: every value stored
 // here is exactly what the scalar path would compute for the same packet,
@@ -115,43 +117,12 @@ struct PacketBatch {
     return &pt_ack_idx[lane * kMaxPtStages];
   }
 
-  /// Point the view at up to kCapacity packets of `tile` without decoding
-  /// any lane. Callers then fill lanes one by one with decode_lane() —
-  /// the monitor interleaves its precompute/prefetch wavefront with the
-  /// decode loop so table-row fetches overlap decode work instead of being
-  /// issued in a burst (most of which the core's bounded outstanding-miss
-  /// queues would silently drop).
-  void begin(std::span<const PacketRecord> tile) {
-    size = tile.size() < kCapacity ? tile.size() : kCapacity;
-    packets = tile.data();
-  }
-
-  /// Decode lane `i` (roles, hashes, expected ACK, timestamp) from the
-  /// packet begin() pointed it at. Lanes of inactive roles are zeroed, not
-  /// left stale, so downstream reads are deterministic and a rerun over the
-  /// same tile rebuilds identical lanes. The precomputed-row lanes are NOT
-  /// touched here; they are valid only after DartMonitor::precompute_lane
+  /// Decode up to kCapacity packets of `tile` into the lanes (roles,
+  /// hashes, expected ACK, timestamp). Lanes of inactive roles are zeroed,
+  /// not left stale, so downstream reads are deterministic and a rerun over
+  /// the same tile rebuilds identical lanes. The precomputed-row lanes are
+  /// NOT touched here; they are valid only after DartMonitor::precompute_lane
   /// ran over the decoded lane.
-  void decode_lane(std::size_t i, bool external, bool internal,
-                   bool include_syn) {
-    const PacketRecord& packet = packets[i];
-    ts[i] = packet.ts;
-    // A handshake packet the -SYN rule will drop gets no roles and no
-    // hashes: the admission gate rejects it before the lanes are read.
-    const std::uint8_t packet_roles =
-        (!include_syn && packet.is_syn())
-            ? 0
-            : classify_roles(packet, external, internal);
-    roles[i] = packet_roles;
-    const bool seq = (packet_roles & batch_role::kSeqAny) != 0;
-    const bool ack = (packet_roles & batch_role::kAckAny) != 0;
-    seq_hash[i] = seq ? hash_tuple(packet.tuple) : 0;
-    eack[i] = seq ? packet.expected_ack() : 0;
-    ack_hash[i] = ack ? hash_tuple(packet.tuple.reversed()) : 0;
-  }
-
-  /// begin() + decode_lane() over the whole tile, for callers with no
-  /// per-lane work to interleave.
   void build(std::span<const PacketRecord> tile, LegMode leg,
              bool include_syn);
 };

@@ -13,7 +13,7 @@ RangeTracker::RangeTracker(std::size_t size, std::uint64_t hash_seed,
     : bounded_(size > 0),
       wraparound_reset_(wraparound_reset),
       idle_timeout_(idle_timeout),
-      hash_(hash_seed) {
+      slot_hash_(hash_seed, 0, bounded_ ? size : 1) {
   if (bounded_) {
     // Reserve-advise-resize so a table sized past the TLB's reach is
     // faulted in on huge pages from the start (see hugepage.hpp).
@@ -30,7 +30,9 @@ std::uint64_t RangeTracker::ref_of(const FourTuple& tuple) const {
 const RangeTracker::Entry* RangeTracker::find_ref(std::uint64_t ref,
                                                   std::uint32_t sig) const {
   if (bounded_) {
-    const Entry& slot = slots_[ref % slots_.size()];
+    // A bounded ref is a slot index by construction, and restore rejects
+    // images whose refs are not (see PacketTracker::restore).
+    const Entry& slot = slots_[ref];
     if (slot.valid && slot.sig == sig) return &slot;
     return nullptr;
   }

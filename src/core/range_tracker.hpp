@@ -115,20 +115,14 @@ class RangeTracker {
 
   /// ref_of from a precomputed hash_tuple() value.
   std::uint64_t ref_of_hashed(std::uint64_t tuple_hash) const {
-    return bounded_ ? hash_(tuple_hash, 0) % slots_.size() : tuple_hash;
+    return bounded_ ? slot_hash_(tuple_hash) : tuple_hash;
   }
 
-  /// Pull the slot `tuple_hash` maps to into cache ahead of its probe.
-  /// No-op in unbounded mode: the map node's address is unknowable before
-  /// the find (and the unbounded baseline is not the performance target).
-  void prefetch(std::uint64_t tuple_hash) const {
-    if (bounded_) prefetch_for_write(&slots_[ref_of_hashed(tuple_hash)]);
-  }
-
-  /// Two-level prefetch from an already-computed ref_of_hashed() value —
-  /// the batched path's forms, which cost no hash work: _far starts the
-  /// DRAM fetch toward L2 many packets ahead, _near promotes the slot to
-  /// L1 just before its probe (see prefetch.hpp).
+  /// Two-level prefetch from an already-computed ref_of_hashed() value,
+  /// for the prefetched batch path: _far starts the DRAM fetch toward L2
+  /// many packets ahead, _near promotes the slot to L1 just before its
+  /// probe (see prefetch.hpp). No-op in unbounded mode: a map node's
+  /// address is unknowable before the find.
   void prefetch_ref_far(std::uint64_t ref) const {
     if (bounded_) prefetch_far(&slots_[ref]);
   }
@@ -143,6 +137,12 @@ class RangeTracker {
 
   std::size_t occupied() const;
   std::size_t capacity() const { return bounded_ ? slots_.size() : 0; }
+
+  /// Bytes of slot storage a tracker of this `size` allocates (0 when
+  /// unbounded: map nodes grow with the flows seen, not with the config).
+  static constexpr std::size_t table_bytes(std::size_t size) {
+    return size * sizeof(Entry);
+  }
 
   /// Serialize every live entry into an open checkpoint section, in
   /// canonical order (slot index when bounded, key order when unbounded) so
@@ -173,7 +173,7 @@ class RangeTracker {
   bool bounded_;
   bool wraparound_reset_;
   Timestamp idle_timeout_;
-  HashFamily hash_;
+  SlotHash slot_hash_;  // HashFamily member 0 over the slot count
   std::vector<Entry> slots_;                       // bounded mode
   std::unordered_map<std::uint64_t, Entry> map_;   // unbounded mode
 };

@@ -19,11 +19,11 @@ class StageTable {
  public:
   StageTable(std::size_t size, std::uint64_t hash_seed,
              std::uint32_t stage_id)
-      : hash_(hash_seed), stage_id_(stage_id),
-        slots_(size == 0 ? 1 : size) {}
+      : slots_(size == 0 ? 1 : size),
+        slot_hash_(hash_seed, stage_id, slots_.size()) {}
 
   std::size_t index_of(std::uint64_t key) const {
-    return static_cast<std::size_t>(hash_(key, stage_id_) % slots_.size());
+    return static_cast<std::size_t>(slot_hash_(key));
   }
 
   /// The single slot a key can occupy in this stage.
@@ -45,9 +45,8 @@ class StageTable {
   }
 
  private:
-  HashFamily hash_;
-  std::uint32_t stage_id_;
   std::vector<Entry> slots_;
+  SlotHash slot_hash_;  // declared after slots_: built from its size
 };
 
 }  // namespace dart::dataplane

@@ -29,8 +29,9 @@ class ReplayMonitor {
 
   /// Process a whole dequeued ring batch, in arrival order. The default
   /// forwards to process() one packet at a time so existing monitors keep
-  /// working unchanged; DartReplayMonitor overrides it with DartMonitor's
-  /// batched SoA fast path. An override must be observably identical to
+  /// working unchanged; DartReplayMonitor overrides it with
+  /// DartMonitor::process_batch, which picks its loop by table footprint.
+  /// An override must be observably identical to
   /// the scalar loop — the batch differential suite holds the two worker
   /// modes to identical merged stats, samples, and snapshots.
   virtual void process_batch(std::span<const PacketRecord> packets) {

@@ -74,5 +74,36 @@ TEST(HashFamily, StageIndexDistributionIsRoughlyUniform) {
   }
 }
 
+// Tables index through SlotHash and checkpoint images store the indices it
+// yields, so it must be HashFamily-then-modulo exactly, on both of its
+// reduction branches and at the degenerate one-slot table.
+TEST(SlotHash, EqualsFamilyModuloSlots) {
+  const std::uint64_t seeds[] = {0, 7, 0x1234'5678'9ABC'DEF0ULL};
+  const std::uint64_t slot_counts[] = {1,    2,     1024,     1 << 16,
+                                       3,    1000,  3000,     65535,
+                                       65537, std::uint64_t{1} << 40};
+  for (const std::uint64_t seed : seeds) {
+    const HashFamily family(seed);
+    for (const std::uint32_t member : {0u, 1u, 4u, 0xFFFF'FFFFu}) {
+      for (const std::uint64_t slots : slot_counts) {
+        const SlotHash slot_hash(seed, member, slots);
+        for (std::uint64_t i = 0; i < 200; ++i) {
+          const std::uint64_t key = mix64(i) ^ (i << 7);
+          ASSERT_EQ(slot_hash(key), family(key, member) % slots)
+              << "seed " << seed << " member " << member << " slots "
+              << slots << " key " << key;
+        }
+      }
+    }
+  }
+}
+
+TEST(SlotHash, OneSlotTableAlwaysIndexesZero) {
+  const SlotHash slot_hash(99, 0, 1);
+  for (std::uint64_t key = 0; key < 100; ++key) {
+    EXPECT_EQ(slot_hash(mix64(key)), 0U);
+  }
+}
+
 }  // namespace
 }  // namespace dart

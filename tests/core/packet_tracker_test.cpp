@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+
+#include "core/checkpoint.hpp"
 
 namespace dart::core {
 namespace {
@@ -140,6 +143,70 @@ TEST(PacketTracker, CapacitySplitsAcrossStages) {
   PacketTracker pt{1 << 10, 8, EvictionPolicy::kEvictYoungest, 7};
   EXPECT_EQ(pt.capacity(), 1U << 10);
   EXPECT_EQ(pt.stage_count(), 8U);
+}
+
+// Checkpoint images store (stage, slot) positions, so the per-stage slot a
+// key hashes to must never move. These indices were produced by the
+// HashFamily-modulo indexing that predates SlotHash; the non-power-of-two
+// geometry pins the modulo branch, the power-of-two one the mask branch.
+TEST(PacketTrackerGolden, StageIndicesAreStable) {
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t total;
+    std::uint32_t stages;
+    std::uint64_t key;
+    std::array<std::uint32_t, 4> idx;
+  };
+  const Golden golden[] = {
+      {0xDA27, 1 << 16, 4, 0x0, {7443, 2749, 15727, 14135}},
+      {0xDA27, 1 << 16, 4, 0xDEAD'BEEF'CAFE'F00DULL,
+       {2994, 7571, 2522, 9528}},
+      {0x1234'5678'9ABC'DEF0ULL, 1 << 16, 4, 0x8000'0000'0000'0001ULL,
+       {14741, 2432, 2680, 4437}},
+      {0xDA27, 3000, 3, 0x1, {928, 927, 111, 0}},
+      {0xDA27, 3000, 3, 0xDEAD'BEEF'CAFE'F00DULL, {810, 939, 242, 0}},
+      {0x1234'5678'9ABC'DEF0ULL, 3000, 3, 0x0, {349, 438, 863, 0}},
+  };
+  for (const Golden& g : golden) {
+    const PacketTracker pt{g.total, g.stages, EvictionPolicy::kEvictYoungest,
+                           g.seed};
+    std::array<std::uint32_t, 4> idx{};
+    pt.precompute(static_cast<std::uint32_t>(g.key >> 32),
+                  static_cast<SeqNum>(g.key), idx.data(), false);
+    EXPECT_EQ(idx, g.idx) << "seed " << g.seed << " total " << g.total
+                          << " key " << g.key;
+  }
+}
+
+// Probes index the Range Tracker by a record's rt_ref unchecked, so restore
+// must refuse an image whose refs are not slots of that tracker.
+TEST(PacketTracker, RestoreRejectsRtRefOutsideTheRangeTracker) {
+  PacketTracker source{1 << 8, 2, EvictionPolicy::kEvictYoungest, 7};
+  PacketTracker::Record r = record(1, 100, 10);
+  r.rt_ref = 4096;
+  source.insert(r);
+  CheckpointWriter writer(SnapshotMeta{});
+  writer.begin_section(CheckpointSection::kPacketTracker);
+  source.snapshot(writer);
+  writer.end_section();
+  const CheckpointImage image = writer.seal();
+  CheckpointInfo info;
+  ASSERT_FALSE(read_info(image, &info));
+  ASSERT_EQ(info.sections.size(), 1U);
+  const auto restore_with = [&](std::uint64_t rt_slots) {
+    CheckpointReader reader(
+        std::span<const std::uint8_t>(image.bytes)
+            .subspan(static_cast<std::size_t>(info.sections[0].offset),
+                     static_cast<std::size_t>(info.sections[0].length)),
+        info.sections[0].offset);
+    PacketTracker target{1 << 8, 2, EvictionPolicy::kEvictYoungest, 7};
+    const CheckpointError err = target.restore(reader, rt_slots);
+    EXPECT_EQ(target.occupied(), err ? 0U : 1U);
+    return err;
+  };
+  EXPECT_TRUE(restore_with(4096));
+  EXPECT_FALSE(restore_with(4097));
+  EXPECT_FALSE(restore_with(0));  // unbounded RT: refs are full hashes
 }
 
 // Property: whatever the interleaving of inserts and erases, a key reported

@@ -218,6 +218,34 @@ TEST(RangeTrackerBounded, FlowsInDistinctSlotsDoNotInterfere) {
   EXPECT_EQ(rt.occupied(), 2U);
 }
 
+// Checkpoint images and recirculated PT records store RT slot refs, so the
+// slot a tuple hash maps to must never move. These refs were produced by
+// the HashFamily-modulo indexing that predates SlotHash; 1000 slots pins
+// the modulo branch, 2^16 the mask branch, 1 the degenerate table.
+TEST(RangeTrackerGolden, SlotRefsAreStable) {
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t size;
+    std::uint64_t tuple_hash;
+    std::uint64_t ref;
+  };
+  const Golden golden[] = {
+      {0xDA27, 1 << 16, 0x0, 50901},
+      {0xDA27, 1 << 16, 0xDEAD'BEEF'CAFE'F00DULL, 21372},
+      {0x1234'5678'9ABC'DEF0ULL, 1 << 16, 0x8000'0000'0000'0001ULL, 12220},
+      {0xDA27, 1000, 0x1, 306},
+      {0xDA27, 1000, 0x8000'0000'0000'0001ULL, 975},
+      {0x1234'5678'9ABC'DEF0ULL, 1000, 0xDEAD'BEEF'CAFE'F00DULL, 72},
+      {0xDA27, 1, 0xDEAD'BEEF'CAFE'F00DULL, 0},
+  };
+  for (const Golden& g : golden) {
+    const RangeTracker rt{g.size, g.seed, true};
+    EXPECT_EQ(rt.ref_of_hashed(g.tuple_hash), g.ref)
+        << "seed " << g.seed << " size " << g.size << " hash "
+        << g.tuple_hash;
+  }
+}
+
 TEST(RangeTrackerProperty, LeftNeverPassesRight) {
   // Drive a flow with a pseudo-random mix of events and assert the
   // invariant left <= right (serially) throughout, observed via

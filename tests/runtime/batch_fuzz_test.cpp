@@ -2,15 +2,19 @@
 // cut into batches — fixed widths, the ring-batch capacity, random
 // mid-flow splits, interleaved scalar calls — the monitor's observable
 // behaviour and end-state snapshot must be bit-identical to the scalar
-// reference. Also covers the runtime hazards batching could introduce —
-// a batch split straddling a checkpoint epoch barrier, a forced-shed
-// window (fault-injected worker kill), and the partial-final-batch flush
-// at shutdown, the mirror of the MinFilter partial-tail bug class — by
-// holding each shard to a scalar replay of its own stream.
+// reference, through both process_batch and the prefetched wavefront it
+// dispatches to above its footprint budget (driven directly here: these
+// stress tables are far below it). Also covers the runtime hazards
+// batching could introduce — a batch split straddling a checkpoint epoch
+// barrier, a forced-shed window (fault-injected worker kill), and the
+// partial-final-batch flush at shutdown, the mirror of the MinFilter
+// partial-tail bug class — by holding each shard, with workers on either
+// entry point, to a scalar replay of its own stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/random.hpp"
@@ -50,21 +54,33 @@ struct RunResult {
   core::CheckpointImage image;
 };
 
+// The two batch entry points every property runs through.
+using BatchEntry = void (core::DartMonitor::*)(std::span<const PacketRecord>);
+struct NamedEntry {
+  const char* name;
+  BatchEntry entry;
+};
+constexpr NamedEntry kBatchEntries[] = {
+    {"process_batch", &core::DartMonitor::process_batch},
+    {"process_prefetched", &core::DartMonitor::process_prefetched},
+};
+
 // Run the stream cut into batches at the given boundaries (cumulative
-// split points); an empty list means one process_batch over everything.
+// split points); an empty list means one batch call over everything.
 RunResult run_with_splits(const core::DartConfig& config,
                           std::span<const PacketRecord> packets,
-                          const std::vector<std::size_t>& splits) {
+                          const std::vector<std::size_t>& splits,
+                          BatchEntry entry) {
   RunResult result;
   core::DartMonitor monitor(config, [&](const core::RttSample& sample) {
     result.samples.push_back(sample);
   });
   std::size_t start = 0;
   for (const std::size_t split : splits) {
-    monitor.process_batch(packets.subspan(start, split - start));
+    (monitor.*entry)(packets.subspan(start, split - start));
     start = split;
   }
-  monitor.process_batch(packets.subspan(start));
+  (monitor.*entry)(packets.subspan(start));
   result.stats = monitor.stats();
   result.image = monitor.snapshot(core::SnapshotMeta{});
   return result;
@@ -105,16 +121,22 @@ TEST_P(BatchFuzz, FixedBatchWidthsNeverChangeOutput) {
   // shadow sync interval (tiles straddle shadow flushes); 256 is both the
   // PacketBatch tile and the runtime's ring-batch capacity; 1000 leaves a
   // ragged partial final tile.
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}, std::size_t{64},
-                                  core::PacketBatch::kCapacity,
-                                  std::size_t{1000}}) {
-    const RunResult batched = run_with_splits(
-        stress_config(), packets, fixed_width_splits(packets.size(), width));
-    EXPECT_EQ(reference.stats, batched.stats) << "width " << width;
-    EXPECT_EQ(reference.samples, batched.samples) << "width " << width;
-    EXPECT_EQ(reference.image.bytes, batched.image.bytes)
-        << "width " << width << ": snapshots diverged";
+  for (const NamedEntry& entry : kBatchEntries) {
+    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{7}, std::size_t{64},
+                                    core::PacketBatch::kCapacity,
+                                    std::size_t{1000}}) {
+      const RunResult batched =
+          run_with_splits(stress_config(), packets,
+                          fixed_width_splits(packets.size(), width),
+                          entry.entry);
+      EXPECT_EQ(reference.stats, batched.stats)
+          << entry.name << " width " << width;
+      EXPECT_EQ(reference.samples, batched.samples)
+          << entry.name << " width " << width;
+      EXPECT_EQ(reference.image.bytes, batched.image.bytes)
+          << entry.name << " width " << width << ": snapshots diverged";
+    }
   }
 }
 
@@ -133,12 +155,16 @@ TEST_P(BatchFuzz, RandomMidFlowSplitsNeverChangeOutput) {
       if (at >= packets.size()) break;
       splits.push_back(at);
     }
-    const RunResult batched =
-        run_with_splits(stress_config(), packets, splits);
-    EXPECT_EQ(reference.stats, batched.stats) << "round " << round;
-    EXPECT_EQ(reference.samples, batched.samples) << "round " << round;
-    EXPECT_EQ(reference.image.bytes, batched.image.bytes)
-        << "round " << round << ": snapshots diverged";
+    for (const NamedEntry& entry : kBatchEntries) {
+      const RunResult batched =
+          run_with_splits(stress_config(), packets, splits, entry.entry);
+      EXPECT_EQ(reference.stats, batched.stats)
+          << entry.name << " round " << round;
+      EXPECT_EQ(reference.samples, batched.samples)
+          << entry.name << " round " << round;
+      EXPECT_EQ(reference.image.bytes, batched.image.bytes)
+          << entry.name << " round " << round << ": snapshots diverged";
+    }
   }
 }
 
@@ -146,32 +172,34 @@ TEST_P(BatchFuzz, InterleavedScalarAndBatchedCallsMatch) {
   const auto packets = garbage(GetParam() ^ 0x17E4, 20000);
   const RunResult reference = run_scalar(stress_config(), packets);
 
-  RunResult mixed;
-  core::DartMonitor monitor(stress_config(),
-                            [&](const core::RttSample& sample) {
-                              mixed.samples.push_back(sample);
-                            });
-  Rng rng(GetParam() + 99);
-  std::size_t at = 0;
-  while (at < packets.size()) {
-    if (rng.bernoulli(0.3)) {
-      monitor.process(packets[at]);
-      ++at;
-    } else {
-      const std::size_t run_len = std::min(
-          packets.size() - at,
-          static_cast<std::size_t>(rng.uniform_int(1, 500)));
-      monitor.process_batch(
-          std::span<const PacketRecord>(packets).subspan(at, run_len));
-      at += run_len;
+  for (const NamedEntry& entry : kBatchEntries) {
+    RunResult mixed;
+    core::DartMonitor monitor(stress_config(),
+                              [&](const core::RttSample& sample) {
+                                mixed.samples.push_back(sample);
+                              });
+    Rng rng(GetParam() + 99);
+    std::size_t at = 0;
+    while (at < packets.size()) {
+      if (rng.bernoulli(0.3)) {
+        monitor.process(packets[at]);
+        ++at;
+      } else {
+        const std::size_t run_len = std::min(
+            packets.size() - at,
+            static_cast<std::size_t>(rng.uniform_int(1, 500)));
+        (monitor.*entry.entry)(
+            std::span<const PacketRecord>(packets).subspan(at, run_len));
+        at += run_len;
+      }
     }
-  }
-  mixed.stats = monitor.stats();
-  mixed.image = monitor.snapshot(core::SnapshotMeta{});
+    mixed.stats = monitor.stats();
+    mixed.image = monitor.snapshot(core::SnapshotMeta{});
 
-  EXPECT_EQ(reference.stats, mixed.stats);
-  EXPECT_EQ(reference.samples, mixed.samples);
-  EXPECT_EQ(reference.image.bytes, mixed.image.bytes);
+    EXPECT_EQ(reference.stats, mixed.stats) << entry.name;
+    EXPECT_EQ(reference.samples, mixed.samples) << entry.name;
+    EXPECT_EQ(reference.image.bytes, mixed.image.bytes) << entry.name;
+  }
 }
 
 // Regression for the partial-tail bug class: a final ring batch smaller
@@ -194,18 +222,22 @@ TEST_P(BatchFuzz, PartialFinalBatchIsFlushedNotDropped) {
   runtime::ShardedConfig config;
   config.shards = 3;
   config.batch_size = 64;
-  runtime::ShardedMonitor sharded(config, dart_config);
-  sharded.process_all(packets);
-  sharded.finish();
-
-  EXPECT_EQ(sharded.merged_stats().packets_processed, packets.size())
-      << "the partial final batch was not flushed";
-  EXPECT_EQ(sharded.health().shed_packets, 0U);
-  EXPECT_EQ(sharded.merged_samples(), reference);
   const auto refs =
       runtime_check::per_shard_reference(dart_config, packets, config);
-  for (std::uint32_t i = 0; i < config.shards; ++i) {
-    runtime_check::expect_shard_matches(sharded, i, refs[i], "partial tail");
+  for (const runtime_check::WorkerLoop& loop :
+       runtime_check::worker_loops(dart_config)) {
+    runtime::ShardedMonitor sharded(config, loop.factory);
+    sharded.process_all(packets);
+    sharded.finish();
+
+    EXPECT_EQ(sharded.merged_stats().packets_processed, packets.size())
+        << loop.name << ": the partial final batch was not flushed";
+    EXPECT_EQ(sharded.health().shed_packets, 0U) << loop.name;
+    EXPECT_EQ(sharded.merged_samples(), reference) << loop.name;
+    for (std::uint32_t i = 0; i < config.shards; ++i) {
+      runtime_check::expect_shard_matches(
+          sharded, i, refs[i], std::string("partial tail ") + loop.name);
+    }
   }
 }
 
@@ -225,24 +257,28 @@ TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
   config.shards = 2;
   config.batch_size = 7;  // never divides the barrier interval
   config.checkpoint.interval_packets = 1000;
-  runtime::ShardedMonitor sharded(config, dart_config);
-  sharded.process_all(packets);
-  sharded.finish();
-
   const auto refs =
       runtime_check::per_shard_reference(dart_config, packets, config);
-  std::uint64_t expected_cuts = 0;
-  for (std::uint32_t i = 0; i < config.shards; ++i) {
-    runtime_check::expect_shard_matches(sharded, i, refs[i], "barriers");
-    expected_cuts += refs[i].packets.size() / 1000;
+  for (const runtime_check::WorkerLoop& loop :
+       runtime_check::worker_loops(dart_config)) {
+    runtime::ShardedMonitor sharded(config, loop.factory);
+    sharded.process_all(packets);
+    sharded.finish();
+
+    std::uint64_t expected_cuts = 0;
+    for (std::uint32_t i = 0; i < config.shards; ++i) {
+      runtime_check::expect_shard_matches(
+          sharded, i, refs[i], std::string("barriers ") + loop.name);
+      expected_cuts += refs[i].packets.size() / 1000;
+    }
+    EXPECT_GT(sharded.checkpoints_cut(), 0U) << loop.name;
+    EXPECT_EQ(sharded.checkpoints_cut(), expected_cuts) << loop.name;
+    const core::RuntimeHealth health = sharded.health();
+    EXPECT_EQ(health.shed_packets, 0U) << loop.name;
+    EXPECT_EQ(health.abandoned_packets, 0U) << loop.name;
+    EXPECT_EQ(health.lost_to_crash, 0U) << loop.name;
+    runtime_check::expect_histogram_of_samples(sharded);
   }
-  EXPECT_GT(sharded.checkpoints_cut(), 0U);
-  EXPECT_EQ(sharded.checkpoints_cut(), expected_cuts);
-  const core::RuntimeHealth health = sharded.health();
-  EXPECT_EQ(health.shed_packets, 0U);
-  EXPECT_EQ(health.abandoned_packets, 0U);
-  EXPECT_EQ(health.lost_to_crash, 0U);
-  runtime_check::expect_histogram_of_samples(sharded);
 }
 
 #if defined(DART_FAULT_INJECTION)
@@ -259,31 +295,37 @@ TEST_P(BatchFuzz, ForcedShedWindowMatchesAcrossWorkerModes) {
   dart_config.include_syn = true;
   dart_config.leg = core::LegMode::kBoth;
 
-  runtime::FaultPlan faults;
-  faults.kill(0, 3);  // shard 0 dies after exactly 3 batches
-  runtime::ShardedConfig config;
-  config.shards = 2;
-  config.batch_size = 16;
-  config.faults = &faults;
-  runtime::ShardedMonitor sharded(config, dart_config);
-  sharded.process_all(packets);
-  sharded.finish();
-
   constexpr std::uint64_t kPrefix = 3 * 16;
-  const auto refs = runtime_check::per_shard_reference(
-      dart_config, packets, config, /*limit=*/{kPrefix});
-  EXPECT_EQ(sharded.shard_stats(0).packets_processed, kPrefix);
-  for (std::uint32_t i = 0; i < config.shards; ++i) {
-    runtime_check::expect_shard_matches(sharded, i, refs[i], "forced shed");
+  for (const runtime_check::WorkerLoop& loop :
+       runtime_check::worker_loops(dart_config)) {
+    runtime::FaultPlan faults;
+    faults.kill(0, 3);  // shard 0 dies after exactly 3 batches
+    runtime::ShardedConfig config;
+    config.shards = 2;
+    config.batch_size = 16;
+    config.faults = &faults;
+    runtime::ShardedMonitor sharded(config, loop.factory);
+    sharded.process_all(packets);
+    sharded.finish();
+
+    const auto refs = runtime_check::per_shard_reference(
+        dart_config, packets, config, /*limit=*/{kPrefix});
+    EXPECT_EQ(sharded.shard_stats(0).packets_processed, kPrefix) << loop.name;
+    for (std::uint32_t i = 0; i < config.shards; ++i) {
+      runtime_check::expect_shard_matches(
+          sharded, i, refs[i], std::string("forced shed ") + loop.name);
+    }
+    // The shed window is real, and it is exactly the killed shard's
+    // unprocessed remainder.
+    const core::RuntimeHealth health = sharded.health();
+    EXPECT_GT(health.shed_packets, 0U) << loop.name;
+    EXPECT_EQ(health.shed_packets, refs[0].packets.size() - kPrefix)
+        << loop.name;
+    EXPECT_EQ(health.workers_killed, 1U) << loop.name;
+    EXPECT_EQ(sharded.merged_stats().packets_processed + health.shed_packets,
+              packets.size())
+        << loop.name;
   }
-  // The shed window is real, and it is exactly the killed shard's
-  // unprocessed remainder.
-  const core::RuntimeHealth health = sharded.health();
-  EXPECT_GT(health.shed_packets, 0U);
-  EXPECT_EQ(health.shed_packets, refs[0].packets.size() - kPrefix);
-  EXPECT_EQ(health.workers_killed, 1U);
-  EXPECT_EQ(sharded.merged_stats().packets_processed + health.shed_packets,
-            packets.size());
 }
 #endif  // DART_FAULT_INJECTION
 

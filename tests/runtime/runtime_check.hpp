@@ -14,11 +14,16 @@
 //     commits and recovery bookkeeping may change nothing a monitor sees.
 //   * Histogram check: rtt_histogram() must equal a LogHistogram filled
 //     from merged_samples() — same bins, count, min and max.
+//   * Worker loops: factories whose shards run each ring batch through
+//     DartMonitor::process_batch as shipped, or through the prefetched
+//     wavefront whatever the table size, so the sharded suites cover both
+//     at test sizes (where process_batch picks the scalar loop).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "analytics/histogram.hpp"
 #include "common/random.hpp"
 #include "core/dart_monitor.hpp"
+#include "runtime/replay_monitor.hpp"
 #include "runtime/shard_router.hpp"
 #include "runtime/sharded_monitor.hpp"
 
@@ -55,6 +61,30 @@ inline std::vector<PacketRecord> garbage(std::uint64_t seed,
     packets.push_back(p);
   }
   return packets;
+}
+
+class PrefetchedReplayMonitor : public runtime::DartReplayMonitor {
+ public:
+  using DartReplayMonitor::DartReplayMonitor;
+  void process_batch(std::span<const PacketRecord> packets) override {
+    monitor().process_prefetched(packets);
+  }
+};
+
+struct WorkerLoop {
+  const char* name;
+  runtime::MonitorFactory factory;
+};
+
+inline std::vector<WorkerLoop> worker_loops(const core::DartConfig& config) {
+  return {
+      {"process_batch", runtime::dart_factory(config)},
+      {"process_prefetched",
+       [config](std::uint32_t /*shard*/, core::SampleCallback on_sample) {
+         return std::make_unique<PrefetchedReplayMonitor>(
+             config, std::move(on_sample));
+       }},
+  };
 }
 
 inline std::vector<core::RttSample> single_monitor_samples(
