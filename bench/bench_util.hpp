@@ -9,7 +9,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -158,18 +161,65 @@ inline void print_rows(const std::vector<BenchRow>& rows) {
   std::printf("%s\n", table.render().c_str());
 }
 
+/// `text` as a JSON string literal: quotes and backslashes escaped, control
+/// characters dropped.
+inline std::string json_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+/// A whole text file without its trailing newlines; empty if unreadable.
+inline std::string read_text_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string out = text.str();
+  while (!out.empty() && out.back() == '\n') out.pop_back();
+  return out;
+}
+
+/// The host block the dartd benchmark (perfbench/) prints, minus its
+/// per-run noise counters: nproc, CPU model, compiler, build type, DART_*
+/// options and transparent huge pages. It tells which host and build
+/// measured a row, so a ratio between rows is only taken within one.
+inline std::string host_json() {
+  std::string cpu_model = "unknown";
+  std::istringstream cpuinfo(read_text_file("/proc/cpuinfo"));
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu_model = line.substr(colon + 2);
+      break;
+    }
+  }
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": " + json_string(cpu_model) +
+         ", \"compiler\": " + json_string(__VERSION__) +
+         ", \"build_type\": " + json_string(DART_BENCH_BUILD_TYPE) +
+         ", \"dart_options\": " + json_string(DART_BENCH_OPTIONS) +
+         ", \"thp\": " +
+         json_string(read_text_file(
+             "/sys/kernel/mm/transparent_hugepage/enabled")) +
+         "}";
+}
+
 /// Writes rows as a dart-bench-v1 JSON document for
-/// scripts/bench_persist.py. Row names/modes are code-controlled
-/// identifiers, so no string escaping is needed. Returns false if the file
-/// could not be opened.
+/// scripts/bench_persist.py, stamped with host_json(). Row names/modes are
+/// code-controlled identifiers, so no string escaping is needed. Returns
+/// false if the file could not be opened.
 inline bool write_rows_json(const std::string& path, const std::string& bench,
                             const std::vector<BenchRow>& rows) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (!file) return false;
   std::fprintf(file,
                "{\n  \"schema\": \"dart-bench-v1\",\n  \"bench\": \"%s\",\n"
-               "  \"rows\": [\n",
-               bench.c_str());
+               "  \"host\": %s,\n  \"rows\": [\n",
+               bench.c_str(), host_json().c_str());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& row = rows[i];
     std::fprintf(file,

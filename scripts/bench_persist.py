@@ -5,12 +5,16 @@ The bench binaries emit per-run ``dart-bench-v1`` documents (one per
 binary, via ``--json``)::
 
     {"schema": "dart-bench-v1", "bench": "bench_throughput",
+     "host": {"nproc": ..., "cpu_model": ..., "compiler": ...,
+              "build_type": ..., "dart_options": ..., "thp": ...},
      "rows": [{"name": ..., "mode": ..., "shards": ..., "packets": ...,
                "reps": ..., "mpps": ...}, ...]}
 
-This script folds those into a single ``dart-bench-trajectory-v1`` file
-committed at the repo root (``BENCH_pr6.json``), keyed by bench name so
-re-running one binary replaces only its own rows, and validates the result:
+The ``host`` block is the one the dartd benchmark (perfbench/) prints; rows
+written before it existed carry none. This script folds those documents
+into a single ``dart-bench-trajectory-v1`` file committed at the repo root
+(``BENCH_pr6.json``), keyed by bench name so re-running one binary replaces
+only its own rows and host, and validates the result:
 
     merge:  bench_persist.py --out BENCH_pr6.json rows1.json [rows2.json ...]
     check:  bench_persist.py --check BENCH_pr6.json [--min-speedup 1.5]
@@ -21,7 +25,9 @@ The headline pair is the *first* single-shard ``dart_`` row of each mode
 (``bench_throughput`` emits its ``_1shard`` rows first).
 ``--min-speedup`` additionally enforces the batched/scalar ratio of that
 pair — used when committing a measured trajectory, not in CI smoke runs,
-whose oversubscribed hosts make ratios meaningless.
+whose oversubscribed hosts make ratios meaningless. It refuses a headline
+pair whose bench carries no host block: a speedup means something only
+between rows measured on one named host.
 """
 
 import argparse
@@ -32,6 +38,8 @@ import sys
 ROW_SCHEMA = "dart-bench-v1"
 TRAJECTORY_SCHEMA = "dart-bench-trajectory-v1"
 ROW_KEYS = {"name", "mode", "shards", "packets", "reps", "mpps"}
+HOST_KEYS = {"nproc", "cpu_model", "compiler", "build_type", "dart_options",
+             "thp"}
 
 
 def fail(message: str) -> None:
@@ -57,6 +65,11 @@ def validate_rows(rows: list, origin: str) -> None:
             fail(f"{origin}: non-positive mpps in row {row['name']!r}")
         if row["packets"] <= 0 or row["reps"] <= 0:
             fail(f"{origin}: empty measurement in row {row['name']!r}")
+
+
+def validate_host(host, origin: str) -> None:
+    if not isinstance(host, dict) or not HOST_KEYS.issubset(host):
+        fail(f"{origin}: malformed host block {host!r}")
 
 
 def merge(out_path: str, inputs: list) -> None:
@@ -91,7 +104,11 @@ def merge(out_path: str, inputs: list) -> None:
             fail(f"{path}: missing bench name")
         rows = document.get("rows", [])
         validate_rows(rows, path)
-        trajectory["benches"][bench] = {"rows": rows}
+        entry = {"rows": rows}
+        if "host" in document:
+            validate_host(document["host"], path)
+            entry["host"] = document["host"]
+        trajectory["benches"][bench] = entry
 
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(trajectory, handle, indent=2)
@@ -129,6 +146,8 @@ def check(path: str, min_speedup: float) -> None:
         fail(f"{path}: missing bench_throughput rows")
     for bench, body in benches.items():
         validate_rows(body.get("rows", []), f"{path}:{bench}")
+        if "host" in body:
+            validate_host(body["host"], f"{path}:{bench}")
 
     rows = benches["bench_throughput"]["rows"]
     scalar = single_shard_mpps(rows, "scalar")
@@ -137,6 +156,10 @@ def check(path: str, min_speedup: float) -> None:
     print(f"bench_persist: {path}: OK "
           f"(single-shard scalar {scalar:.3f} Mpps, "
           f"batched {batched:.3f} Mpps, speedup {speedup:.2f}x)")
+    if min_speedup > 0 and "host" not in benches["bench_throughput"]:
+        fail(f"{path}: bench_throughput rows carry no host block; a "
+             f"speedup check needs rows from one named host — re-run "
+             f"bench_throughput --json and merge its rows")
     if min_speedup > 0 and speedup < min_speedup:
         fail(f"{path}: batched/scalar speedup {speedup:.2f}x "
              f"below required {min_speedup:.2f}x")

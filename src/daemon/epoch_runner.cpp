@@ -123,6 +123,9 @@ std::string EpochRunner::run_cycle(PacketSource& source, const StopFn& stop) {
   runtime::ShardedConfig sharded;
   sharded.shards = config_.shards;
   sharded.epoch_interval_packets = config_.epoch_interval;
+  // The report reads the workers' histograms only, so no shard keeps a raw
+  // sample: a cycle's memory does not grow with the samples it measures.
+  sharded.keep_samples = false;
 #if defined(DART_TELEMETRY)
   sharded.telemetry = config_.telemetry;
 #endif

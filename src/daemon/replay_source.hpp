@@ -7,9 +7,14 @@
 // changes only *when* packets become available, never their content or
 // order, which is what makes the live-vs-replay byte-identity claim
 // testable at all.
+//
+// The source keeps only the packets it replays: it moves them out of the
+// Trace it is built from, and the trace's ground truth, which replay never
+// reads, is freed with it.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "daemon/packet_source.hpp"
 #include "trace/trace.hpp"
@@ -26,6 +31,7 @@ struct ReplaySourceConfig {
 
 class ReplaySource final : public PacketSource {
  public:
+  /// Takes `trace`'s packets; its ground truth is dropped here.
   ReplaySource(trace::Trace trace, const ReplaySourceConfig& config = {});
 
   std::size_t poll(std::vector<PacketRecord>& out, std::size_t max) override;
@@ -35,7 +41,7 @@ class ReplaySource final : public PacketSource {
   std::uint64_t released() const { return cursor_; }
 
  private:
-  trace::Trace trace_;
+  std::vector<PacketRecord> packets_;
   ReplaySourceConfig config_;
   std::size_t cursor_ = 0;
   bool anchored_ = false;

@@ -63,7 +63,7 @@ std::uint64_t CheckpointCoordinator::committed_sample_count(
     std::uint32_t shard) const {
   const Slot& slot = *slots_[shard];
   const common::MutexLock lock(slot.mutex);
-  return slot.samples.size();
+  return slot.rtt.count();
 }
 
 std::uint64_t CheckpointCoordinator::checkpoints_cut(

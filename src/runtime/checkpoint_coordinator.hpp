@@ -3,12 +3,13 @@
 //
 // Workers cut checkpoint images at epoch barriers (markers the router
 // injects into each shard's ring every N delivered packets and/or T virtual
-// seconds) and *commit* them here, together with the samples — and their
-// RTT histogram — emitted since the previous barrier. The coordinator is
-// what survives a worker crash: ShardedMonitor rehydrates a replacement
-// monitor from the latest committed image, and committed samples are never
-// rolled back, so everything a dead worker did after its last commit is
-// lost as one bounded window.
+// seconds) and *commit* them here, together with the RTT histogram of the
+// samples emitted since the previous barrier — and the raw samples
+// themselves when the runtime keeps them (ShardedConfig::keep_samples). The
+// coordinator is what survives a worker crash: ShardedMonitor rehydrates a
+// replacement monitor from the latest committed image, and committed
+// samples are never rolled back, so everything a dead worker did after its
+// last commit is lost as one bounded window.
 //
 // Commits are fenced by incarnation id. The runtime bumps the shard's owner
 // id *before* it gives up on a worker (dead or hung), so a detached worker
@@ -20,7 +21,9 @@
 //     committed_sample_count(shard) == meta.sample_cursor
 //                                   == stats.samples in the image,
 // because a worker commits exactly the samples it emitted before the cut
-// and a successor restores its sample counter from the same image.
+// and a successor restores its sample counter from the same image. The
+// count is the committed histogram's mass, so the invariant reads the same
+// whether or not the raw samples are kept.
 #pragma once
 
 #include <cstdint>
@@ -62,11 +65,11 @@ class CheckpointCoordinator {
   /// slip a commit in between.
   std::uint64_t begin_incarnation(std::uint32_t shard);
 
-  /// Worker side: commit a cut image plus the samples and histogram emitted
-  /// since the previous commit (both are consumed either way). Returns
-  /// false (and changes nothing) unless `incarnation` currently owns the
-  /// shard. An empty image (a monitor without checkpoint support) commits
-  /// the samples only.
+  /// Worker side: commit a cut image plus the histogram and the samples
+  /// (empty when they are not kept) emitted since the previous commit (both
+  /// are consumed either way). Returns false (and changes nothing) unless
+  /// `incarnation` currently owns the shard. An empty image (a monitor
+  /// without checkpoint support) commits the samples only.
   bool commit(std::uint32_t shard, std::uint64_t incarnation,
               core::CheckpointImage&& image, const core::SnapshotMeta& meta,
               analytics::SampleLog&& samples, analytics::LogHistogram&& rtt);
@@ -81,7 +84,9 @@ class CheckpointCoordinator {
   void seal(std::uint32_t shard, analytics::SampleLog* samples,
             analytics::LogHistogram* rtt);
 
-  /// Samples committed so far, in per-shard emission order.
+  /// Samples committed so far: the committed histogram's mass, which
+  /// counts them whether or not their raw records were kept. Valid until
+  /// seal().
   std::uint64_t committed_sample_count(std::uint32_t shard) const;
 
   /// Accepted image commits for `shard` / across all shards.

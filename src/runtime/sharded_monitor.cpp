@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/config_check.hpp"
-#include "runtime/epoch_math.hpp"
 
 #if defined(DART_FAULT_INJECTION)
 #include "runtime/fault_injection.hpp"
@@ -91,15 +90,17 @@ bool ShardedMonitor::incarnate(Shard& shard, std::uint64_t base_cursor,
 #if defined(DART_TELEMETRY)
   inc->metrics = config_.telemetry;
 #endif
-  // The callback writes the incarnation's private log and histogram: its
-  // worker thread is the only caller of monitor->process, hence the only
-  // writer. The callback lives in the incarnation's own monitor, so `raw`
-  // outlives it.
+  // The callback writes the incarnation's private histogram (and log, if
+  // samples are kept): its worker thread is the only caller of
+  // monitor->process, hence the only writer. The callback lives in the
+  // incarnation's own monitor, so `raw` outlives it.
   Incarnation* raw = inc.get();
-  inc->monitor = factory_(shard.index, [raw](const core::RttSample& sample) {
-    raw->samples.append(sample);
-    raw->rtt.add(sample.rtt());
-  });
+  const bool keep = config_.keep_samples;
+  inc->monitor =
+      factory_(shard.index, [raw, keep](const core::RttSample& sample) {
+        if (keep) raw->samples.append(sample);
+        raw->rtt.add(sample.rtt());
+      });
   bool restored = false;
   if (image != nullptr && inc->monitor->supports_checkpoint()) {
     restored = !inc->monitor->restore(*image);
@@ -223,27 +224,60 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
 // Router side: delivery, barriers, health watching.
 
 void ShardedMonitor::process(const PacketRecord& packet) {
-  if (finished_) {
-    throw LifecycleError(LifecycleViolation::kProcessAfterFinish);
-  }
-  Shard& shard = *shards_[router_.route(packet.tuple)];
-  shard.pending.push_back(packet);
-  if (shard.pending.size() >= config_.batch_size) flush_shard(shard);
-  if (barriers_) maybe_barrier(shard, packet.ts);
-  ++routed_total_;
-  if (config_.on_epoch &&
-      closes_epoch(routed_total_, config_.epoch_interval_packets)) {
-    // Router-thread barrier: fires between packets, so the callback can
-    // publish fleet progress without racing the routing state.
-    config_.on_epoch(++epochs_fired_, routed_total_);
-  }
+  process_all(std::span(&packet, 1));
 }
 
 void ShardedMonitor::process_all(std::span<const PacketRecord> packets) {
   if (finished_) {
     throw LifecycleError(LifecycleViolation::kProcessAfterFinish);
   }
-  for (const PacketRecord& packet : packets) process(packet);
+  const std::uint64_t interval =
+      config_.on_epoch ? config_.epoch_interval_packets : 0;
+  while (!packets.empty()) {
+    // One segment runs up to the next epoch boundary or the end of the
+    // span, so the hook costs one division per segment, not per packet.
+    std::size_t segment = packets.size();
+    bool closes = false;
+    if (interval != 0) {
+      const std::uint64_t to_boundary = interval - routed_total_ % interval;
+      if (to_boundary <= segment) {
+        segment = static_cast<std::size_t>(to_boundary);
+        closes = true;
+      }
+    }
+    route_segment(packets.first(segment));
+    packets = packets.subspan(segment);
+    if (closes) {
+      // Router-thread barrier: fires between packets, so the callback can
+      // publish fleet progress without racing the routing state.
+      config_.on_epoch(++epochs_fired_, routed_total_);
+    }
+  }
+}
+
+void ShardedMonitor::route_segment(std::span<const PacketRecord> packets) {
+  const std::size_t routed = packets.size();
+  if (shards_.size() == 1 && !barriers_) {
+    // Every packet goes to shard 0 and no barrier can fall between two of
+    // them: append whole runs, flushing at the packets the per-packet
+    // path below would flush at.
+    Shard& shard = *shards_[0];
+    while (!packets.empty()) {
+      const auto run = packets.first(std::min(
+          packets.size(), config_.batch_size - shard.pending.size()));
+      shard.pending.insert(shard.pending.end(), run.begin(), run.end());
+      if (shard.pending.size() >= config_.batch_size) flush_shard(shard);
+      packets = packets.subspan(run.size());
+    }
+  } else {
+    for (const PacketRecord& packet : packets) {
+      Shard& shard = *shards_[router_.route(packet.tuple)];
+      shard.pending.push_back(packet);
+      if (shard.pending.size() >= config_.batch_size) flush_shard(shard);
+      if (barriers_) maybe_barrier(shard, packet.ts);
+    }
+  }
+  routed_total_ += routed;
 }
 
 std::uint64_t ShardedMonitor::shard_routed_cursor(std::uint32_t shard) const {

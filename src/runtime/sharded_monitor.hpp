@@ -14,10 +14,17 @@
 // packets per push) through bounded SPSC rings; a full ring backpressures
 // the router, bounding memory at O(shards * queue depth * batch).
 //
-// Each worker's sample sink both appends to its SampleLog ("log") and bins
-// the RTT into its LogHistogram ("hist"), so the RTT distribution is
-// aggregated as it is measured: `rtt_histogram()` merges the N shard
-// histograms bin by bin at drain, with no per-sample work left to do.
+// Each worker's sample sink bins the RTT into its LogHistogram ("hist"),
+// so the RTT distribution is aggregated as it is measured:
+// `rtt_histogram()` merges the N shard histograms bin by bin at drain, with
+// no per-sample work left to do. With `ShardedConfig::keep_samples` on (the
+// default) the sink also appends every raw sample to the shard's SampleLog
+// ("log"), which grows by 40 bytes a sample for as long as the run lasts.
+// Off, a shard holds its monitor, its ring and its histogram, nothing that
+// grows with the sample count; `dartd` and `dart-fleet` run that way. The
+// default stays on because the benchmark's mirror, the differential tests
+// and `examples/parallel_replay` still read `merged_samples()`; it flips
+// once the mirror renders from `rtt_histogram()` too.
 //
 // Determinism: both directions of a connection hash to the same shard and
 // the single router preserves arrival order into each FIFO ring, so every
@@ -44,8 +51,9 @@
 //
 //   * `checkpoint`: the router injects epoch barrier markers into each
 //     shard's ring. A marker is an in-band quiesce point: the worker that
-//     pops it cuts a CheckpointImage and commits it, with the samples and
-//     histogram it emitted since the last commit, to the coordinator.
+//     pops it cuts a CheckpointImage and commits it, with the histogram
+//     (and, if kept, the samples) it emitted since the last commit, to the
+//     coordinator.
 //   * `restart_budget`: how many times a shard's dead or hung worker is
 //     replaced by a fresh incarnation.
 //   * `hang_detection_ns`: a worker whose heartbeat stays frozen this long
@@ -130,6 +138,13 @@ struct ShardedConfig {
   std::uint64_t epoch_interval_packets = 0;
   std::function<void(std::uint64_t epoch, std::uint64_t routed)> on_epoch;
 
+  /// Keep every raw RttSample in the shard's SampleLog, for
+  /// `shard_samples()` and `merged_samples()`. Off, the workers only bin
+  /// RTTs into their histograms: both sample accessors return empty logs,
+  /// and `rtt_histogram()` and the stats are unchanged. On by default
+  /// while the benchmark's mirror still reads `merged_samples()`.
+  bool keep_samples = true;
+
   /// How long finish() waits for a worker to exit before force-detaching
   /// it (diagnosed in RuntimeHealth::forced_detaches). After end-of-input a
   /// healthy worker only has the ring's backlog left, so this bounds
@@ -193,8 +208,11 @@ class ShardedMonitor {
   /// and a routed batch would land in a ring with no consumer.
   void process(const PacketRecord& packet);
 
-  /// Route a whole time-ordered stream. Same lifecycle contract as
-  /// process().
+  /// Route a whole time-ordered stream; equivalent to process() on each
+  /// packet in turn (same hook firings, cursors, barrier cuts and batches),
+  /// but it finds the next epoch boundary once per segment, and with one
+  /// shard and no barriers appends each segment to the batch in bulk. Same
+  /// lifecycle contract as process().
   void process_all(std::span<const PacketRecord> packets);
 
   /// Flush partial batches, signal end-of-stream, and join all workers
@@ -226,7 +244,8 @@ class ShardedMonitor {
   /// Per-shard results; valid only after finish(). A shard whose worker
   /// was detached and not replaced reports its last committed image's
   /// stats and samples (empty without checkpoints) plus the RuntimeHealth
-  /// accounting.
+  /// accounting. The log is empty, and never allocated, with keep_samples
+  /// off.
   const analytics::SampleLog& shard_samples(std::uint32_t shard) const;
   core::DartStats shard_stats(std::uint32_t shard) const;
 
@@ -239,15 +258,15 @@ class ShardedMonitor {
 
   /// All shards' samples in the canonical `sample_less` order — the
   /// deterministic merge, for tests and CSV export; aggregates read
-  /// rtt_histogram() instead. Copies and sorts every sample. Valid only
-  /// after finish().
+  /// rtt_histogram() instead. Copies and sorts every sample; empty with
+  /// keep_samples off. Valid only after finish().
   std::vector<core::RttSample> merged_samples() const;
 
   /// The RTT distribution of every sample in the results, binned by the
   /// workers as they emitted it and merged across shards (exact: every
   /// histogram has the default layout). Equal to a LogHistogram filled from
-  /// merged_samples(), without copying or sorting a sample. Valid only
-  /// after finish().
+  /// merged_samples(), without copying or sorting a sample, and the same
+  /// whether keep_samples is on or off. Valid only after finish().
   analytics::LogHistogram rtt_histogram() const;
 
   /// Committed checkpoint images cut across the run.
@@ -288,7 +307,8 @@ class ShardedMonitor {
 
     SpscRing<Work> queue;
     std::unique_ptr<ReplayMonitor> monitor DART_PUBLISHED_BY(exited);
-    /// Samples and histogram emitted since the last barrier commit.
+    /// Samples (if kept) and histogram emitted since the last barrier
+    /// commit.
     analytics::SampleLog samples DART_PUBLISHED_BY(exited);
     analytics::LogHistogram rtt DART_PUBLISHED_BY(exited);
     core::DartStats final_stats DART_PUBLISHED_BY(exited);
@@ -354,6 +374,8 @@ class ShardedMonitor {
   // destructor: flush, end-of-input, reap, settle results, fold telemetry.
   // Idempotent.
   void shutdown() noexcept;
+  /// Route packets that close no epoch before their last one.
+  void route_segment(std::span<const PacketRecord> packets);
   void flush_shard(Shard& shard);
   void maybe_barrier(Shard& shard, Timestamp ts);
   void deliver(Shard& shard, Work&& work);

@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -110,6 +111,19 @@ int run_gen(std::uint64_t seed, std::uint64_t connections,
   return 0;
 }
 
+// Strict read: a damaged trace is refused, and the message names what is
+// wrong with it and the byte offset where the reader found it.
+std::optional<dart::trace::Trace> load_trace(const std::string& path) {
+  dart::trace::TraceReadResult result =
+      dart::trace::read_binary_checked_file(path);
+  if (!result.ok()) {
+    std::cerr << "dartd: cannot read trace " << path << ": "
+              << result.error.to_string() << "\n";
+    return std::nullopt;
+  }
+  return std::move(result.trace);
+}
+
 dart::daemon::DaemonConfig make_daemon_config(std::uint32_t shards,
                                               std::uint64_t epoch_interval) {
   dart::daemon::DaemonConfig config;
@@ -120,11 +134,8 @@ dart::daemon::DaemonConfig make_daemon_config(std::uint32_t shards,
 
 int run_replay(const std::string& trace_path, std::uint32_t shards,
                std::uint64_t epoch_interval, const std::string& out_path) {
-  auto trace = dart::trace::read_binary_file(trace_path);
-  if (!trace.has_value()) {
-    std::cerr << "dartd: cannot read trace " << trace_path << "\n";
-    return 1;
-  }
+  auto trace = load_trace(trace_path);
+  if (!trace.has_value()) return 1;
   dart::daemon::ReplaySource source(std::move(*trace));
   dart::daemon::EpochRunner runner(
       make_daemon_config(shards, epoch_interval));
@@ -170,11 +181,8 @@ int run_daemon(const RunOptions& options) {
     ingest_socket = socket_source.get();
     source = std::move(socket_source);
   } else {
-    auto trace = dart::trace::read_binary_file(options.trace_path);
-    if (!trace.has_value()) {
-      std::cerr << "dartd: cannot read trace " << options.trace_path << "\n";
-      return 1;
-    }
+    auto trace = load_trace(options.trace_path);
+    if (!trace.has_value()) return 1;
     dart::daemon::ReplaySourceConfig pacing;
     pacing.rate = options.rate;
     source = std::make_unique<dart::daemon::ReplaySource>(std::move(*trace),

@@ -316,6 +316,7 @@ int run_vantage_sharded(const VantageOptions& options,
   dart::runtime::ShardedConfig config;
   config.shards = static_cast<std::uint32_t>(options.shards);
   config.epoch_interval_packets = interval;
+  config.keep_samples = false;  // the final frame carries the histogram
   config.on_epoch = [&exporter](std::uint64_t epoch, std::uint64_t routed) {
     // Router-thread barrier: progress-only heartbeats; the cumulative
     // state frame comes after quiesce, when the counters are settled.

@@ -51,6 +51,17 @@ TEST(ReplaySource, UnpacedDeliversWholeTraceInOrder) {
   EXPECT_EQ(source.released(), trace.size());
 }
 
+// The source takes the trace's packets and drops its ground truth; a
+// trace that carries truth replays exactly the packets it holds.
+TEST(ReplaySource, TraceWithTruthReplaysIdenticalPackets) {
+  const trace::Trace trace = tiny_workload();
+  ASSERT_FALSE(trace.truth().empty());
+  trace::Trace moved = trace;
+  daemon::ReplaySource source{std::move(moved)};
+  EXPECT_EQ(drain(source, 64), trace.packets());
+  EXPECT_EQ(source.released(), trace.size());
+}
+
 TEST(ReplaySource, PollRespectsMax) {
   const trace::Trace trace = tiny_workload();
   daemon::ReplaySource source{trace};

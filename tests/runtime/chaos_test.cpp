@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -194,6 +195,62 @@ TEST(Chaos, HangedWorkerIsForceDetachedNotWaitedForever) {
   // here keeps the sanitizers' end-of-process thread accounting clean.
   plan.release_hangs();
   EXPECT_TRUE(sharded.await_detached(sec(30)));
+}
+
+// With raw samples off, a killed worker that is not replaced retires with
+// its histogram, exactly as the kept run retires with its samples. The
+// retired shard sheds without waiting, so a long shed deadline only keeps
+// the healthy shards from shedding on a loaded host.
+TEST(Chaos, KilledWorkerKeepsItsHistogramWithoutSamples) {
+  const trace::Trace trace = chaos_workload(1337);
+  runtime::FaultPlan kept_plan;
+  kept_plan.kill(/*shard=*/1, /*after_batches=*/3);
+  runtime::FaultPlan dropped_plan;
+  dropped_plan.kill(/*shard=*/1, /*after_batches=*/3);
+
+  runtime::ShardedConfig config = chaos_config(&kept_plan);
+  config.overload.shed_deadline_ns = sec(10);
+  const auto kept =
+      runtime_check::finished_run(config, monitor_config(), trace.packets());
+  config.faults = &dropped_plan;
+  config.keep_samples = false;
+  const auto dropped =
+      runtime_check::finished_run(config, monitor_config(), trace.packets());
+
+  EXPECT_EQ(dropped->health().workers_killed, 1U);
+  EXPECT_GT(dropped->health().shed_packets, 0U);
+  EXPECT_EQ(dropped->health().shed_packets, kept->health().shed_packets);
+  EXPECT_GT(dropped->shard_stats(1).samples, 0U);
+  runtime_check::expect_samples_dropped(*dropped, *kept);
+}
+
+// A force-detached worker without a checkpoint reports nothing, with or
+// without raw samples; every other shard reports the kept run's histogram.
+// A long shed deadline keeps the healthy shards shed-free, and live hang
+// detection retires the wedged one instead of waiting on it.
+TEST(Chaos, DetachedWorkerReportsNoHistogramWithoutSamples) {
+  const trace::Trace trace = chaos_workload(99);
+  std::unique_ptr<runtime::ShardedMonitor> runs[2];
+  runtime::FaultPlan plans[2];
+  for (int i = 0; i < 2; ++i) {
+    plans[i].hang(/*shard=*/0, /*at_batch=*/0);
+    runtime::ShardedConfig config = chaos_config(&plans[i]);
+    config.overload.shed_deadline_ns = sec(10);
+    config.hang_detection_ns = 50'000'000;  // 50 ms
+    config.keep_samples = i == 0;
+    runs[i] =
+        runtime_check::finished_run(config, monitor_config(), trace.packets());
+    plans[i].release_hangs();
+    EXPECT_TRUE(runs[i]->await_detached(sec(30)));
+  }
+  const runtime::ShardedMonitor& kept = *runs[0];
+  const runtime::ShardedMonitor& dropped = *runs[1];
+  EXPECT_EQ(dropped.health().forced_detaches, 1U);
+  EXPECT_EQ(dropped.shard_stats(0).packets_processed, 0U);
+  EXPECT_EQ(dropped.merged_stats().packets_processed,
+            kept.merged_stats().packets_processed);
+  EXPECT_GT(dropped.merged_stats().samples, 0U);
+  runtime_check::expect_samples_dropped(dropped, kept);
 }
 
 TEST(Chaos, CleanExitAtJoinDeadlineIsNeverAbandoned) {

@@ -2,15 +2,24 @@
 // floor(routed / interval) times, on the router thread, with
 // routed == epoch * interval at each firing and no trailing partial
 // epoch at drain. The daemon's rotation barrier stands on this math, so
-// the constexpr helpers are pinned down to the 2^63 edge.
+// the constexpr helpers are pinned down to the 2^63 edge. process_all,
+// which routes a segment per epoch, is held to per-packet process().
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "gen/workload.hpp"
 #include "runtime/epoch_math.hpp"
+#include "runtime/lifecycle.hpp"
+#include "runtime/replay_monitor.hpp"
+#include "runtime/shard_router.hpp"
 #include "runtime/sharded_monitor.hpp"
 
 namespace dart {
@@ -151,6 +160,138 @@ TEST(EpochHook, IntervalZeroNeverFires) {
   const trace::Trace trace = small_workload();
   const std::vector<HookRecord> fired = run_with_hook(trace, 0, 2);
   EXPECT_TRUE(fired.empty());
+}
+
+// Everything the router decides, as the run saw it: each hook firing with
+// the cursors it could read, each shard's ring batches as its worker
+// popped them, the barrier cuts, and the settled per-shard results.
+struct RoutedRun {
+  std::vector<std::vector<std::uint64_t>> hooks;  ///< epoch, routed, cursors
+  std::vector<std::vector<std::size_t>> batches;  ///< sizes, per shard
+  std::vector<core::DartStats> stats;
+  std::vector<std::vector<core::RttSample>> samples;
+  std::vector<std::uint64_t> barrier_cuts;  ///< per shard
+  std::vector<std::uint64_t> last_cut;      ///< latest image's cursor
+};
+
+class BatchRecordingMonitor : public runtime::DartReplayMonitor {
+ public:
+  BatchRecordingMonitor(core::SampleCallback on_sample,
+                        std::vector<std::size_t>& sizes)
+      : DartReplayMonitor(core::DartConfig{}, std::move(on_sample)),
+        sizes_(sizes) {}
+  void process_batch(std::span<const PacketRecord> packets) override {
+    sizes_.push_back(packets.size());
+    DartReplayMonitor::process_batch(packets);
+  }
+
+ private:
+  std::vector<std::size_t>& sizes_;  ///< written by this shard's worker only
+};
+
+/// Routes `trace` with per-packet process() when `span` is 0, else with
+/// process_all over consecutive spans of `span` packets.
+RoutedRun route_in_spans(const trace::Trace& trace, std::uint32_t shards,
+                         bool barriers, std::size_t span) {
+  RoutedRun run;
+  run.batches.resize(shards);
+  runtime::ShardedConfig config;
+  config.shards = shards;
+  config.overload.shed_deadline_ns = sec(30);
+  config.epoch_interval_packets = 100;
+  if (barriers) config.checkpoint.interval_packets = 64;
+  runtime::ShardedMonitor* live = nullptr;
+  config.on_epoch = [&run, &live](std::uint64_t epoch, std::uint64_t routed) {
+    std::vector<std::uint64_t> hook{epoch, routed};
+    for (std::uint32_t i = 0; i < live->shards(); ++i) {
+      hook.push_back(live->shard_routed_cursor(i));
+    }
+    run.hooks.push_back(std::move(hook));
+  };
+  runtime::ShardedMonitor monitor(
+      config, [&run](std::uint32_t shard, core::SampleCallback on_sample) {
+        return std::make_unique<BatchRecordingMonitor>(std::move(on_sample),
+                                                       run.batches[shard]);
+      });
+  live = &monitor;
+  const std::span<const PacketRecord> packets(trace.packets());
+  if (span == 0) {
+    for (const PacketRecord& packet : packets) monitor.process(packet);
+  } else {
+    for (std::size_t at = 0; at < packets.size(); at += span) {
+      monitor.process_all(
+          packets.subspan(at, std::min(span, packets.size() - at)));
+    }
+  }
+  monitor.finish();
+  EXPECT_THROW(monitor.process(packets.front()), runtime::LifecycleError);
+  EXPECT_THROW(monitor.process_all(packets), runtime::LifecycleError);
+  EXPECT_THROW(monitor.process_all({}), runtime::LifecycleError);
+
+  for (std::uint32_t i = 0; i < shards; ++i) {
+    core::DartStats stats = monitor.shard_stats(i);
+    // Backpressure episodes and sleeps follow thread timing, not routing.
+    stats.runtime.backpressure_events = 0;
+    stats.runtime.backoff_sleeps = 0;
+    run.stats.push_back(stats);
+    run.samples.push_back(monitor.shard_samples(i).samples());
+    run.barrier_cuts.push_back(monitor.coordinator().checkpoints_cut(i));
+    core::SnapshotMeta meta;
+    run.last_cut.push_back(
+        monitor.coordinator().latest(i, nullptr, &meta) ? meta.cursor : 0);
+  }
+  EXPECT_EQ(monitor.routed_total(), trace.size());
+  return run;
+}
+
+// Span sizes straddle the ring batch (256) and the epoch interval (100),
+// so segments end on, just before and just after every kind of boundary.
+TEST(EpochHook, ProcessAllRoutesLikePerPacketProcess) {
+  const trace::Trace trace = small_workload();
+  ASSERT_GT(trace.size(), 1000u);
+  for (const std::uint32_t shards : {1u, 3u}) {
+    for (const bool barriers : {false, true}) {
+      // process() is itself a one-packet process_all, so first pin the
+      // per-packet run to what the router must do: hooks at every 100th
+      // packet with the cursors ShardRouter implies, and (one shard, no
+      // barriers) full ring batches up to the tail.
+      const RoutedRun want = route_in_spans(trace, shards, barriers, 0);
+      ASSERT_EQ(want.hooks.size(), trace.size() / 100);
+      const runtime::ShardRouter router(shards,
+                                        runtime::ShardedConfig{}.route_seed);
+      std::vector<std::uint64_t> cursors(shards, 0);
+      std::size_t routed = 0;
+      for (std::size_t e = 0; e < want.hooks.size(); ++e) {
+        for (; routed < (e + 1) * 100; ++routed) {
+          ++cursors[router.route(trace.packets()[routed].tuple)];
+        }
+        std::vector<std::uint64_t> hook{e + 1, routed};
+        hook.insert(hook.end(), cursors.begin(), cursors.end());
+        EXPECT_EQ(want.hooks[e], hook);
+      }
+      if (barriers) {
+        EXPECT_GT(want.barrier_cuts[0], 0u);
+      } else if (shards == 1) {
+        const std::vector<std::size_t>& sizes = want.batches[0];
+        ASSERT_EQ(sizes.size(), (trace.size() + 255) / 256);
+        for (std::size_t b = 0; b + 1 < sizes.size(); ++b) {
+          EXPECT_EQ(sizes[b], 256u);
+        }
+      }
+      for (const std::size_t span : {1u, 255u, 256u, 257u, 99u, 100u, 101u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards) + " barriers " +
+                     std::to_string(barriers) + " span " +
+                     std::to_string(span));
+        const RoutedRun got = route_in_spans(trace, shards, barriers, span);
+        EXPECT_EQ(got.hooks, want.hooks);
+        EXPECT_EQ(got.batches, want.batches);
+        EXPECT_EQ(got.barrier_cuts, want.barrier_cuts);
+        EXPECT_EQ(got.last_cut, want.last_cut);
+        EXPECT_EQ(got.stats, want.stats);
+        EXPECT_EQ(got.samples, want.samples);
+      }
+    }
+  }
 }
 
 }  // namespace

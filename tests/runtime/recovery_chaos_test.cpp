@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/dart_monitor.hpp"
@@ -235,6 +236,47 @@ TEST(Recovery, HungWorkerIsReplacedAndZombieIsFencedOff) {
   EXPECT_EQ(supervisor.checkpoints_cut(), cuts);
   EXPECT_EQ(supervisor.merged_stats().packets_processed,
             merged.packets_processed);
+}
+
+// The recovery paths with raw samples off: a killed worker's successor and
+// a hung worker's successor restore from images whose committed histograms
+// carry the distribution alone, and the run reports the kept run's
+// histogram bin for bin. A zombie released afterwards changes nothing.
+TEST(Recovery, DroppedSamplesSurviveKillAndHang) {
+  const trace::Trace trace = recovery_workload(12);
+  for (const bool hang : {false, true}) {
+    SCOPED_TRACE(hang ? "hung worker" : "killed worker");
+    std::unique_ptr<runtime::ShardedMonitor> runs[2];
+    runtime::FaultPlan plans[2];
+    for (int i = 0; i < 2; ++i) {
+      runtime::ShardedConfig config = recovery_config(&plans[i]);
+      if (hang) {
+        plans[i].hang(/*shard=*/0, /*at_batch=*/4);
+        config.queue_batches = 4;
+        config.hang_detection_ns = 100'000'000;  // 100 ms
+      } else {
+        plans[i].kill(/*shard=*/0, /*after_batches=*/5);
+      }
+      config.keep_samples = i == 0;
+      runs[i] = runtime_check::finished_run(config, monitor_config(),
+                                            trace.packets());
+    }
+    const runtime::ShardedMonitor& kept = *runs[0];
+    const runtime::ShardedMonitor& dropped = *runs[1];
+    const core::RuntimeHealth health = dropped.health();
+    EXPECT_EQ(health.recovered, 1U);
+    EXPECT_EQ(hang ? health.forced_detaches : health.workers_killed, 1U);
+    EXPECT_EQ(health.lost_to_crash, kept.health().lost_to_crash);
+    EXPECT_EQ(health.abandoned_packets, kept.health().abandoned_packets);
+    EXPECT_EQ(dropped.checkpoints_cut(), kept.checkpoints_cut());
+    runtime_check::expect_samples_dropped(dropped, kept);
+
+    const analytics::LogHistogram committed = dropped.rtt_histogram();
+    for (runtime::FaultPlan& plan : plans) plan.release_hangs();
+    EXPECT_TRUE(runs[0]->await_detached(sec(30)));
+    EXPECT_TRUE(runs[1]->await_detached(sec(30)));
+    runtime_check::expect_same_histogram(dropped.rtt_histogram(), committed);
+  }
 }
 
 TEST(Recovery, NoCheckpointsMeansTheWholePrefixIsTheLossWindow) {

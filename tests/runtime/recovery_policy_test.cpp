@@ -7,7 +7,10 @@
 // hold long before anything crashes.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "core/dart_monitor.hpp"
@@ -175,6 +178,65 @@ TEST(Supervisor, DisabledCheckpointingStillMergesEverything) {
   EXPECT_EQ(supervisor.merged_stats().packets_processed,
             trace.packets().size());
   EXPECT_EQ(supervisor.merged_samples(), reference_samples(trace));
+}
+
+// The policy with raw samples off: barrier commits carry the histogram
+// alone, and the run reports the kept run's distribution bin for bin.
+TEST(Supervisor, DroppedSamplesKeepTheHistogram) {
+  const trace::Trace trace = workload(6);
+  runtime::ShardedConfig config = supervised_config();
+  config.checkpoint.interval_packets = 512;
+  const auto kept =
+      runtime_check::finished_run(config, monitor_config(), trace.packets());
+  config.keep_samples = false;
+  const auto dropped =
+      runtime_check::finished_run(config, monitor_config(), trace.packets());
+  EXPECT_GT(dropped->checkpoints_cut(), 0U);
+  EXPECT_EQ(dropped->checkpoints_cut(), kept->checkpoints_cut());
+  EXPECT_EQ(dropped->merged_stats().packets_processed, trace.packets().size());
+  runtime_check::expect_samples_dropped(*dropped, *kept);
+}
+
+// The coordinator's invariant, committed_sample_count == meta.sample_cursor
+// after every accepted image, read live between barriers: the stream is
+// fed a barrier interval at a time, and each cut is awaited before the
+// next interval is routed, so nothing commits while the two are read.
+TEST(Supervisor, CommittedCountMatchesSampleCursor) {
+  const trace::Trace trace = workload(7);
+  const std::span<const PacketRecord> packets(trace.packets());
+  constexpr std::size_t kInterval = 256;
+  for (const bool keep : {true, false}) {
+    SCOPED_TRACE(keep ? "samples kept" : "samples dropped");
+    runtime::ShardedConfig config = supervised_config();
+    config.shards = 1;
+    config.checkpoint.interval_packets = kInterval;
+    config.keep_samples = keep;
+    runtime::ShardedMonitor supervisor(config, monitor_config());
+    const runtime::CheckpointCoordinator& coordinator =
+        supervisor.coordinator();
+    std::uint64_t cuts = 0;
+    std::uint64_t last_cursor = 0;
+    for (std::size_t at = 0; at + kInterval <= packets.size();
+         at += kInterval) {
+      supervisor.process_all(packets.subspan(at, kInterval));
+      ++cuts;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (coordinator.checkpoints_cut(0) < cuts &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      ASSERT_EQ(coordinator.checkpoints_cut(0), cuts);
+      core::SnapshotMeta meta;
+      ASSERT_TRUE(coordinator.latest(0, nullptr, &meta));
+      EXPECT_EQ(meta.cursor, at + kInterval);
+      EXPECT_EQ(coordinator.committed_sample_count(0), meta.sample_cursor);
+      last_cursor = meta.sample_cursor;
+    }
+    ASSERT_GT(cuts, 4U);
+    EXPECT_GT(last_cursor, 0U);
+    supervisor.finish();
+  }
 }
 
 analytics::SampleLog log_of(std::size_t samples) {

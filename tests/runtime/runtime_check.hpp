@@ -14,6 +14,9 @@
 //     commits and recovery bookkeeping may change nothing a monitor sees.
 //   * Histogram check: rtt_histogram() must equal a LogHistogram filled
 //     from merged_samples() — same bins, count, min and max.
+//   * Dropped-samples check: a keep_samples = false run reports the kept
+//     run's histogram and sample counters, and no shard ever allocated a
+//     sample log.
 //   * Worker loops: factories whose shards run each ring batch through
 //     DartMonitor::process_batch as shipped, or through the prefetched
 //     wavefront whatever the table size, so the sharded suites cover both
@@ -166,6 +169,36 @@ inline void expect_histogram_of_samples(
     const runtime::ShardedMonitor& sharded) {
   expect_same_histogram(sharded.rtt_histogram(),
                         histogram_of(sharded.merged_samples()));
+}
+
+/// Build one run, route `packets` through it and finish it; returned for
+/// the result queries. Each run is finished before the caller builds the
+/// next, so two runs' workers never compete for cores.
+inline std::unique_ptr<runtime::ShardedMonitor> finished_run(
+    const runtime::ShardedConfig& config, const core::DartConfig& dart,
+    std::span<const PacketRecord> packets) {
+  auto run = std::make_unique<runtime::ShardedMonitor>(config, dart);
+  run->process_all(packets);
+  run->finish();
+  return run;
+}
+
+/// `dropped` (keep_samples off) equals `kept` (the same run with samples
+/// kept) in everything but the raw samples, which it never stored.
+inline void expect_samples_dropped(const runtime::ShardedMonitor& dropped,
+                                   const runtime::ShardedMonitor& kept) {
+  EXPECT_FALSE(dropped.config().keep_samples);
+  expect_same_histogram(dropped.rtt_histogram(), kept.rtt_histogram());
+  EXPECT_EQ(dropped.rtt_histogram().count(), dropped.merged_stats().samples);
+  EXPECT_EQ(dropped.merged_stats().packets_processed,
+            kept.merged_stats().packets_processed);
+  EXPECT_TRUE(dropped.merged_samples().empty());
+  for (std::uint32_t i = 0; i < dropped.shards(); ++i) {
+    EXPECT_EQ(dropped.shard_stats(i).samples, kept.shard_stats(i).samples)
+        << "shard " << i;
+    EXPECT_EQ(dropped.shard_samples(i).samples().capacity(), 0U)
+        << "shard " << i;
+  }
 }
 
 }  // namespace dart::runtime_check

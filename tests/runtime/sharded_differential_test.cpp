@@ -4,15 +4,18 @@
 // With per-flow (unbounded) state the two must agree exactly; with bounded
 // tables they must both survive with invariants intact even though
 // collision patterns differ per shard. Baselines ride behind the same
-// interface via BasicReplayMonitor.
+// interface via BasicReplayMonitor. A run that keeps no raw samples is held
+// to the histogram of one that does.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baseline/strawman.hpp"
 #include "baseline/tcptrace.hpp"
 #include "core/dart_monitor.hpp"
+#include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "runtime_check.hpp"
 
@@ -86,6 +89,44 @@ TEST_P(ShardedDifferential, BoundedDartSurvivesAndKeepsInvariants) {
   for (const core::RttSample& sample : sharded.merged_samples()) {
     EXPECT_GT(sample.ack_ts, sample.seq_ts)
         << "RTT samples must be strictly positive";
+  }
+}
+
+// keep_samples off stores no raw sample anywhere, yet the workers' binned
+// distribution is the kept run's, bin for bin, with per-flow tables and
+// with bounded ones (where the histogram is all a shard can be checked by).
+TEST_P(ShardedDifferential, DroppedSamplesKeepTheHistogram) {
+  gen::CampusConfig campus;
+  campus.seed = GetParam();
+  campus.connections = 300;
+  campus.duration = sec(2);
+  const std::vector<PacketRecord> packets =
+      gen::build_campus(campus).packets();
+
+  core::DartConfig unbounded;
+  unbounded.include_syn = true;
+  unbounded.leg = core::LegMode::kBoth;
+  core::DartConfig bounded = unbounded;
+  bounded.rt_size = 1 << 8;
+  bounded.pt_size = 1 << 8;
+  bounded.pt_stages = 4;
+  bounded.max_recirculations = 4;
+
+  for (const core::DartConfig& config : {unbounded, bounded}) {
+    for (std::uint32_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   (config.rt_size == 0 ? "unbounded" : "bounded"));
+      runtime::ShardedConfig sharded_config;
+      sharded_config.shards = shards;
+      const auto kept =
+          runtime_check::finished_run(sharded_config, config, packets);
+      sharded_config.keep_samples = false;
+      const auto dropped =
+          runtime_check::finished_run(sharded_config, config, packets);
+      ASSERT_GT(kept->merged_stats().samples, 0U);
+      runtime_check::expect_samples_dropped(*dropped, *kept);
+      runtime_check::expect_histogram_of_samples(*kept);
+    }
   }
 }
 
