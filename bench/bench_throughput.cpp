@@ -277,32 +277,28 @@ BENCHMARK(BM_SocketIngest)->Unit(benchmark::kMillisecond)->UseRealTime();
 // The two `_1shard` rows are the heart of the persisted trajectory: the
 // same DartReplayMonitor driven a virtual call per packet (scalar) vs one
 // process_batch call per 256-packet ring batch (the sharded runtime's
-// worker loop, which at hot_config()'s ~400 MB of tables takes the
-// prefetched SoA wavefront). scripts/bench_persist.py reads the first
-// single-shard scalar and batched rows as the headline pair, so these two
-// are emitted first. The `_paper` rows repeat the comparison at the
-// paper's cache-resident geometry, on the other side of
-// DartMonitor::kPrefetchBudgetBytes, where process_batch runs the scalar
-// loop; `dart_prefetched_paper` drives the wavefront there directly to show
-// what that dispatch saves. The shard sweep then runs the batched loop
-// end-to-end through router + rings. Emitted as dart-bench-v1 JSON
-// (--json) and folded into BENCH_pr6.json by scripts/bench_persist.py.
+// worker loop). Both run DartMonitor's one per-packet loop, so the pair
+// measures per-packet against per-ring-batch virtual dispatch.
+// scripts/bench_persist.py reads the first single-shard scalar and batched
+// rows as the headline pair, so these two are emitted first. The `_paper`
+// rows repeat the comparison at the paper's cache-resident geometry. The
+// shard sweep then runs the batched loop end-to-end through router +
+// rings. Emitted as dart-bench-v1 JSON (--json) and folded into
+// BENCH_pr6.json by scripts/bench_persist.py.
 
 core::DartConfig hot_config() {
   core::DartConfig config;
   // Memory-pressured tables, provisioned for the paper's capture scale
   // (~1.38M concurrent connections, millions of outstanding packets): PT
   // probe rows are keyed by (flow_sig, expected ACK), so every data/ACK
-  // packet lands on a fresh uniformly-random row of a table that outruns
-  // the LLC — the DRAM-stall regime the batch path's whole-tile hash
-  // precomputation + prefetch sweep exists to hide.
+  // packet lands on a fresh uniformly-random row of a table (~416 MiB) that
+  // outruns the LLC — a DRAM-stall microbenchmark, far above any shipped
+  // geometry (DESIGN.md §11).
   //
   // pt_stages = 1 is the hardware-faithful shape: the Tofino prototype's PT
   // is a single register array with lazy eviction (the new record replaces
   // the old, which recirculates — Section 3.2); the k-stage layout is the
-  // simulator's generalization. One stage also keeps the prefetch volume
-  // per packet at the two rows (RT + PT) the miss buffers can actually
-  // overlap — the multi-stage sweep lives in bench_tables.
+  // simulator's generalization, and its sweep lives in bench_tables.
   config.rt_size = 1 << 22;
   config.pt_size = 1 << 23;
   config.pt_stages = 1;
@@ -310,7 +306,7 @@ core::DartConfig hot_config() {
 }
 
 // The paper's bounded geometry (RT 2^16, PT 2^14 in 4 stages, ~2 MB): the
-// tables stay cache-resident, so process_batch runs the scalar loop.
+// tables stay cache-resident.
 core::DartConfig paper_config() {
   core::DartConfig config;
   config.rt_size = 1 << 16;
@@ -321,10 +317,10 @@ core::DartConfig paper_config() {
 
 trace::Trace trajectory_trace(bool quick) {
   gen::CampusConfig config = bench::standard_campus();
-  // Enough concurrent connections that the active RT/PT row set outruns
-  // the cache hierarchy — the regime the batch path's prefetching targets
-  // (the paper's capture holds ~1.38M concurrent connections). --quick
-  // keeps CI smoke runs cheap; its ratios are not meaningful.
+  // Enough concurrent connections that hot_config()'s active RT/PT row set
+  // outruns the cache hierarchy (the paper's capture holds ~1.38M
+  // concurrent connections). --quick keeps CI smoke runs cheap; its ratios
+  // are not meaningful.
   config.connections = quick ? 2000 : 150000;
   config.duration = quick ? sec(5) : sec(5);
   return gen::build_campus(config);
@@ -345,7 +341,7 @@ std::vector<bench::BenchRow> batching_trajectory(bool quick) {
   // zero-filling the ~400 MB of tables costs a mode-independent constant
   // that would otherwise be added to both sides of the scalar/batched
   // ratio and compress it toward 1.
-  enum class Loop { kScalar, kBatched, kPrefetched };
+  enum class Loop { kScalar, kBatched };
   const auto single_shard = [&](const core::DartConfig& config,
                                 Loop loop) -> double {
     std::uint64_t samples = 0;
@@ -353,25 +349,16 @@ std::vector<bench::BenchRow> batching_trajectory(bool quick) {
         config, [&samples](const core::RttSample&) { ++samples; });
     runtime::ReplayMonitor* monitor = &replay;  // worker's view: the base
     const std::span<const PacketRecord> all(trace.packets());
-    const auto for_each_batch = [&all](auto&& fn) {
-      for (std::size_t at = 0; at < all.size(); at += 256) {
-        fn(all.subspan(at, std::min<std::size_t>(256, all.size() - at)));
-      }
-    };
     const double ns = bench::timed_section_ns([&] {
       switch (loop) {
         case Loop::kScalar:
           for (const PacketRecord& packet : all) monitor->process(packet);
           break;
         case Loop::kBatched:
-          for_each_batch([monitor](std::span<const PacketRecord> batch) {
-            monitor->process_batch(batch);
-          });
-          break;
-        case Loop::kPrefetched:
-          for_each_batch([&replay](std::span<const PacketRecord> batch) {
-            replay.monitor().process_prefetched(batch);
-          });
+          for (std::size_t at = 0; at < all.size(); at += 256) {
+            monitor->process_batch(
+                all.subspan(at, std::min<std::size_t>(256, all.size() - at)));
+          }
           break;
       }
     });
@@ -388,8 +375,6 @@ std::vector<bench::BenchRow> batching_trajectory(bool quick) {
   single_row("dart_batched_1shard", "batched", hot_config(), Loop::kBatched);
   single_row("dart_scalar_paper", "scalar", paper_config(), Loop::kScalar);
   single_row("dart_batched_paper", "batched", paper_config(), Loop::kBatched);
-  single_row("dart_prefetched_paper", "prefetched", paper_config(),
-             Loop::kPrefetched);
 
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     if (quick && shards > 2) break;

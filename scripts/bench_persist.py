@@ -28,6 +28,13 @@ pair — used when committing a measured trajectory, not in CI smoke runs,
 whose oversubscribed hosts make ratios meaningless. It refuses a headline
 pair whose bench carries no host block: a speedup means something only
 between rows measured on one named host.
+
+The committed ``BENCH_pr6.json`` and ``BENCH_pr9.json`` record a monitor
+loop that no longer exists: their ``dart_batched_1shard`` rows timed a
+prefetching batch loop that ``DartMonitor`` has since dropped (DESIGN.md
+§11). A fresh ``bench_throughput`` run times one monitor loop behind two
+dispatch granularities, so its headline pair is not expected to reach
+those files' ratios.
 """
 
 import argparse

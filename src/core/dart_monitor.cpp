@@ -4,6 +4,7 @@
 
 #include "common/hashing.hpp"
 #include "core/config_check.hpp"
+#include "core/packet_batch.hpp"
 
 namespace dart::core {
 
@@ -17,8 +18,7 @@ DartMonitor::DartMonitor(const DartConfig& config, SampleCallback on_sample)
       rt_(config.rt_size, config.hash_seed, config.wraparound_reset,
           config.rt_idle_timeout),
       pt_(config.pt_size, config.pt_stages, config.policy,
-          mix64(config.hash_seed ^ 0x9e3779b97f4a7c15ULL)),
-      batch_prefetches_(batch_prefetches(config)) {
+          mix64(config.hash_seed ^ 0x9e3779b97f4a7c15ULL)) {
   if (config_.shadow_rt) {
     // Identical geometry and seed so rt_ref slot references are valid in
     // both copies.
@@ -36,36 +36,31 @@ void DartMonitor::buffer_for_shadow(const PacketRecord& packet) {
 
 void DartMonitor::sync_shadow() {
   // Replay the backlog into the shadow copy with the same role
-  // classification the main pipeline used, without touching stats or PT.
+  // classification and dispatch order the main pipeline used, without
+  // touching stats or PT.
   const bool external = config_.leg == LegMode::kExternal ||
                         config_.leg == LegMode::kBoth;
   const bool internal = config_.leg == LegMode::kInternal ||
                         config_.leg == LegMode::kBoth;
   for (const PacketRecord& packet : shadow_backlog_) {
-    if (external) {
-      if (packet.outbound && packet.carries_data()) {
-        shadow_rt_->on_seq(packet.tuple, packet.seq, packet.expected_ack(),
-                           packet.ts);
-      } else if (!packet.outbound && packet.is_ack()) {
-        shadow_rt_->on_ack(packet.tuple.reversed(), packet.ack,
-                           !packet.carries_data(), packet.ts);
-      }
-    }
-    if (internal) {
-      if (!packet.outbound && packet.carries_data()) {
-        shadow_rt_->on_seq(packet.tuple, packet.seq, packet.expected_ack(),
-                           packet.ts);
-      } else if (packet.outbound && packet.is_ack()) {
-        shadow_rt_->on_ack(packet.tuple.reversed(), packet.ack,
-                           !packet.carries_data(), packet.ts);
-      }
-    }
+    const std::uint8_t roles = classify_roles(packet, external, internal);
+    const auto seq = [&] {
+      shadow_rt_->on_seq(packet.tuple, packet.seq, packet.expected_ack(),
+                         packet.ts);
+    };
+    const auto ack = [&] {
+      shadow_rt_->on_ack(packet.tuple.reversed(), packet.ack,
+                         !packet.carries_data(), packet.ts);
+    };
+    if ((roles & batch_role::kSeqExternal) != 0) seq();
+    if ((roles & batch_role::kAckExternal) != 0) ack();
+    if ((roles & batch_role::kSeqInternal) != 0) seq();
+    if ((roles & batch_role::kAckInternal) != 0) ack();
   }
   shadow_backlog_.clear();
 }
 
-// Shared admission gate of the scalar and batched paths: the checks that
-// run before role dispatch, in scalar order.
+// Admission gate: the checks that run before role dispatch.
 bool DartMonitor::admit(const PacketRecord& packet) {
   ++stats_.packets_processed;
 
@@ -87,6 +82,9 @@ bool DartMonitor::admit(const PacketRecord& packet) {
   return true;
 }
 
+// Dispatch one packet's role bits. The order is fixed — external SEQ,
+// external ACK, internal SEQ, internal ACK — and sync_shadow() replays the
+// shadow RT in the same order.
 void DartMonitor::process(const PacketRecord& packet) {
   if (!admit(packet)) return;
 
@@ -95,49 +93,33 @@ void DartMonitor::process(const PacketRecord& packet) {
   const bool internal = config_.leg == LegMode::kInternal ||
                         config_.leg == LegMode::kBoth;
   const std::uint8_t roles = classify_roles(packet, external, internal);
-  const std::uint64_t seq_hash =
-      (roles & batch_role::kSeqAny) != 0 ? hash_tuple(packet.tuple) : 0;
-  const std::uint64_t ack_hash = (roles & batch_role::kAckAny) != 0
-                                     ? hash_tuple(packet.tuple.reversed())
-                                     : 0;
-  const SeqNum eack =
-      (roles & batch_role::kSeqAny) != 0 ? packet.expected_ack() : 0;
-  process_roles(packet, roles, packet.ts, seq_hash, ack_hash, eack);
-}
+  const bool seq = (roles & batch_role::kSeqAny) != 0;
+  const bool ack = (roles & batch_role::kAckAny) != 0;
+  const std::uint64_t seq_hash = seq ? hash_tuple(packet.tuple) : 0;
+  const std::uint64_t ack_hash =
+      ack ? hash_tuple(packet.tuple.reversed()) : 0;
+  const SeqNum eack = seq ? packet.expected_ack() : 0;
+  const Timestamp now = packet.ts;
 
-// Dispatch one packet's role bits. The order is fixed — external SEQ,
-// external ACK, internal SEQ, internal ACK — and matches the scalar
-// if/else chain this replaced, so both paths touch the tables in the same
-// sequence.
-void DartMonitor::process_roles(const PacketRecord& packet,
-                                std::uint8_t roles, Timestamp now,
-                                std::uint64_t seq_hash,
-                                std::uint64_t ack_hash, SeqNum eack,
-                                std::uint64_t rt_seq_ref,
-                                std::uint64_t rt_ack_ref,
-                                const std::uint32_t* pt_seq_idx,
-                                const std::uint32_t* pt_ack_idx) {
   int count = 0;
   if ((roles & batch_role::kSeqExternal) != 0) {
     handle_seq(packet.tuple, packet.seq, eack, now, LegMode::kExternal,
-               seq_hash, rt_seq_ref, pt_seq_idx);
+               seq_hash);
     ++count;
   }
   if ((roles & batch_role::kAckExternal) != 0) {
     handle_ack(packet.tuple.reversed(), packet.ack, now,
-               !packet.carries_data(), LegMode::kExternal, ack_hash,
-               rt_ack_ref, pt_ack_idx);
+               !packet.carries_data(), LegMode::kExternal, ack_hash);
     ++count;
   }
   if ((roles & batch_role::kSeqInternal) != 0) {
     handle_seq(packet.tuple, packet.seq, eack, now, LegMode::kInternal,
-               seq_hash, rt_seq_ref, pt_seq_idx);
+               seq_hash);
     ++count;
   }
   if ((roles & batch_role::kAckInternal) != 0) {
     handle_ack(packet.tuple.reversed(), packet.ack, now,
-               !packet.carries_data(), LegMode::kInternal, ack_hash,
-               rt_ack_ref, pt_ack_idx);
+               !packet.carries_data(), LegMode::kInternal, ack_hash);
     ++count;
   }
 
@@ -155,118 +137,13 @@ void DartMonitor::process_all(std::span<const PacketRecord> packets) {
   for (const PacketRecord& packet : packets) process(packet);
 }
 
-// Per-lane hash precomputation: derive the RT slot reference and PT stage
-// rows lane `i`'s probes will touch, store them in the batch lanes, and
-// start pulling each row toward L2 as it is computed. Only meaningful for
-// stage counts the lanes cover (kMaxPtStages) — the caller checks once per
-// batch.
-void DartMonitor::precompute_lane(PacketBatch& batch, std::size_t i) const {
-  const std::uint8_t roles = batch.roles[i];
-  if ((roles & batch_role::kSeqAny) != 0) {
-    batch.rt_seq_ref[i] = rt_.ref_of_hashed(batch.seq_hash[i]);
-    rt_.prefetch_ref_far(batch.rt_seq_ref[i]);
-    pt_.precompute(fold_signature(batch.seq_hash[i]), batch.eack[i],
-                   batch.pt_seq_rows(i), /*all_stages=*/false);
-  }
-  if ((roles & batch_role::kAckAny) != 0) {
-    batch.rt_ack_ref[i] = rt_.ref_of_hashed(batch.ack_hash[i]);
-    rt_.prefetch_ref_far(batch.rt_ack_ref[i]);
-    pt_.precompute(fold_signature(batch.ack_hash[i]), batch.packets[i].ack,
-                   batch.pt_ack_rows(i), /*all_stages=*/true);
-  }
-}
-
-// Near-distance companion of precompute_lane(): promote lane `i`'s rows
-// from L2 to L1 using the stored references — no hash work left to do.
-void DartMonitor::promote_lane(const PacketBatch& batch,
-                               std::size_t i) const {
-  const std::uint8_t roles = batch.roles[i];
-  if ((roles & batch_role::kSeqAny) != 0) {
-    rt_.prefetch_ref_near(batch.rt_seq_ref[i]);
-    pt_.prefetch_rows(batch.pt_seq_rows(i), /*all_stages=*/false);
-  }
-  if ((roles & batch_role::kAckAny) != 0) {
-    rt_.prefetch_ref_near(batch.rt_ack_ref[i]);
-    pt_.prefetch_rows(batch.pt_ack_rows(i), /*all_stages=*/true);
-  }
-}
-
-std::size_t DartMonitor::table_bytes(const DartConfig& config) {
-  const std::size_t rt_copies = config.shadow_rt ? 2 : 1;
-  return rt_copies * RangeTracker::table_bytes(config.rt_size) +
-         PacketTracker::table_bytes(config.pt_size, config.pt_stages);
-}
-
-void DartMonitor::process_batch(std::span<const PacketRecord> packets) {
-  if (batch_prefetches_) {
-    process_prefetched(packets);
-  } else {
-    process_all(packets);
-  }
-}
-
-void DartMonitor::process_prefetched(std::span<const PacketRecord> packets) {
-  PacketBatch batch;  // ~30 KB of SoA lanes, stack-allocated per call
-  // Row reuse requires the lanes to cover every PT stage; wider-than-lane
-  // configurations (beyond anything the pipeline lint admits) simply skip
-  // precomputation and the probes hash in place.
-  const bool rows_precomputed =
-      pt_.stage_count() <= PacketBatch::kMaxPtStages;
-  // How far the two prefetch sweeps run ahead of the probe loop. Software-
-  // pipelined on purpose: each processed packet advances two staggered
-  // wavefronts — the far one computes lane `i + kFar`'s rows and starts
-  // their DRAM fetches toward L2 (whose miss queue is several times deeper
-  // than the L1 fill buffers, so this is where the memory-level parallelism
-  // comes from), and the near one promotes lane `i + kNear`'s already-
-  // staged rows to L1 right before their probes. Keeping the far wavefront
-  // inside the probe loop measurably beats issuing the whole tile's far
-  // prefetches during decode: the probe loop's own demand misses then
-  // always share the miss queues with in-flight future fetches, so the
-  // memory pipeline never drains between decode and probes.
-  constexpr std::size_t kFar = 192;
-  constexpr std::size_t kNear = 24;
-  while (!packets.empty()) {
-    const std::size_t tile =
-        packets.size() < PacketBatch::kCapacity ? packets.size()
-                                                : PacketBatch::kCapacity;
-    batch.build(packets.first(tile), config_.leg, config_.include_syn);
-    if (rows_precomputed) {
-      const std::size_t head = std::min(kFar, batch.size);
-      for (std::size_t i = 0; i < head; ++i) precompute_lane(batch, i);
-      const std::size_t near_head = std::min(kNear, batch.size);
-      for (std::size_t i = 0; i < near_head; ++i) promote_lane(batch, i);
-    }
-    for (std::size_t i = 0; i < batch.size; ++i) {
-      if (rows_precomputed) {
-        if (i + kFar < batch.size) precompute_lane(batch, i + kFar);
-        if (i + kNear < batch.size) promote_lane(batch, i + kNear);
-      }
-      const PacketRecord& packet = batch.packets[i];
-      if (!admit(packet)) continue;
-      if (rows_precomputed) {
-        process_roles(packet, batch.roles[i], batch.ts[i], batch.seq_hash[i],
-                      batch.ack_hash[i], batch.eack[i], batch.rt_seq_ref[i],
-                      batch.rt_ack_ref[i], batch.pt_seq_rows(i),
-                      batch.pt_ack_rows(i));
-      } else {
-        process_roles(packet, batch.roles[i], batch.ts[i], batch.seq_hash[i],
-                      batch.ack_hash[i], batch.eack[i]);
-      }
-    }
-    packets = packets.subspan(tile);
-  }
-}
-
 void DartMonitor::handle_seq(const FourTuple& tuple, SeqNum seq, SeqNum eack,
                              Timestamp now, LegMode leg,
-                             std::uint64_t tuple_hash, std::uint64_t rt_ref,
-                             const std::uint32_t* pt_idx) {
+                             std::uint64_t tuple_hash) {
   ++stats_.seq_candidates;
 
   // Resolve the slot once: the RT probe and the PT record both need it.
-  const std::uint64_t ref = rt_ref != RangeTracker::kNoRef
-                                ? rt_ref
-                                : rt_.ref_of_hashed(tuple_hash);
+  const std::uint64_t ref = rt_.ref_of_hashed(tuple_hash);
   const SeqOutcome outcome =
       rt_.on_seq_hashed(tuple_hash, seq, eack, now, ref);
   if (outcome.new_flow) ++stats_.rt_new_flows;
@@ -299,11 +176,10 @@ void DartMonitor::handle_seq(const FourTuple& tuple, SeqNum seq, SeqNum eack,
   record.eack = eack;
   record.ts = now;
   record.rt_ref = ref;
-  place(record, now, pt_idx);
+  place(record, now);
 }
 
-void DartMonitor::place(PacketTracker::Record record, Timestamp now,
-                        const std::uint32_t* pt_idx) {
+void DartMonitor::place(PacketTracker::Record record, Timestamp now) {
   // One insertion chain: each displacement hop consumes one recirculation
   // from this SEQ packet's budget. Old records start every contest with a
   // full budget behind them (the budget is per insertion, not per record
@@ -311,11 +187,8 @@ void DartMonitor::place(PacketTracker::Record record, Timestamp now,
   std::uint32_t chain_recircs = 0;
   std::uint64_t displaced_by = 0;  // key of the record that evicted `record`
   for (;;) {
-    // Precomputed rows are keyed to the original record; once the chain
-    // re-inserts a displaced record the key changed, so later hops hash in
-    // place (they are the rare path by construction).
     const PacketTracker::InsertResult result =
-        pt_.insert(record, displaced_by, chain_recircs == 0 ? pt_idx : nullptr);
+        pt_.insert(record, displaced_by);
     if (result.status == PacketTracker::InsertStatus::kStored) {
       ++stats_.pt_inserted;
       return;
@@ -369,11 +242,10 @@ void DartMonitor::place(PacketTracker::Record record, Timestamp now,
 
 void DartMonitor::handle_ack(const FourTuple& data_tuple, SeqNum ack,
                              Timestamp now, bool pure_ack, LegMode leg,
-                             std::uint64_t tuple_hash, std::uint64_t rt_ref,
-                             const std::uint32_t* pt_idx) {
+                             std::uint64_t tuple_hash) {
   ++stats_.ack_candidates;
 
-  switch (rt_.on_ack_hashed(tuple_hash, ack, pure_ack, now, rt_ref)) {
+  switch (rt_.on_ack_hashed(tuple_hash, ack, pure_ack, now)) {
     case AckDecision::kNoEntry:
       ++stats_.ack_no_entry;
       return;
@@ -397,7 +269,7 @@ void DartMonitor::handle_ack(const FourTuple& data_tuple, SeqNum ack,
   }
   ++stats_.ack_advances;
 
-  auto record = pt_.lookup_erase(fold_signature(tuple_hash), ack, pt_idx);
+  auto record = pt_.lookup_erase(fold_signature(tuple_hash), ack);
   if (!record) {
     ++stats_.pt_lookup_misses;
     return;

@@ -28,7 +28,6 @@
 #include "core/checkpoint.hpp"
 #include "core/config.hpp"
 #include "core/flow_filter.hpp"
-#include "core/packet_batch.hpp"
 #include "core/packet_tracker.hpp"
 #include "core/range_tracker.hpp"
 #include "core/rtt_sample.hpp"
@@ -68,50 +67,10 @@ class DartMonitor {
   /// Process one packet in monitor-arrival order.
   void process(const PacketRecord& packet);
 
-  /// Convenience: process a whole time-ordered stream one packet at a time
-  /// — the scalar reference path the batch differential suite compares
-  /// process_batch() against.
+  /// Process a contiguous run of packets in order, one process() call
+  /// each: the span entry point the sharded runtime's workers call once
+  /// per ring batch (DESIGN.md §11).
   void process_all(std::span<const PacketRecord> packets);
-
-  /// Process a contiguous run of packets; observably identical to calling
-  /// process() on each packet in order. Dispatches on table footprint:
-  /// while the RT and PT slot arrays together fit in kPrefetchBudgetBytes
-  /// they stay cache-resident, and the scalar process() loop — which hashes
-  /// only the table rows it actually probes — is the faster one; above the
-  /// budget every probe is a likely DRAM miss and process_prefetched() hides
-  /// them. DESIGN.md §11 records the measured crossover.
-  void process_batch(std::span<const PacketRecord> packets);
-
-  /// The batched SoA wavefront process_batch() runs over budget, callable
-  /// at any table size (the differential suites drive it directly):
-  /// PacketBatch decodes each tile (roles, tuple hashes, expected ACKs,
-  /// timestamps) up front; precompute_lane() then derives each lane's RT
-  /// slot and PT stage rows a fixed distance ahead of the probe loop —
-  /// prefetching each row as it is computed — and the probes consume the
-  /// stored rows so no table hash is ever computed twice. Both paths
-  /// dispatch through the same admission gate and role handlers, and the
-  /// differential suite holds them to byte-identical snapshots.
-  void process_prefetched(std::span<const PacketRecord> packets);
-
-  /// Slot-array bytes above which process_batch() prefetches. The
-  /// measured crossover (DESIGN.md §11) lies between 8 and 16 MiB for a
-  /// one-stage PT and between 32 and 64 MiB for four stages; 16 MiB is the
-  /// single cut that costs least across both. The paper's bounded geometry
-  /// (~2 MiB, perfbench's) sits far below it, bench_throughput's
-  /// hot_config() (~416 MiB) far above.
-  static constexpr std::size_t kPrefetchBudgetBytes = std::size_t{16} << 20;
-
-  /// Slot-array bytes a monitor with `config` probes per packet: the RT,
-  /// the shadow RT when configured (every sync replays each packet into
-  /// it), and the PT. Unbounded tables count as zero: their map nodes have
-  /// no precomputable address, so dartd's default, all-unbounded config
-  /// runs the scalar loop, which DESIGN.md §11 measures faster there too.
-  static std::size_t table_bytes(const DartConfig& config);
-
-  /// Whether process_batch() takes process_prefetched() for `config`.
-  static bool batch_prefetches(const DartConfig& config) {
-    return table_bytes(config) > kPrefetchBudgetBytes;
-  }
 
   const DartStats& stats() const { return stats_; }
   const DartConfig& config() const { return config_; }
@@ -136,28 +95,11 @@ class DartMonitor {
 
  private:
   bool admit(const PacketRecord& packet);
-  // The batched path passes each lane's precomputed table rows through the
-  // trailing parameters; the scalar path leaves them defaulted and the
-  // trackers hash in place. Either way the probes land on identical slots.
-  void process_roles(const PacketRecord& packet, std::uint8_t roles,
-                     Timestamp now, std::uint64_t seq_hash,
-                     std::uint64_t ack_hash, SeqNum eack,
-                     std::uint64_t rt_seq_ref = RangeTracker::kNoRef,
-                     std::uint64_t rt_ack_ref = RangeTracker::kNoRef,
-                     const std::uint32_t* pt_seq_idx = nullptr,
-                     const std::uint32_t* pt_ack_idx = nullptr);
-  void precompute_lane(PacketBatch& batch, std::size_t lane) const;
-  void promote_lane(const PacketBatch& batch, std::size_t lane) const;
   void handle_seq(const FourTuple& tuple, SeqNum seq, SeqNum eack,
-                  Timestamp now, LegMode leg, std::uint64_t tuple_hash,
-                  std::uint64_t rt_ref = RangeTracker::kNoRef,
-                  const std::uint32_t* pt_idx = nullptr);
+                  Timestamp now, LegMode leg, std::uint64_t tuple_hash);
   void handle_ack(const FourTuple& data_tuple, SeqNum ack, Timestamp now,
-                  bool pure_ack, LegMode leg, std::uint64_t tuple_hash,
-                  std::uint64_t rt_ref = RangeTracker::kNoRef,
-                  const std::uint32_t* pt_idx = nullptr);
-  void place(PacketTracker::Record record, Timestamp now,
-             const std::uint32_t* pt_idx = nullptr);
+                  bool pure_ack, LegMode leg, std::uint64_t tuple_hash);
+  void place(PacketTracker::Record record, Timestamp now);
   void buffer_for_shadow(const PacketRecord& packet);
   void sync_shadow();
 
@@ -169,7 +111,6 @@ class DartMonitor {
   const FlowFilter* flow_filter_ = nullptr;
   RangeTracker rt_;
   PacketTracker pt_;
-  bool batch_prefetches_;
   DartStats stats_;
 
   // Shadow RT (Section 7): replica updated by replaying buffered packets

@@ -12,8 +12,8 @@ PacketTracker::PacketTracker(std::size_t total_slots, std::uint32_t stages,
                              EvictionPolicy policy, std::uint64_t hash_seed)
     : bounded_(total_slots > 0), policy_(policy) {
   if (bounded_) {
-    const auto [stage_count, stage_size] = geometry(total_slots, stages);
-    stage_size_ = stage_size;
+    const std::uint32_t stage_count = std::max<std::uint32_t>(stages, 1);
+    stage_size_ = std::max<std::size_t>(total_slots / stage_count, 1);
     stages_.resize(stage_count);
     for (std::uint32_t s = 0; s < stage_count; ++s) {
       stage_hash_.emplace_back(hash_seed, s + 1, stage_size_);
@@ -28,8 +28,7 @@ PacketTracker::PacketTracker(std::size_t total_slots, std::uint32_t stages,
 }
 
 PacketTracker::InsertResult PacketTracker::insert(const Record& record,
-                                                  std::uint64_t exclude_key,
-                                                  const std::uint32_t* idx) {
+                                                  std::uint64_t exclude_key) {
   if (!bounded_) {
     auto [it, inserted] = map_.insert_or_assign(record.key(), record);
     (void)it;
@@ -57,7 +56,7 @@ PacketTracker::InsertResult PacketTracker::insert(const Record& record,
            (policy_ == EvictionPolicy::kEvictOldest && !younger);
   };
   for (std::uint32_t s = 0; s < stages_.size(); ++s) {
-    Slot& slot = stages_[s][idx != nullptr ? idx[s] : index(key, s)];
+    Slot& slot = stages_[s][index(key, s)];
     if (!slot.valid) {
       slot.valid = true;
       slot.record = record;
@@ -89,7 +88,7 @@ PacketTracker::InsertResult PacketTracker::insert(const Record& record,
 }
 
 std::optional<PacketTracker::Record> PacketTracker::lookup_erase(
-    std::uint32_t flow_sig, SeqNum eack, const std::uint32_t* idx) {
+    std::uint32_t flow_sig, SeqNum eack) {
   const std::uint64_t key = (std::uint64_t{flow_sig} << 32) | eack;
 
   if (!bounded_) {
@@ -102,7 +101,7 @@ std::optional<PacketTracker::Record> PacketTracker::lookup_erase(
   }
 
   for (std::uint32_t s = 0; s < stages_.size(); ++s) {
-    Slot& slot = stages_[s][idx != nullptr ? idx[s] : index(key, s)];
+    Slot& slot = stages_[s][index(key, s)];
     if (slot.valid && slot.record.key() == key) {
       slot.valid = false;
       --occupied_;

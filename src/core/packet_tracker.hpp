@@ -18,14 +18,12 @@
 // recirculating (Section 3.2, "Preventing infinite eviction loops").
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/hashing.hpp"
-#include "common/prefetch.hpp"
 #include "common/seqnum.hpp"
 #include "common/time.hpp"
 #include "core/config.hpp"
@@ -70,57 +68,15 @@ class PacketTracker {
   /// relocation chain explores alternative slots instead of ping-ponging
   /// (it is still chosen as a last resort, which the caller's cycle
   /// detection then resolves in the older record's favour).
-  ///
-  /// `idx`, when non-null, is the per-stage candidate-slot array a prior
-  /// precompute() produced for record.key(); the probe then reuses it
-  /// instead of re-hashing. It is only valid for the record's own key —
-  /// eviction-chain re-insertions must pass nullptr.
-  InsertResult insert(const Record& record, std::uint64_t exclude_key = 0,
-                      const std::uint32_t* idx = nullptr);
+  InsertResult insert(const Record& record, std::uint64_t exclude_key = 0);
 
   /// Find and remove the record for (flow_sig, eack); nullopt on miss.
-  /// `idx` as for insert(): precomputed candidate slots for this same key.
-  std::optional<Record> lookup_erase(std::uint32_t flow_sig, SeqNum eack,
-                                     const std::uint32_t* idx = nullptr);
+  std::optional<Record> lookup_erase(std::uint32_t flow_sig, SeqNum eack);
 
-  /// Batched hash precomputation: fill `idx[0..stage_count())` with the
-  /// candidate slot per stage for (flow_sig, eack) and start pulling the
-  /// rows a probe with that access pattern will touch toward L2. The
-  /// batched hot path runs this far ahead of the probe loop, promotes the
-  /// same rows to L1 with prefetch_rows() a few packets before use, then
-  /// feeds the array back to insert()/lookup_erase() so every stage hash
-  /// is computed exactly once per packet.
-  ///
-  /// `all_stages` tunes prefetch volume to the caller's probe: inserts
-  /// commit at the first free slot — at sane occupancies almost always
-  /// stage 0, so prefetching later rows wastes the outstanding-miss
-  /// buffers demanded lines need (false) — while a missing lookup (the
-  /// common ACK case: cumulative ACKs rarely match a tracked eACK exactly)
-  /// walks every stage before giving up (true).
-  /// No-op in unbounded mode (probes there never consult `idx`).
-  void precompute(std::uint32_t flow_sig, SeqNum eack, std::uint32_t* idx,
-                  bool all_stages) const {
-    if (!bounded_) return;
-    const std::uint64_t key = (std::uint64_t{flow_sig} << 32) | eack;
-    for (std::uint32_t stage = 0; stage < stages_.size(); ++stage) {
-      idx[stage] = static_cast<std::uint32_t>(index(key, stage));
-      if (all_stages) prefetch_far(&stages_[stage][idx[stage]]);
-    }
-    if (!all_stages) prefetch_far(&stages_[0][idx[0]]);
-  }
-
-  /// Near-distance companion of precompute(): promote the rows a prior
-  /// precompute() staged in L2 the rest of the way to L1, from the stored
-  /// indices (no hash work). Same `all_stages` meaning.
-  void prefetch_rows(const std::uint32_t* idx, bool all_stages) const {
-    if (!bounded_) return;
-    if (all_stages) {
-      for (std::size_t stage = 0; stage < stages_.size(); ++stage) {
-        prefetch_near(&stages_[stage][idx[stage]]);
-      }
-    } else {
-      prefetch_near(&stages_[0][idx[0]]);
-    }
+  /// Candidate slot of `key` in `stage` (bounded mode only): the position
+  /// checkpoint images store, which golden tests pin.
+  std::uint32_t stage_slot(std::uint64_t key, std::uint32_t stage) const {
+    return static_cast<std::uint32_t>(index(key, stage));
   }
 
   std::size_t occupied() const;
@@ -128,15 +84,6 @@ class PacketTracker {
 
   std::uint32_t stage_count() const {
     return static_cast<std::uint32_t>(stages_.size());
-  }
-
-  /// Bytes of slot storage the constructor allocates for this geometry (0
-  /// when unbounded: map nodes grow with the records held, not the config).
-  static constexpr std::size_t table_bytes(std::size_t total_slots,
-                                           std::uint32_t stages) {
-    if (total_slots == 0) return 0;
-    const Geometry g = geometry(total_slots, stages);
-    return g.stage_size * g.stage_count * sizeof(Slot);
   }
 
   /// Serialize every live record into an open checkpoint section in
@@ -157,18 +104,6 @@ class PacketTracker {
     bool valid = false;
     Record record{};
   };
-
-  /// Stage count and slots per stage of a bounded tracker: the constructor
-  /// allocates, and table_bytes() counts, exactly this.
-  struct Geometry {
-    std::uint32_t stage_count;
-    std::size_t stage_size;
-  };
-  static constexpr Geometry geometry(std::size_t total_slots,
-                                     std::uint32_t stages) {
-    const std::uint32_t stage_count = std::max<std::uint32_t>(stages, 1);
-    return {stage_count, std::max<std::size_t>(total_slots / stage_count, 1)};
-  }
 
   std::size_t index(std::uint64_t key, std::uint32_t stage) const {
     return static_cast<std::size_t>(stage_hash_[stage](key));

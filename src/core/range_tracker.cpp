@@ -45,7 +45,8 @@ const RangeTracker::Entry* RangeTracker::find_ref(std::uint64_t ref,
 
 SeqOutcome RangeTracker::on_seq(const FourTuple& tuple, SeqNum seq,
                                 SeqNum eack, Timestamp now) {
-  return on_seq_hashed(hash_tuple(tuple), seq, eack, now);
+  const std::uint64_t tuple_hash = hash_tuple(tuple);
+  return on_seq_hashed(tuple_hash, seq, eack, now, ref_of_hashed(tuple_hash));
 }
 
 SeqOutcome RangeTracker::on_seq_hashed(std::uint64_t tuple_hash, SeqNum seq,
@@ -57,8 +58,7 @@ SeqOutcome RangeTracker::on_seq_hashed(std::uint64_t tuple_hash, SeqNum seq,
   Entry* entry = nullptr;
   bool occupied_by_other = false;
   if (bounded_) {
-    Entry& slot =
-        slots_[ref != kNoRef ? ref : ref_of_hashed(tuple_hash)];
+    Entry& slot = slots_[ref];
     if (slot.valid && slot.sig == sig) {
       entry = &slot;
     } else {
@@ -139,12 +139,10 @@ AckDecision RangeTracker::on_ack(const FourTuple& tuple, SeqNum ack,
 }
 
 AckDecision RangeTracker::on_ack_hashed(std::uint64_t tuple_hash, SeqNum ack,
-                                        bool pure_ack, Timestamp now,
-                                        std::uint64_t ref) {
+                                        bool pure_ack, Timestamp now) {
   Entry* entry = nullptr;
   if (bounded_) {
-    Entry& slot =
-        slots_[ref != kNoRef ? ref : ref_of_hashed(tuple_hash)];
+    Entry& slot = slots_[ref_of_hashed(tuple_hash)];
     if (slot.valid && slot.sig == fold_signature(tuple_hash)) entry = &slot;
   } else {
     auto it = map_.find(tuple_hash);

@@ -29,7 +29,6 @@
 
 #include "common/four_tuple.hpp"
 #include "common/hashing.hpp"
-#include "common/prefetch.hpp"
 #include "common/seqnum.hpp"
 #include "common/time.hpp"
 
@@ -88,25 +87,16 @@ class RangeTracker {
   AckDecision on_ack(const FourTuple& tuple, SeqNum ack, bool pure_ack = true,
                      Timestamp now = 0);
 
-  /// "Compute the slot reference from the hash" sentinel for the hashed
-  /// entry points' `ref` parameter. A bounded ref is always < slots_.size()
-  /// so the sentinel is unambiguous there; in unbounded mode the parameter
-  /// is ignored entirely (the map is keyed by the hash), so a 2^-64 hash
-  /// collision with the sentinel merely recomputes the same value.
-  static constexpr std::uint64_t kNoRef = ~std::uint64_t{0};
-
   /// Hash-carrying twins of on_seq/on_ack for callers that already computed
-  /// `hash_tuple(tuple)` (the batched hot path computes each packet's hash
-  /// exactly once, up front). `tuple_hash` MUST equal hash_tuple of the
-  /// corresponding direction's tuple, and `ref`, when given, MUST equal
-  /// ref_of_hashed(tuple_hash) — the batched path precomputes it for the
-  /// whole batch so the probe skips the slot-index hash. The tuple-taking
-  /// overloads delegate here, so behaviour is identical by construction.
+  /// `hash_tuple(tuple)`. `tuple_hash` MUST equal hash_tuple of the
+  /// corresponding direction's tuple, and on_seq_hashed's `ref` MUST equal
+  /// ref_of_hashed(tuple_hash): the monitor resolves it once for the RT
+  /// probe and the Packet Tracker record. The tuple-taking overloads
+  /// delegate here, so behaviour is identical by construction.
   SeqOutcome on_seq_hashed(std::uint64_t tuple_hash, SeqNum seq, SeqNum eack,
-                           Timestamp now, std::uint64_t ref = kNoRef);
+                           Timestamp now, std::uint64_t ref);
   AckDecision on_ack_hashed(std::uint64_t tuple_hash, SeqNum ack,
-                            bool pure_ack, Timestamp now,
-                            std::uint64_t ref = kNoRef);
+                            bool pure_ack, Timestamp now);
 
   /// Stable reference to the slot a tuple maps to (slot index when bounded,
   /// full 64-bit tuple hash when unbounded); recirculated Packet Tracker
@@ -118,18 +108,6 @@ class RangeTracker {
     return bounded_ ? slot_hash_(tuple_hash) : tuple_hash;
   }
 
-  /// Two-level prefetch from an already-computed ref_of_hashed() value,
-  /// for the prefetched batch path: _far starts the DRAM fetch toward L2
-  /// many packets ahead, _near promotes the slot to L1 just before its
-  /// probe (see prefetch.hpp). No-op in unbounded mode: a map node's
-  /// address is unknowable before the find.
-  void prefetch_ref_far(std::uint64_t ref) const {
-    if (bounded_) prefetch_far(&slots_[ref]);
-  }
-  void prefetch_ref_near(std::uint64_t ref) const {
-    if (bounded_) prefetch_near(&slots_[ref]);
-  }
-
   /// Re-validate a recirculated record: does the flow with this signature
   /// still have `eack` inside its half-open measurement range (left, right]?
   bool still_valid(std::uint64_t ref, std::uint32_t flow_sig, SeqNum eack,
@@ -137,12 +115,6 @@ class RangeTracker {
 
   std::size_t occupied() const;
   std::size_t capacity() const { return bounded_ ? slots_.size() : 0; }
-
-  /// Bytes of slot storage a tracker of this `size` allocates (0 when
-  /// unbounded: map nodes grow with the flows seen, not with the config).
-  static constexpr std::size_t table_bytes(std::size_t size) {
-    return size * sizeof(Entry);
-  }
 
   /// Serialize every live entry into an open checkpoint section, in
   /// canonical order (slot index when bounded, key order when unbounded) so

@@ -27,13 +27,12 @@ class ReplayMonitor {
   /// Process one packet of this shard's stream, in arrival order.
   virtual void process(const PacketRecord& packet) = 0;
 
-  /// Process a whole dequeued ring batch, in arrival order. The default
-  /// forwards to process() one packet at a time so existing monitors keep
-  /// working unchanged; DartReplayMonitor overrides it with
-  /// DartMonitor::process_batch, which picks its loop by table footprint.
-  /// An override must be observably identical to
-  /// the scalar loop — the batch differential suite holds the two worker
-  /// modes to identical merged stats, samples, and snapshots.
+  /// Process a whole dequeued ring batch, in arrival order: the worker's
+  /// one virtual call per batch. The default forwards to process() one
+  /// packet at a time; DartReplayMonitor forwards the span to
+  /// DartMonitor::process_all. An override must be observably identical to
+  /// per-packet process() calls — the batch differential suite holds each
+  /// shard to a per-packet replay of its stream.
   virtual void process_batch(std::span<const PacketRecord> packets) {
     for (const PacketRecord& packet : packets) process(packet);
   }
@@ -73,7 +72,7 @@ class DartReplayMonitor : public ReplayMonitor {
     monitor_.process(packet);
   }
   void process_batch(std::span<const PacketRecord> packets) override {
-    monitor_.process_batch(packets);
+    monitor_.process_all(packets);
   }
   core::DartStats stats() const override { return monitor_.stats(); }
 

@@ -171,8 +171,9 @@ TEST(PacketTrackerGolden, StageIndicesAreStable) {
     const PacketTracker pt{g.total, g.stages, EvictionPolicy::kEvictYoungest,
                            g.seed};
     std::array<std::uint32_t, 4> idx{};
-    pt.precompute(static_cast<std::uint32_t>(g.key >> 32),
-                  static_cast<SeqNum>(g.key), idx.data(), false);
+    for (std::uint32_t stage = 0; stage < pt.stage_count(); ++stage) {
+      idx[stage] = pt.stage_slot(g.key, stage);
+    }
     EXPECT_EQ(idx, g.idx) << "seed " << g.seed << " total " << g.total
                           << " key " << g.key;
   }

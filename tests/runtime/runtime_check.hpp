@@ -17,10 +17,11 @@
 //   * Dropped-samples check: a keep_samples = false run reports the kept
 //     run's histogram and sample counters, and no shard ever allocated a
 //     sample log.
-//   * Worker loops: factories whose shards run each ring batch through
-//     DartMonitor::process_batch as shipped, or through the prefetched
-//     wavefront whatever the table size, so the sharded suites cover both
-//     at test sizes (where process_batch picks the scalar loop).
+//   * Whole-run comparison: a scalar DartMonitor::process run against the
+//     same stream through a one-shard ShardedMonitor, whose worker hands
+//     each ring batch to ReplayMonitor::process_batch — samples in
+//     emission order, collapse and optimistic-ACK events, stats, and the
+//     end-state checkpoint image byte for byte.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 
 #include "analytics/histogram.hpp"
 #include "common/random.hpp"
+#include "core/checkpoint.hpp"
 #include "core/dart_monitor.hpp"
 #include "runtime/replay_monitor.hpp"
 #include "runtime/shard_router.hpp"
@@ -66,28 +68,90 @@ inline std::vector<PacketRecord> garbage(std::uint64_t seed,
   return packets;
 }
 
-class PrefetchedReplayMonitor : public runtime::DartReplayMonitor {
- public:
-  using DartReplayMonitor::DartReplayMonitor;
-  void process_batch(std::span<const PacketRecord> packets) override {
-    monitor().process_prefetched(packets);
-  }
+/// Everything a caller can observe of one monitor run, plus its end-state
+/// image.
+struct MonitorRun {
+  std::vector<core::RttSample> samples;
+  std::vector<core::CollapseEvent> collapses;
+  std::vector<core::OptimisticAckEvent> optimistics;
+  core::DartStats stats;
+  core::CheckpointImage image;
 };
 
-struct WorkerLoop {
-  const char* name;
-  runtime::MonitorFactory factory;
-};
+/// Point `monitor`'s event callbacks at `run`.
+inline void record_events(core::DartMonitor& monitor, MonitorRun& run) {
+  monitor.set_collapse_callback([&run](const core::CollapseEvent& event) {
+    run.collapses.push_back(event);
+  });
+  monitor.set_optimistic_ack_callback(
+      [&run](const core::OptimisticAckEvent& event) {
+        run.optimistics.push_back(event);
+      });
+}
 
-inline std::vector<WorkerLoop> worker_loops(const core::DartConfig& config) {
-  return {
-      {"process_batch", runtime::dart_factory(config)},
-      {"process_prefetched",
-       [config](std::uint32_t /*shard*/, core::SampleCallback on_sample) {
-         return std::make_unique<PrefetchedReplayMonitor>(
-             config, std::move(on_sample));
-       }},
-  };
+/// The reference: one DartMonitor::process call per packet.
+inline MonitorRun scalar_run(const core::DartConfig& config,
+                             std::span<const PacketRecord> packets) {
+  MonitorRun run;
+  core::DartMonitor monitor(config, [&run](const core::RttSample& sample) {
+    run.samples.push_back(sample);
+  });
+  record_events(monitor, run);
+  for (const PacketRecord& packet : packets) monitor.process(packet);
+  run.stats = monitor.stats();
+  run.image = monitor.snapshot(core::SnapshotMeta{});
+  return run;
+}
+
+/// `packets` through a one-shard ShardedMonitor built from `sharded_config`
+/// (shards is forced to 1). `feed` routes the stream — by default one
+/// process_all call; the worker sees it as ring batches of
+/// `sharded_config.batch_size`. Results are read after finish(), once the
+/// worker has joined.
+template <typename Feed>
+MonitorRun worker_run(const core::DartConfig& config,
+                      std::span<const PacketRecord> packets,
+                      runtime::ShardedConfig sharded_config, Feed&& feed) {
+  MonitorRun run;
+  core::DartMonitor* monitor = nullptr;
+  sharded_config.shards = 1;
+  runtime::ShardedMonitor sharded(
+      sharded_config,
+      [&](std::uint32_t /*shard*/, core::SampleCallback on_sample) {
+        auto replay = std::make_unique<runtime::DartReplayMonitor>(
+            config, std::move(on_sample));
+        monitor = &replay->monitor();
+        record_events(*monitor, run);
+        return replay;
+      });
+  feed(sharded, packets);
+  sharded.finish();
+  run.samples = sharded.shard_samples(0).samples();
+  run.stats = monitor->stats();
+  run.image = monitor->snapshot(core::SnapshotMeta{});
+  return run;
+}
+
+inline MonitorRun worker_run(const core::DartConfig& config,
+                             std::span<const PacketRecord> packets,
+                             const runtime::ShardedConfig& sharded_config = {}) {
+  return worker_run(config, packets, sharded_config,
+                    [](runtime::ShardedMonitor& sharded,
+                       std::span<const PacketRecord> all) {
+                      sharded.process_all(all);
+                    });
+}
+
+inline void expect_same_run(const MonitorRun& want, const MonitorRun& got,
+                            const std::string& label) {
+  EXPECT_EQ(want.stats, got.stats) << label << ": stats diverged";
+  EXPECT_EQ(want.samples, got.samples) << label << ": sample stream diverged";
+  EXPECT_EQ(want.collapses, got.collapses)
+      << label << ": collapse events diverged";
+  EXPECT_EQ(want.optimistics, got.optimistics)
+      << label << ": optimistic-ACK events diverged";
+  EXPECT_EQ(want.image.bytes, got.image.bytes)
+      << label << ": end-state snapshots are not byte-identical";
 }
 
 inline std::vector<core::RttSample> single_monitor_samples(
