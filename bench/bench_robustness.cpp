@@ -16,7 +16,7 @@
 // And two recovery sweeps for the runtime's recovery policy (DESIGN.md §9):
 //   * checkpoint overhead — barrier cadence vs replay throughput and image
 //     size, the cost side of the recovery trade;
-//   * crash recovery (fault-injection builds only) — kill a worker at
+//   * crash recovery — kill a worker at
 //     several points for each cadence and map checkpoint interval to the
 //     loss window, replay-to-recover (MTTR in packets), and residual
 //     sample coverage.
@@ -28,11 +28,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "runtime/sharded_monitor.hpp"
-
-#if defined(DART_FAULT_INJECTION)
 #include "runtime/fault_injection.hpp"
-#endif
+#include "runtime/sharded_monitor.hpp"
 
 using namespace dart;
 
@@ -261,7 +258,6 @@ void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
       "aggressive.\n");
 }
 
-#if defined(DART_FAULT_INJECTION)
 /// Crash-recovery sweep: for each checkpoint cadence, kill shard 0's worker
 /// at several points in the stream and report the loss window and the
 /// replay needed to catch back up. MTTR here is measured in packets: how
@@ -307,7 +303,6 @@ void recovery_sweep() {
       "regardless of when the kill lands, and sample coverage recovers "
       "accordingly.\n");
 }
-#endif
 
 }  // namespace
 
@@ -382,13 +377,7 @@ int main(int argc, char** argv) {
   overload_sweep();
   std::vector<bench::BenchRow> rows;
   checkpoint_overhead_sweep(&rows);
-#if defined(DART_FAULT_INJECTION)
   recovery_sweep();
-#else
-  std::printf(
-      "\n(crash-recovery sweep skipped: rebuild with "
-      "-DDART_FAULT_INJECTION=ON to kill workers mid-replay.)\n");
-#endif
   if (!json_path.empty()) {
     if (!bench::write_rows_json(json_path, "bench_robustness", rows)) {
       std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());

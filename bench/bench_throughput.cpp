@@ -23,12 +23,9 @@
 #include "daemon/socket_source.hpp"
 #include "runtime/replay_monitor.hpp"
 #include "runtime/sharded_monitor.hpp"
-#include "trace/trace_io.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-#endif
+#include "trace/trace_io.hpp"
 
 using namespace dart;
 
@@ -159,7 +156,6 @@ BENCHMARK(BM_ShardedDart)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-#if defined(DART_TELEMETRY)
 // BM_ShardedDart with the full RuntimeMetrics instrumentation wired in.
 // Compare against the matching BM_ShardedDart row: the telemetry overhead
 // budget is <2% on items_per_second (all hot-path sites are relaxed
@@ -193,7 +189,6 @@ BENCHMARK(BM_ShardedDartTelemetry)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
-#endif
 
 void BM_WorkloadGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -21,11 +21,11 @@ then collects the spool twice and asserts the hard guarantees:
   5. crash fidelity  — the killed vantage's process really died with the
                        dedicated exit code (3), not a clean shutdown.
 
-Requires a DART_FAULT_INJECTION build::
+Runs against the tree's ordinary dart-fleet::
 
-    cmake -B build-fi -S . -DDART_FAULT_INJECTION=ON
-    cmake --build build-fi --target dart-fleet
-    scripts/fleet_chaos.py --binary build-fi/src/tools/dart-fleet
+    cmake -B build -S .
+    cmake --build build --target dart-fleet
+    scripts/fleet_chaos.py --binary build/src/tools/dart-fleet
 
 Exit status: 0 if every assertion holds, 1 otherwise.
 """
@@ -114,7 +114,7 @@ def run_fleet(binary, spool, args, faults_by_vantage):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--binary", required=True,
-                        help="path to a DART_FAULT_INJECTION dart-fleet")
+                        help="path to the dart-fleet binary")
     parser.add_argument("--vantages", type=int, default=4)
     parser.add_argument("--connections", type=int, default=600)
     parser.add_argument("--epochs", type=int, default=4)

@@ -31,11 +31,11 @@ The rotation (``--rounds`` cycles through it):
   stall_reorder   stalled and reordered delivery, healed losslessly
   mixed           a kill + healed skew + duplicate + damage, together
 
-Requires a DART_FAULT_INJECTION build::
+Runs against the tree's ordinary dart-fleet::
 
-    cmake -B build-fi -S . -DDART_FAULT_INJECTION=ON
-    cmake --build build-fi --target dart-fleet
-    scripts/fleet_soak.py --binary build-fi/src/tools/dart-fleet
+    cmake -B build -S .
+    cmake --build build --target dart-fleet
+    scripts/fleet_soak.py --binary build/src/tools/dart-fleet
 
 ``--bench-out`` writes a ``dart-bench-v1`` row file (one row per round)
 for ``bench_persist.py`` to fold into the committed trajectory.
@@ -441,7 +441,7 @@ class Soak:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--binary", required=True,
-                        help="path to a DART_FAULT_INJECTION dart-fleet")
+                        help="path to the dart-fleet binary")
     parser.add_argument("--vantages", type=int, default=20)
     parser.add_argument("--rounds", type=int, default=len(ROTATION),
                         help="fault-plan rounds (cycles the rotation)")

@@ -126,9 +126,7 @@ std::string EpochRunner::run_cycle(PacketSource& source, const StopFn& stop) {
   // The report reads the workers' histograms only, so no shard keeps a raw
   // sample: a cycle's memory does not grow with the samples it measures.
   sharded.keep_samples = false;
-#if defined(DART_TELEMETRY)
   sharded.telemetry = config_.telemetry;
-#endif
   // The hook runs on the router thread — this thread, inside
   // process_all — so reading the cursors through `live` never races
   // routing state. `live` is assigned before the first packet is routed.

@@ -30,11 +30,9 @@
 #include "daemon/net.hpp"
 #include "daemon/packet_source.hpp"
 
-#if defined(DART_TELEMETRY)
 namespace dart::telemetry {
 struct RuntimeMetrics;
 }  // namespace dart::telemetry
-#endif
 
 namespace dart::daemon {
 
@@ -54,11 +52,9 @@ struct DaemonConfig {
   /// Sleep between empty polls of an idle (not exhausted) source.
   std::uint64_t idle_sleep_ns = 200'000;
 
-#if defined(DART_TELEMETRY)
   /// Live-tier instrumentation for the cycle's runtime; must outlive
   /// run_cycle(). nullptr runs uninstrumented.
   telemetry::RuntimeMetrics* telemetry = nullptr;
-#endif
 };
 
 /// One sealed epoch barrier: the router-side cursors at the instant the

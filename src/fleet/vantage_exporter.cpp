@@ -2,13 +2,10 @@
 
 #include <utility>
 
+#include "runtime/fault_injection.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-
-#if defined(DART_FAULT_INJECTION)
-#include "runtime/fault_injection.hpp"
-#endif
 
 namespace dart::fleet {
 
@@ -106,7 +103,6 @@ bool VantageExporter::publish_frame(SnapshotFrame frame) {
   if (killed_) return false;
   frame.header.sequence = next_sequence_;
 
-#if defined(DART_FAULT_INJECTION)
   if (faults_ != nullptr) {
     if (faults_->exporter_before_publish(frames_published_) ==
         runtime::FaultPlan::Action::kExit) {
@@ -125,12 +121,10 @@ bool VantageExporter::publish_frame(SnapshotFrame frame) {
       frame.header.epoch = skewed;
     }
   }
-#endif
 
   const std::uint64_t sequence = next_sequence_++;
   std::vector<std::uint8_t> bytes = encode_frame(frame);
 
-#if defined(DART_FAULT_INJECTION)
   if (faults_ != nullptr) {
     std::uint64_t keep_bytes = 0;
     if (faults_->exporter_truncate_bytes(sequence, &keep_bytes)) {
@@ -148,7 +142,6 @@ bool VantageExporter::publish_frame(SnapshotFrame frame) {
       return true;
     }
   }
-#endif
 
   if (!deliver(std::move(bytes), sequence)) {
     killed_ = true;
@@ -171,7 +164,6 @@ bool VantageExporter::deliver(std::vector<std::uint8_t> bytes,
   if (!sink_.publish(config_.vantage, publish_index_++, bytes)) {
     return false;
   }
-#if defined(DART_FAULT_INJECTION)
   if (faults_ != nullptr && faults_->exporter_duplicate_frame(sequence)) {
     // Duplicate delivery occupies its own publish slot; the collector must
     // quarantine the second copy by sequence number, not crash.
@@ -179,9 +171,6 @@ bool VantageExporter::deliver(std::vector<std::uint8_t> bytes,
       return false;
     }
   }
-#else
-  (void)sequence;
-#endif
   return true;
 }
 

@@ -13,7 +13,7 @@
 // epoch-aligned state without any clock agreement. All counters in a frame
 // are cumulative: losing any non-final frame loses no accounting.
 //
-// Under DART_FAULT_INJECTION the exporter consults the process's FaultPlan
+// With a FaultPlan installed (set_fault_plan) the exporter consults it
 // before every publish, which is where the chaos harness injects crashes
 // (kill), latency (stall), torn frames (truncate), duplicate delivery, and
 // reordering — all downstream of sealing, exactly as a sick transport
@@ -49,11 +49,9 @@ class VantageExporter {
  public:
   VantageExporter(VantageExporterConfig config, SnapshotSink& sink);
 
-#if defined(DART_FAULT_INJECTION)
   /// Install the process's fault plan (exporter-side faults only). The
   /// plan must outlive the exporter.
   void set_fault_plan(runtime::FaultPlan* plan) { faults_ = plan; }
-#endif
 
   /// Frame 0. Must be the first publication.
   bool publish_manifest();
@@ -101,17 +99,14 @@ class VantageExporter {
     std::uint64_t sequence = 0;
   };
   std::optional<HeldFrame> held_;
-#if defined(DART_FAULT_INJECTION)
   runtime::FaultPlan* faults_ = nullptr;
-#endif
 };
 
 /// Render the deterministic telemetry text a state frame embeds: a fresh
 /// registry, the standard runtime families, one authoritative fold per
 /// shard, deterministic-only snapshot. Rebuilding from scratch per frame
-/// keeps cumulative counters exact (folds are set, not add) and works in
-/// every build configuration — the vantage does not need a live-telemetry
-/// runtime, only its merged DartStats.
+/// keeps cumulative counters exact (folds are set, not add) and needs no
+/// live-telemetry runtime, only the vantage's merged DartStats.
 std::string render_vantage_telemetry(
     std::span<const core::DartStats> per_shard,
     std::span<const std::uint64_t> routed_per_shard);

@@ -16,10 +16,10 @@
 //             ring-full backpressure without any shedding.
 //
 // Hooks are invoked by ShardedMonitor's worker loop at *batch* granularity
-// only, and only when the translation units are compiled with
-// -DDART_FAULT_INJECTION=1 (cmake option DART_FAULT_INJECTION). In a
-// release build the hook sites compile out entirely: the per-packet path is
-// identical with and without the harness.
+// only, and only when ShardedConfig::faults points at a plan. Only tests,
+// bench_robustness and dart-fleet's --fault-* flags arm one; with the
+// pointer null the worker pays one branch per popped batch, and the
+// per-packet path is the same with and without the harness.
 //
 // Thread-safety: plans must be fully built before workers start. Each
 // shard's mutable hook state is touched only by that shard's worker; the

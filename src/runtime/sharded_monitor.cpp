@@ -6,14 +6,8 @@
 #include <utility>
 
 #include "core/config_check.hpp"
-
-#if defined(DART_FAULT_INJECTION)
 #include "runtime/fault_injection.hpp"
-#endif
-
-#if defined(DART_TELEMETRY)
 #include "telemetry/runtime_metrics.hpp"
-#endif
 
 namespace dart::runtime {
 namespace {
@@ -84,12 +78,8 @@ bool ShardedMonitor::incarnate(Shard& shard, std::uint64_t base_cursor,
   inc->id = coordinator_->begin_incarnation(shard.index);
   inc->base_cursor = base_cursor;
   inc->coordinator = coordinator_;
-#if defined(DART_FAULT_INJECTION)
   inc->faults = config_.faults;
-#endif
-#if defined(DART_TELEMETRY)
   inc->metrics = config_.telemetry;
-#endif
   // The callback writes the incarnation's private histogram (and log, if
   // samples are kept): its worker thread is the only caller of
   // monitor->process, hence the only writer. The callback lives in the
@@ -130,10 +120,8 @@ void ShardedMonitor::commit_barrier(Incarnation& inc, const Work& marker) {
   meta.sample_cursor = inc.monitor->stats().samples;
   core::CheckpointImage image;
   if (inc.monitor->supports_checkpoint()) image = inc.monitor->snapshot(meta);
-#if defined(DART_TELEMETRY)
   const auto commit_start =
       inc.metrics != nullptr ? Clock::now() : Clock::time_point{};
-#endif
   // Fenced: a zombie's commit is rejected and its samples discarded — they
   // belong to a window already written off.
   const bool accepted =
@@ -141,7 +129,6 @@ void ShardedMonitor::commit_barrier(Incarnation& inc, const Work& marker) {
                               std::move(inc.samples), std::move(inc.rtt));
   inc.samples.clear();
   inc.rtt = analytics::LogHistogram{};
-#if defined(DART_TELEMETRY)
   if (inc.metrics != nullptr) {
     const auto elapsed = Clock::now() - commit_start;
     inc.metrics->commit_latency->at(0).observe(static_cast<Timestamp>(
@@ -153,9 +140,6 @@ void ShardedMonitor::commit_barrier(Incarnation& inc, const Work& marker) {
       inc.metrics->checkpoint_rejected->at(inc.shard).inc();
     }
   }
-#else
-  (void)accepted;
-#endif
 }
 
 void ShardedMonitor::worker_loop(Incarnation& inc) {
@@ -167,7 +151,6 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         commit_barrier(inc, work);
         continue;
       }
-#if defined(DART_FAULT_INJECTION)
       if (inc.faults != nullptr) {
         if (inc.faults->before_pop(inc.shard, inc.batches_done) ==
             FaultPlan::Action::kExit) {
@@ -180,15 +163,11 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         }
         inc.faults->after_pop(inc.shard, inc.batches_done);
       }
-#endif
-#if defined(DART_TELEMETRY)
       const auto batch_start =
           inc.metrics != nullptr ? Clock::now() : Clock::time_point{};
-#endif
       inc.monitor->process_batch(work.batch);
       inc.packets_done.fetch_add(work.batch.size(),
                                  std::memory_order_release);
-#if defined(DART_TELEMETRY)
       if (inc.metrics != nullptr) {
         const auto elapsed = Clock::now() - batch_start;
         inc.metrics->batch_latency->at(inc.shard).observe(
@@ -200,10 +179,7 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
         inc.metrics->worker_batches->at(inc.shard).inc();
         inc.metrics->worker_packets->at(inc.shard).inc(work.batch.size());
       }
-#endif
-#if defined(DART_FAULT_INJECTION)
       ++inc.batches_done;
-#endif
       work.batch.clear();
       continue;
     }
@@ -330,10 +306,8 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
   const std::uint64_t packets = work.batch.size();
   OverloadGovernor governor(config_.overload);
   bool contended = false;
-#if defined(DART_TELEMETRY)
   telemetry::RuntimeMetrics* const tm = config_.telemetry;
   bool backoff_counted = false;
-#endif
   for (;;) {
     if (shard.retired) {
       shed(shard, work);
@@ -346,12 +320,10 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
     }
     if (inc.queue.try_push(std::move(work))) {
       shard.delivered += packets;
-#if defined(DART_TELEMETRY)
       if (tm != nullptr) {
         tm->ring_occupancy->at(shard.index)
             .set(static_cast<std::int64_t>(inc.queue.size_approx()));
       }
-#endif
       return;
     }
     if (!contended) {
@@ -375,15 +347,12 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
     }
     const OverloadDecision decision = governor.next();
     if (decision.action == OverloadAction::kShed) {
-#if defined(DART_TELEMETRY)
       if (tm != nullptr) tm->governor_sheds->at(shard.index).inc();
-#endif
       shed(shard, work);
       return;
     }
     if (decision.action == OverloadAction::kSleep) {
       ++shard.health.backoff_sleeps;
-#if defined(DART_TELEMETRY)
       if (tm != nullptr) {
         tm->backpressure_sleeps->at(shard.index).inc();
         if (!backoff_counted) {
@@ -391,7 +360,6 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
           tm->governor_backoffs->at(shard.index).inc();
         }
       }
-#endif
       std::this_thread::sleep_for(
           std::chrono::nanoseconds(decision.sleep_ns));
     } else {
@@ -570,7 +538,6 @@ void ShardedMonitor::shutdown() noexcept {
   // parallel rather than serially behind the first join.
   for (auto& shard : shards_) reap(*shard);
   for (auto& shard : shards_) settle(*shard);
-#if defined(DART_TELEMETRY)
   // Quiesce fold: authoritative counters are written exactly once, from
   // the settled per-shard results. Live per-batch counts include work a
   // detached or rolled-back worker did that the results discard, so they
@@ -581,7 +548,6 @@ void ShardedMonitor::shutdown() noexcept {
                                             shard->result);
     }
   }
-#endif
 }
 
 const analytics::SampleLog& ShardedMonitor::shard_samples(

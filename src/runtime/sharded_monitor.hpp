@@ -97,17 +97,13 @@
 #include "runtime/shard_router.hpp"
 #include "runtime/spsc_ring.hpp"
 
-#if defined(DART_TELEMETRY)
 namespace dart::telemetry {
 struct RuntimeMetrics;
 }  // namespace dart::telemetry
-#endif
 
 namespace dart::runtime {
 
-#if defined(DART_FAULT_INJECTION)
 class FaultPlan;
-#endif
 
 struct ShardedConfig {
   /// Number of worker threads / monitor partitions (>= 1).
@@ -167,21 +163,16 @@ struct ShardedConfig {
   /// then surfaces at finish() via join_timeout_ns.
   std::uint64_t hang_detection_ns = 0;
 
-#if defined(DART_FAULT_INJECTION)
   /// Fault-injection hooks for the chaos suites; must outlive every worker.
   /// Hooks apply to packet batches only — barrier markers commit even at a
-  /// kill point, which is what makes a kill at a barrier lossless. Only
-  /// exists in DART_FAULT_INJECTION builds: the release worker loop
-  /// contains no hook sites at all.
+  /// kill point, which is what makes a kill at a barrier lossless. nullptr
+  /// (every deployed caller) costs the worker one branch per popped batch.
   FaultPlan* faults = nullptr;
-#endif
 
-#if defined(DART_TELEMETRY)
   /// Standard metric families to instrument; must outlive every worker.
-  /// nullptr runs uninstrumented. Only exists in DART_TELEMETRY builds;
-  /// with the option OFF the hot path contains no telemetry sites at all.
+  /// nullptr runs uninstrumented: each site is one pointer test, and the
+  /// worker's sites run once per popped batch.
   telemetry::RuntimeMetrics* telemetry = nullptr;
-#endif
 };
 
 class ShardedMonitor {
@@ -326,13 +317,9 @@ class ShardedMonitor {
     std::atomic<bool> input_done{false};
     std::atomic<bool> dead{false};    ///< exited early (kill fault)
     std::atomic<bool> exited{false};  ///< worker loop finished (all paths)
-#if defined(DART_FAULT_INJECTION)
-    FaultPlan* faults = nullptr;
+    FaultPlan* faults = nullptr;     ///< worker-read, may be null
     std::uint64_t batches_done = 0;  ///< hook clock, incarnation-local
-#endif
-#if defined(DART_TELEMETRY)
     telemetry::RuntimeMetrics* metrics = nullptr;  ///< worker-read, may be null
-#endif
   };
 
   // Router-side state; the router thread is its only writer.

@@ -61,7 +61,16 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+// GCC 12 with -fsanitize=address,undefined reports a false
+// -Wmaybe-uninitialized inside libstdc++'s <regex> (std_function.h).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <regex>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #include <set>
 #include <sstream>
 #include <string>

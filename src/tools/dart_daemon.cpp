@@ -18,7 +18,7 @@
 //   /epoch          last sealed epoch barrier (router-side cursors)
 //   /deterministic  final deterministic report once drained, else the
 //                   last barrier snapshot
-//   /metrics        live telemetry tier (DART_TELEMETRY builds)
+//   /metrics        live telemetry tier (Prometheus text)
 //
 // Lifetime contract (the bug this daemon exists to fix): end-of-trace is
 // NOT shutdown — the service drains to the barrier, seals the final
@@ -43,12 +43,9 @@
 #include "daemon/socket_source.hpp"
 #include "gen/workload.hpp"
 #include "telemetry/export.hpp"
-#include "trace/trace_io.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-#endif
+#include "trace/trace_io.hpp"
 
 namespace {
 
@@ -191,21 +188,14 @@ int run_daemon(const RunOptions& options) {
 
   dart::daemon::DaemonConfig config =
       make_daemon_config(options.shards, options.epoch_interval);
-#if defined(DART_TELEMETRY)
   dart::telemetry::Registry registry(config.shards);
   dart::telemetry::RuntimeMetrics metrics(registry);
   config.telemetry = &metrics;
-#endif
   dart::daemon::EpochRunner runner(config);
 
   dart::daemon::QueryServer server(
       options.query_port,
-      [&runner
-#if defined(DART_TELEMETRY)
-       ,
-       &registry
-#endif
-  ](const std::string& path) -> std::string {
+      [&runner, &registry](const std::string& path) -> std::string {
         if (path == "/healthz") return "ok\n";
         if (path == "/status") return render_status(runner.status());
         if (path == "/epoch") return runner.epoch_report();
@@ -214,11 +204,7 @@ int run_daemon(const RunOptions& options) {
           return report.empty() ? runner.epoch_report() : report;
         }
         if (path == "/metrics") {
-#if defined(DART_TELEMETRY)
           return dart::telemetry::to_prometheus(registry.snapshot());
-#else
-          return "error: built without DART_TELEMETRY\n";
-#endif
         }
         return std::string();  // 404
       });

@@ -15,7 +15,7 @@
 //       run a whole fleet in-process (serially) against a spool directory
 //       and collect it — the ctest surface.
 //
-// Exporter fault flags (--fault-*) require a DART_FAULT_INJECTION build;
+// Exporter fault flags (--fault-*) arm a FaultPlan for the chaos harness;
 // in `vantage` mode a kill fault terminates the process with exit code 3
 // so drivers can assert the crash actually happened. Exit codes: 0 ok,
 // 1 check failure / collection error, 2 usage error, 3 killed by fault.
@@ -34,13 +34,10 @@
 #include "fleet/snapshot_sink.hpp"
 #include "fleet/vantage_exporter.hpp"
 #include "gen/workload.hpp"
+#include "runtime/fault_injection.hpp"
 #include "runtime/shard_router.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "telemetry/export.hpp"
-
-#if defined(DART_FAULT_INJECTION)
-#include "runtime/fault_injection.hpp"
-#endif
 
 namespace {
 
@@ -230,7 +227,6 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
   return 0;
 }
 
-#if defined(DART_FAULT_INJECTION)
 void apply_faults(const FaultOptions& options, dart::runtime::FaultPlan& plan) {
   if (options.kill_after != ~std::uint64_t{0}) {
     plan.exporter_kill(options.kill_after);
@@ -251,7 +247,6 @@ void apply_faults(const FaultOptions& options, dart::runtime::FaultPlan& plan) {
                              options.epoch_lag);
   }
 }
-#endif
 
 /// Vantage I's deterministic slice: the packets of the full fixed-seed
 /// campus trace whose canonical 4-tuple routes to I out of M — the same
@@ -366,19 +361,11 @@ int run_vantage(const VantageOptions& options,
   config.epoch_interval = interval;
   dart::fleet::VantageExporter exporter(config, sink);
 
-#if defined(DART_FAULT_INJECTION)
   dart::runtime::FaultPlan plan(options.seed);
   if (options.faults.any) {
     apply_faults(options.faults, plan);
     exporter.set_fault_plan(&plan);
   }
-#else
-  if (options.faults.any) {
-    std::cerr << "dart-fleet: --fault-* flags require a "
-                 "DART_FAULT_INJECTION build\n";
-    return kExitUsage;
-  }
-#endif
 
   exporter.publish_manifest();
   if (exporter.killed()) return kExitKilled;
@@ -489,13 +476,6 @@ int cmd_demo(const DemoOptions& options) {
     std::cerr << "dart-fleet demo: need --dir and --vantages > 0\n";
     return kExitUsage;
   }
-#if !defined(DART_FAULT_INJECTION)
-  if (options.faults.any) {
-    std::cerr << "dart-fleet: --fault-* flags require a "
-                 "DART_FAULT_INJECTION build\n";
-    return kExitUsage;
-  }
-#endif
   dart::fleet::SpoolSink sink(options.dir);
   for (std::uint64_t id = 0; id < options.vantages; ++id) {
     VantageOptions vantage;

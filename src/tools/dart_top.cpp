@@ -12,8 +12,8 @@
 // --check verifies the accounting identity
 //     processed + shed + abandoned + lost_to_crash == routed
 // per shard and in aggregate; a violation exits nonzero, which is what the
-// ctest entries assert. `demo` requires a DART_TELEMETRY build; `render`
-// and `watch` work on any snapshot file regardless of build flavor.
+// ctest entries assert. `render` and `watch` work on any snapshot file,
+// whichever process exported it.
 // Exit codes: 0 ok, 1 identity violation / unreadable file, 2 usage error.
 #include <algorithm>
 #include <chrono>
@@ -29,15 +29,12 @@
 #include <thread>
 #include <vector>
 
-#include "telemetry/export.hpp"
-#include "telemetry/registry.hpp"
-#include "telemetry/snapshot_watch.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-#endif
+#include "telemetry/snapshot_watch.hpp"
 
 namespace {
 
@@ -233,7 +230,6 @@ int run_watch(const std::string& path, std::uint64_t interval_ms,
   }
 }
 
-#if defined(DART_TELEMETRY)
 int run_demo(std::uint32_t shards, std::uint64_t seed,
              const std::string& out_path, const std::string& json_path,
              bool deterministic, bool check) {
@@ -276,7 +272,6 @@ int run_demo(std::uint32_t shards, std::uint64_t seed,
   if (check && !check_identity(samples, std::cerr)) return 1;
   return 0;
 }
-#endif
 
 std::uint64_t parse_u64(const char* text) {
   return static_cast<std::uint64_t>(std::strtoull(text, nullptr, 10));
@@ -326,7 +321,6 @@ int main(int argc, char** argv) {
   }
 
   if (command == "demo") {
-#if defined(DART_TELEMETRY)
     std::uint32_t shards = 4;
     std::uint64_t seed = 1;
     std::string out_path;
@@ -354,10 +348,6 @@ int main(int argc, char** argv) {
     }
     return run_demo(shards == 0 ? 1 : shards, seed, out_path, json_path,
                     deterministic, check);
-#else
-    std::cerr << "dart-top: demo requires a DART_TELEMETRY=ON build\n";
-    return 2;
-#endif
   }
 
   print_usage(std::cerr);

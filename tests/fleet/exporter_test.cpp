@@ -1,5 +1,5 @@
 // VantageExporter: sequence discipline, publish-slot accounting, telemetry
-// rendering, and (in fault-injection builds) the exact delivery shapes each
+// rendering, and the exact delivery shapes each
 // exporter-side fault produces — the collector's test vectors come from
 // here, so the shapes must be pinned.
 #include "fleet/vantage_exporter.hpp"
@@ -11,11 +11,8 @@
 #include "analytics/histogram.hpp"
 #include "fleet/frame.hpp"
 #include "fleet/snapshot_sink.hpp"
-#include "telemetry/export.hpp"
-
-#if defined(DART_FAULT_INJECTION)
 #include "runtime/fault_injection.hpp"
-#endif
+#include "telemetry/export.hpp"
 
 namespace dart::fleet {
 namespace {
@@ -116,7 +113,6 @@ TEST(VantageExporter, PublishesRttHistogramSection) {
   }
 }
 
-#if defined(DART_FAULT_INJECTION)
 
 // The three skew shapes: a constant offset, per-epoch drift, and an epoch
 // lag. Each rewrites the sealed epoch header (frames re-seal, so they stay
@@ -263,7 +259,6 @@ TEST(VantageExporterFaults, ReorderedFrameCanAlsoDuplicate) {
   EXPECT_EQ(decode_entry(sink.entries()[3]).header.sequence, 1u);
 }
 
-#endif  // DART_FAULT_INJECTION
 
 }  // namespace
 }  // namespace dart::fleet

@@ -18,12 +18,9 @@
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "runtime_check.hpp"
-
-#if defined(DART_TELEMETRY)
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
-#endif
 
 namespace dart {
 namespace {
@@ -196,7 +193,6 @@ TEST(BatchDifferential, ShardedWorkerModesAgreePerShard) {
   }
 }
 
-#if defined(DART_TELEMETRY)
 // Deterministic-tier telemetry is derived from the merged results at
 // quiesce time, so the exported text must be byte-identical however the
 // router cuts the stream into ring batches — one packet per batch or the
@@ -245,7 +241,6 @@ TEST(BatchDifferential, BatchFillHistogramRecordsEveryBatch) {
   EXPECT_GT(batches, 0U);
   EXPECT_EQ(metrics.batch_fill->fold_all().count(), batches);
 }
-#endif  // DART_TELEMETRY
 
 }  // namespace
 }  // namespace dart

@@ -21,12 +21,9 @@
 #include "common/random.hpp"
 #include "core/checkpoint.hpp"
 #include "core/dart_monitor.hpp"
+#include "runtime/fault_injection.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "runtime_check.hpp"
-
-#if defined(DART_FAULT_INJECTION)
-#include "runtime/fault_injection.hpp"
-#endif
 
 namespace dart {
 namespace {
@@ -204,7 +201,6 @@ TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
   runtime_check::expect_histogram_of_samples(sharded);
 }
 
-#if defined(DART_FAULT_INJECTION)
 // A forced-shed window: kill one worker mid-run so the router sheds the
 // remainder of its shard's stream. The packets processed before the kill
 // are a deterministic prefix (the fault fires on the worker's batch
@@ -241,7 +237,6 @@ TEST_P(BatchFuzz, ForcedShedWindowMatchesAcrossWorkerModes) {
   EXPECT_EQ(sharded.merged_stats().packets_processed + health.shed_packets,
             packets.size());
 }
-#endif  // DART_FAULT_INJECTION
 
 // ---------------------------------------------------------------------------
 // End-state digest pins. Each digest was recorded from the monitor as it

@@ -9,9 +9,6 @@
 //   (iii) accounting  — processed + shed + abandoned == routed, exactly,
 //                       and a faulty run's merged stats equal the
 //                       fault-free run minus exactly the shed packets.
-//
-// Only built with -DDART_FAULT_INJECTION=ON (see tests/CMakeLists.txt and
-// the chaos-tsan CI job).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -362,8 +359,8 @@ TEST(Chaos, CombinedStallAndKillAcrossShards) {
 }
 
 TEST(Chaos, FaultFreePlanIsANoOp) {
-  // An empty plan through the fault-injection build must be bit-identical
-  // to running with no plan at all.
+  // An armed but empty plan must be bit-identical to running with no plan
+  // at all.
   const trace::Trace trace = chaos_workload(4242);
   const RunResult clean = fault_free_reference(trace);
   runtime::FaultPlan empty_plan;

@@ -15,8 +15,6 @@
 //                         committed results;
 //   (v)   histogram     — rtt_histogram() is exactly the histogram of the
 //                         committed samples, under every rollback.
-//
-// Only built with -DDART_FAULT_INJECTION=ON (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <cstdint>

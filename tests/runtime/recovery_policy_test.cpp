@@ -2,7 +2,7 @@
 // checkpoints and a restart budget must change nothing a run reports —
 // same routing, same per-shard results, same histogram — while cutting
 // checkpoints at a deterministic barrier cadence. The crash-path behavior
-// lives in recovery_chaos_test.cpp (fault-injection builds); here we pin
+// lives in recovery_chaos_test.cpp; here we pin
 // the no-fault contract and the coordinator's fencing rules, which must
 // hold long before anything crashes.
 #include <gtest/gtest.h>

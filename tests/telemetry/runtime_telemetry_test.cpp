@@ -1,4 +1,4 @@
-// Integration tests of the DART_TELEMETRY instrumentation: the exported
+// Integration tests of the runtime's telemetry instrumentation: the exported
 // counters must satisfy the runtime's accounting identity
 //
 //     processed + shed + abandoned + lost_to_crash == routed
