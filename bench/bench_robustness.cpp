@@ -205,7 +205,11 @@ runtime::ShardedConfig recovery_base_config() {
 
 /// Checkpoint-overhead sweep: the same replay at tighter and tighter
 /// barrier cadences. The costs of a cut are serializing the full monitor
-/// state at each barrier and the in-band quiesce itself. Each cadence is
+/// state at each barrier and the in-band quiesce itself. Barriers ride the
+/// one epoch clock (`epoch_interval_packets`, routed packets across all
+/// shards), so each sweep sets it to shards * cadence: every shard then
+/// cuts about once per `cadence` of its own packets, and the row names
+/// keep the per-shard figure. Each cadence is
 /// measured through the shared bench::measure_row harness so the sweep
 /// lands in the persisted trajectory alongside bench_throughput's rows.
 void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
@@ -213,14 +217,14 @@ void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
   const trace::Trace trace = recovery_trace();
   const std::uint64_t packets = trace.packets().size();
 
-  TextTable table({"cadence (pkts/shard)", "checkpoints cut", "image bytes",
-                   "replay time", "vs no checkpoints"});
+  TextTable table({"cadence (per-shard equivalent)", "checkpoints cut",
+                   "image bytes", "replay time", "vs no checkpoints"});
   double base_ms = 0;
   // ~10k packets per shard: cadences chosen to span one cut per shard up
   // to one per few batches.
   for (std::uint64_t interval : {0ULL, 8192ULL, 2048ULL, 1024ULL, 512ULL}) {
     runtime::ShardedConfig config = recovery_base_config();
-    config.checkpoint.interval_packets = interval;
+    config.epoch_interval_packets = config.shards * interval;
 
     std::unique_ptr<runtime::ShardedMonitor> supervisor;
     const bench::BenchRow row = bench::measure_row(
@@ -273,14 +277,14 @@ void recovery_sweep() {
   const double clean_samples =
       static_cast<double>(clean.merged_stats().samples);
 
-  TextTable table({"cadence (pkts/shard)", "kill at batch", "lost packets",
-                   "replayed (MTTR)", "sample coverage"});
+  TextTable table({"cadence (per-shard equivalent)", "kill at batch",
+                   "lost packets", "replayed (MTTR)", "sample coverage"});
   for (std::uint64_t interval : {0ULL, 8192ULL, 2048ULL, 512ULL}) {
     for (std::uint64_t kill_at : {10ULL, 80ULL, 140ULL}) {
       runtime::FaultPlan plan;
       plan.kill(/*shard=*/0, kill_at);
       runtime::ShardedConfig config = recovery_base_config();
-      config.checkpoint.interval_packets = interval;
+      config.epoch_interval_packets = config.shards * interval;
       config.faults = &plan;
 
       runtime::ShardedMonitor supervisor(config, monitor_config_hw());

@@ -8,16 +8,7 @@
 namespace dart::core {
 
 RuntimeHealth& RuntimeHealth::operator+=(const RuntimeHealth& other) {
-  shed_batches += other.shed_batches;
-  shed_packets += other.shed_packets;
-  backpressure_events += other.backpressure_events;
-  backoff_sleeps += other.backoff_sleeps;
-  workers_killed += other.workers_killed;
-  forced_detaches += other.forced_detaches;
-  abandoned_packets += other.abandoned_packets;
-  recovered += other.recovered;
-  replayed_after_restore += other.replayed_after_restore;
-  lost_to_crash += other.lost_to_crash;
+  for (const auto field : kHealthFields) this->*field += other.*field;
   return *this;
 }
 
@@ -38,92 +29,12 @@ std::string RuntimeHealth::summary() const {  // hotpath-ok: reporting only
 }
 
 DartStats& DartStats::operator+=(const DartStats& other) {
-  packets_processed += other.packets_processed;
-  filtered_packets += other.filtered_packets;
-  seq_candidates += other.seq_candidates;
-  ack_candidates += other.ack_candidates;
-  syn_ignored += other.syn_ignored;
-  rt_new_flows += other.rt_new_flows;
-  rt_flow_overwrites += other.rt_flow_overwrites;
-  rt_idle_timeouts += other.rt_idle_timeouts;
-  seq_tracked += other.seq_tracked;
-  seq_in_order += other.seq_in_order;
-  seq_hole_reanchors += other.seq_hole_reanchors;
-  seq_retransmissions += other.seq_retransmissions;
-  wraparound_resets += other.wraparound_resets;
-  ack_advances += other.ack_advances;
-  ack_duplicates += other.ack_duplicates;
-  ack_below_left += other.ack_below_left;
-  ack_optimistic += other.ack_optimistic;
-  ack_no_entry += other.ack_no_entry;
-  pt_inserted += other.pt_inserted;
-  pt_evictions += other.pt_evictions;
-  pt_lookup_hits += other.pt_lookup_hits;
-  pt_lookup_misses += other.pt_lookup_misses;
-  recirculations += other.recirculations;
-  dual_role_recirculations += other.dual_role_recirculations;
-  drops_budget += other.drops_budget;
-  drops_stale += other.drops_stale;
-  drops_cycle += other.drops_cycle;
-  drops_useless += other.drops_useless;
-  drops_shadow += other.drops_shadow;
-  drops_policy += other.drops_policy;
-  samples += other.samples;
+  for (const auto field : kStatFields) this->*field += other.*field;
   runtime += other.runtime;
   return *this;
 }
 
 namespace {
-
-// One fixed field order shared by the writer and the reader. Pointer-to-
-// member keeps the two in lockstep by construction: a counter added here is
-// serialized, restored, and counted exactly once.
-constexpr std::uint64_t DartStats::* kStatFields[] = {
-    &DartStats::packets_processed,
-    &DartStats::filtered_packets,
-    &DartStats::seq_candidates,
-    &DartStats::ack_candidates,
-    &DartStats::syn_ignored,
-    &DartStats::rt_new_flows,
-    &DartStats::rt_flow_overwrites,
-    &DartStats::rt_idle_timeouts,
-    &DartStats::seq_tracked,
-    &DartStats::seq_in_order,
-    &DartStats::seq_hole_reanchors,
-    &DartStats::seq_retransmissions,
-    &DartStats::wraparound_resets,
-    &DartStats::ack_advances,
-    &DartStats::ack_duplicates,
-    &DartStats::ack_below_left,
-    &DartStats::ack_optimistic,
-    &DartStats::ack_no_entry,
-    &DartStats::pt_inserted,
-    &DartStats::pt_evictions,
-    &DartStats::pt_lookup_hits,
-    &DartStats::pt_lookup_misses,
-    &DartStats::recirculations,
-    &DartStats::dual_role_recirculations,
-    &DartStats::drops_budget,
-    &DartStats::drops_stale,
-    &DartStats::drops_cycle,
-    &DartStats::drops_useless,
-    &DartStats::drops_shadow,
-    &DartStats::drops_policy,
-    &DartStats::samples,
-};
-
-constexpr std::uint64_t RuntimeHealth::* kHealthFields[] = {
-    &RuntimeHealth::shed_batches,
-    &RuntimeHealth::shed_packets,
-    &RuntimeHealth::backpressure_events,
-    &RuntimeHealth::backoff_sleeps,
-    &RuntimeHealth::workers_killed,
-    &RuntimeHealth::forced_detaches,
-    &RuntimeHealth::abandoned_packets,
-    &RuntimeHealth::recovered,
-    &RuntimeHealth::replayed_after_restore,
-    &RuntimeHealth::lost_to_crash,
-};
 
 constexpr std::uint32_t kStatFieldCount = static_cast<std::uint32_t>(
     std::size(kStatFields) + std::size(kHealthFields));

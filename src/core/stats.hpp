@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace dart::core {
@@ -141,5 +142,65 @@ struct DartStats {
 
   std::string summary() const;  // hotpath-ok: end-of-run reporting
 };
+
+// Every counter, listed once in one fixed order. The sums, the checkpoint
+// writer and the reader all walk these tables, so a counter added here is
+// summed, serialized and restored exactly once; the static_asserts refuse
+// a struct field that no table names.
+inline constexpr std::uint64_t RuntimeHealth::* kHealthFields[] = {
+    &RuntimeHealth::shed_batches,
+    &RuntimeHealth::shed_packets,
+    &RuntimeHealth::backpressure_events,
+    &RuntimeHealth::backoff_sleeps,
+    &RuntimeHealth::workers_killed,
+    &RuntimeHealth::forced_detaches,
+    &RuntimeHealth::abandoned_packets,
+    &RuntimeHealth::recovered,
+    &RuntimeHealth::replayed_after_restore,
+    &RuntimeHealth::lost_to_crash,
+};
+
+/// DartStats' own counters; `runtime` is covered by kHealthFields.
+inline constexpr std::uint64_t DartStats::* kStatFields[] = {
+    &DartStats::packets_processed,
+    &DartStats::filtered_packets,
+    &DartStats::seq_candidates,
+    &DartStats::ack_candidates,
+    &DartStats::syn_ignored,
+    &DartStats::rt_new_flows,
+    &DartStats::rt_flow_overwrites,
+    &DartStats::rt_idle_timeouts,
+    &DartStats::seq_tracked,
+    &DartStats::seq_in_order,
+    &DartStats::seq_hole_reanchors,
+    &DartStats::seq_retransmissions,
+    &DartStats::wraparound_resets,
+    &DartStats::ack_advances,
+    &DartStats::ack_duplicates,
+    &DartStats::ack_below_left,
+    &DartStats::ack_optimistic,
+    &DartStats::ack_no_entry,
+    &DartStats::pt_inserted,
+    &DartStats::pt_evictions,
+    &DartStats::pt_lookup_hits,
+    &DartStats::pt_lookup_misses,
+    &DartStats::recirculations,
+    &DartStats::dual_role_recirculations,
+    &DartStats::drops_budget,
+    &DartStats::drops_stale,
+    &DartStats::drops_cycle,
+    &DartStats::drops_useless,
+    &DartStats::drops_shadow,
+    &DartStats::drops_policy,
+    &DartStats::samples,
+};
+
+static_assert(sizeof(RuntimeHealth) ==
+                  std::size(kHealthFields) * sizeof(std::uint64_t),
+              "a RuntimeHealth counter is missing from kHealthFields");
+static_assert(sizeof(DartStats) ==
+                  std::size(kStatFields) * sizeof(std::uint64_t) +
+                      sizeof(RuntimeHealth),
+              "a DartStats counter is missing from kStatFields");
 
 }  // namespace dart::core

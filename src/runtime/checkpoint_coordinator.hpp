@@ -2,10 +2,11 @@
 // recovery.
 //
 // Workers cut checkpoint images at epoch barriers (markers the router
-// injects into each shard's ring every N delivered packets and/or T virtual
-// seconds) and *commit* them here, together with the RTT histogram of the
-// samples emitted since the previous barrier — and the raw samples
-// themselves when the runtime keeps them (ShardedConfig::keep_samples). The
+// injects into every shard's ring at each `epoch_interval_packets`
+// boundary while restarts are armed) and *commit* them here, together with
+// the RTT histogram of the samples emitted since the previous barrier —
+// and the raw samples themselves when the runtime keeps them
+// (ShardedConfig::keep_samples). The
 // coordinator is what survives a worker crash: ShardedMonitor rehydrates a
 // replacement monitor from the latest committed image, and committed
 // samples are never rolled back, so everything a dead worker did after its
@@ -36,21 +37,6 @@
 #include "core/checkpoint.hpp"
 
 namespace dart::runtime {
-
-/// When the router injects epoch barriers into a shard's stream. Both
-/// triggers may be armed at once; either one being due cuts the barrier
-/// (and resets both). All zeros disables checkpointing entirely.
-struct CheckpointPolicy {
-  /// Cut after this many packets delivered to the shard (0 = off).
-  std::uint64_t interval_packets = 0;
-
-  /// Cut when the shard's packet timestamps have advanced this far since
-  /// the last barrier (0 = off). Virtual time, not wall time: replaying the
-  /// same trace cuts barriers at the same packets.
-  std::uint64_t interval_vtime_ns = 0;
-
-  bool enabled() const { return interval_packets != 0 || interval_vtime_ns != 0; }
-};
 
 class CheckpointCoordinator {
  public:

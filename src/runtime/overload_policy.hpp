@@ -41,13 +41,10 @@ struct OverloadPolicy {
   /// Total backoff (sum of sleeps) after which the batch is shed. A worker
   /// that makes *any* progress within this window is never shed; only one
   /// that stays wedged for the whole deadline loses the batch. 0 sheds on
-  /// the first post-spin attempt.
+  /// the first post-spin attempt; UINT64_MAX never sheds (a permanently
+  /// wedged worker then stalls the pipeline, so only for runs where losing
+  /// coverage is worse than losing liveness).
   std::uint64_t shed_deadline_ns = 2'000'000'000;  // 2 s
-
-  /// When false the router waits forever (the pre-shedding behavior); a
-  /// permanently wedged worker then stalls the pipeline, so this is only
-  /// for runs where losing coverage is worse than losing liveness.
-  bool shed_enabled = true;
 };
 
 enum class OverloadAction : std::uint8_t { kSpin, kSleep, kShed };
@@ -69,16 +66,13 @@ class OverloadGovernor {
       ++attempts_;
       return {OverloadAction::kSpin, 0};
     }
-    if (policy_.shed_enabled && waited_ns_ >= policy_.shed_deadline_ns) {
+    if (waited_ns_ >= policy_.shed_deadline_ns) {
       return {OverloadAction::kShed, 0};
     }
-    std::uint64_t sleep = std::max<std::uint64_t>(backoff_ns_, 1);
-    if (policy_.shed_enabled) {
-      // Never request more sleep than the deadline has left, so the last
-      // sleep lands exactly on the shed decision instead of past it.
-      sleep = std::min(sleep, policy_.shed_deadline_ns - waited_ns_);
-      sleep = std::max<std::uint64_t>(sleep, 1);
-    }
+    // Never request more sleep than the deadline has left, so the last
+    // sleep lands exactly on the shed decision instead of past it.
+    const std::uint64_t sleep = std::max<std::uint64_t>(
+        std::min(backoff_ns_, policy_.shed_deadline_ns - waited_ns_), 1);
     waited_ns_ += sleep;
     backoff_ns_ = std::min(backoff_ns_ * 2, policy_.backoff_max_ns);
     return {OverloadAction::kSleep, sleep};

@@ -42,8 +42,7 @@ ShardedMonitor::ShardedMonitor(const ShardedConfig& config,
     : config_(config),
       factory_(std::move(factory)),
       router_(config.shards == 0 ? 1 : config.shards, config.route_seed),
-      coordinator_(std::make_shared<CheckpointCoordinator>(router_.shards())),
-      barriers_(config.checkpoint.enabled()) {
+      coordinator_(std::make_shared<CheckpointCoordinator>(router_.shards())) {
   config_.shards = router_.shards();
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.queue_batches == 0) config_.queue_batches = 1;
@@ -207,11 +206,14 @@ void ShardedMonitor::process_all(std::span<const PacketRecord> packets) {
   if (finished_) {
     throw LifecycleError(LifecycleViolation::kProcessAfterFinish);
   }
+  // Images exist only to restore a replacement worker, so markers flow
+  // exactly when one may be started.
+  const bool markers = config_.restart_budget != 0;
   const std::uint64_t interval =
-      config_.on_epoch ? config_.epoch_interval_packets : 0;
+      config_.on_epoch || markers ? config_.epoch_interval_packets : 0;
   while (!packets.empty()) {
     // One segment runs up to the next epoch boundary or the end of the
-    // span, so the hook costs one division per segment, not per packet.
+    // span, so the clock costs one division per segment, not per packet.
     std::size_t segment = packets.size();
     bool closes = false;
     if (interval != 0) {
@@ -223,19 +225,32 @@ void ShardedMonitor::process_all(std::span<const PacketRecord> packets) {
     }
     route_segment(packets.first(segment));
     packets = packets.subspan(segment);
-    if (closes) {
-      // Router-thread barrier: fires between packets, so the callback can
-      // publish fleet progress without racing the routing state.
-      config_.on_epoch(++epochs_fired_, routed_total_);
+    if (!closes) continue;
+    ++epochs_fired_;
+    if (markers) {
+      // Epoch barrier: everything routed so far goes in front of each
+      // shard's marker, so together the markers cut one global stream
+      // position and each cursor is its shard's share of it.
+      for (auto& shard : shards_) {
+        if (shard->retired) continue;
+        flush_shard(*shard);
+        Work marker;
+        marker.epoch = epochs_fired_;
+        marker.cursor = shard->delivered;
+        deliver(*shard, std::move(marker));
+      }
     }
+    // Router-thread barrier: fires between packets, so the callback can
+    // publish fleet progress without racing the routing state.
+    if (config_.on_epoch) config_.on_epoch(epochs_fired_, routed_total_);
   }
 }
 
 void ShardedMonitor::route_segment(std::span<const PacketRecord> packets) {
   const std::size_t routed = packets.size();
-  if (shards_.size() == 1 && !barriers_) {
-    // Every packet goes to shard 0 and no barrier can fall between two of
-    // them: append whole runs, flushing at the packets the per-packet
+  if (shards_.size() == 1) {
+    // Every packet goes to shard 0 and barriers fall only between
+    // segments: append whole runs, flushing at the packets the per-packet
     // path below would flush at.
     Shard& shard = *shards_[0];
     while (!packets.empty()) {
@@ -250,7 +265,6 @@ void ShardedMonitor::route_segment(std::span<const PacketRecord> packets) {
       Shard& shard = *shards_[router_.route(packet.tuple)];
       shard.pending.push_back(packet);
       if (shard.pending.size() >= config_.batch_size) flush_shard(shard);
-      if (barriers_) maybe_barrier(shard, packet.ts);
     }
   }
   routed_total_ += routed;
@@ -269,31 +283,6 @@ void ShardedMonitor::flush_shard(Shard& shard) {
   shard.pending.reserve(config_.batch_size);
   shard.routed += work.batch.size();
   deliver(shard, std::move(work));
-}
-
-void ShardedMonitor::maybe_barrier(Shard& shard, Timestamp ts) {
-  if (shard.retired) return;
-  if (!shard.barrier_ts_armed) {
-    shard.barrier_ts_armed = true;
-    shard.last_barrier_ts = ts;
-  }
-  const CheckpointPolicy& policy = config_.checkpoint;
-  const bool packets_due =
-      policy.interval_packets != 0 &&
-      shard.delivered + shard.pending.size() - shard.last_barrier_delivered >=
-          policy.interval_packets;
-  const bool vtime_due = policy.interval_vtime_ns != 0 &&
-                         ts - shard.last_barrier_ts >= policy.interval_vtime_ns;
-  if (!packets_due && !vtime_due) return;
-  // Epoch barrier: everything routed so far goes in front of the marker,
-  // so the marker's cursor is exactly the shard stream position it cuts.
-  flush_shard(shard);
-  Work marker;
-  marker.epoch = ++shard.epoch;
-  marker.cursor = shard.delivered;
-  shard.last_barrier_delivered = shard.delivered;
-  shard.last_barrier_ts = ts;
-  deliver(shard, std::move(marker));
 }
 
 void ShardedMonitor::shed(Shard& shard, const Work& work) {

@@ -4,7 +4,7 @@
 //                      +-> [ring] -> worker 0: DartMonitor -> log 0 + hist 0
 //   packets -> router -+-> [ring] -> worker 1: DartMonitor -> log 1 + hist 1
 //     (barriers)       +-> [ring] -> worker 2: DartMonitor -> log 2 + hist 2
-//                                      |  cut at each barrier
+//                                      |  cut at each epoch barrier
 //                                      v
 //                              CheckpointCoordinator (restore on crash)
 //
@@ -47,15 +47,17 @@
 //
 //     processed + shed + abandoned + lost_to_crash == routed
 //
-// Recovery is set by three ShardedConfig fields, all off by default:
+// Recovery is set by two ShardedConfig fields, both off by default:
 //
-//   * `checkpoint`: the router injects epoch barrier markers into each
-//     shard's ring. A marker is an in-band quiesce point: the worker that
-//     pops it cuts a CheckpointImage and commits it, with the histogram
-//     (and, if kept, the samples) it emitted since the last commit, to the
-//     coordinator.
 //   * `restart_budget`: how many times a shard's dead or hung worker is
-//     replaced by a fresh incarnation.
+//     replaced by a fresh incarnation. When it is nonzero, every
+//     `epoch_interval_packets` boundary is also an epoch barrier: the
+//     router flushes every shard and injects a marker into each ring. A
+//     marker is an in-band quiesce point: the worker that pops it cuts a
+//     CheckpointImage and commits it, with the histogram (and, if kept,
+//     the samples) it emitted since the last commit, to the coordinator.
+//     All shards' epoch-k images sit at one global stream position, so
+//     together they are a consistent cut.
 //   * `hang_detection_ns`: a worker whose heartbeat stays frozen this long
 //     while the router is backpressured on its full ring is declared hung.
 //
@@ -123,14 +125,22 @@ struct ShardedConfig {
   /// How hard the router waits on a full ring before shedding the batch.
   OverloadPolicy overload;
 
-  /// Epoch hook: when nonzero, `on_epoch(epoch, routed)` fires on the
-  /// *router thread* after every `epoch_interval_packets` routed packets
-  /// (epoch counts from 1; `routed` is the total routed so far, i.e.
-  /// epoch * interval). This is the fleet exporter's barrier source: the
-  /// callback runs between process() calls, so it may inspect router-side
-  /// state and publish progress frames, but the workers have not
-  /// necessarily consumed up to the cursor yet — it is a routing barrier,
-  /// not a quiesce point. Keep the callback cheap; it stalls routing.
+  /// The one epoch clock: every `epoch_interval_packets` routed packets
+  /// (0 = no epochs) closes an epoch, counted from 1.
+  ///
+  /// With a nonzero restart_budget, each boundary flushes every live shard
+  /// and delivers it a checkpoint marker `{epoch, cursor = packets
+  /// delivered to the shard}`, so every shard's epoch-k image cuts the
+  /// same global stream position. With budget 0 no images are cut: none
+  /// could ever be restored.
+  ///
+  /// `on_epoch(epoch, routed)`, when set, then fires on the *router
+  /// thread* (`routed` is the total routed so far, i.e. epoch * interval).
+  /// This is the fleet exporter's barrier source: the callback runs
+  /// between process() calls, so it may inspect router-side state and
+  /// publish progress frames, but the workers have not necessarily
+  /// consumed up to the cursor yet — it is a routing barrier, not a
+  /// quiesce point. Keep the callback cheap; it stalls routing.
   std::uint64_t epoch_interval_packets = 0;
   std::function<void(std::uint64_t epoch, std::uint64_t routed)> on_epoch;
 
@@ -148,13 +158,11 @@ struct ShardedConfig {
   /// forever.
   std::uint64_t join_timeout_ns = 30'000'000'000ULL;  // 30 s
 
-  /// Barrier cadence for checkpoint cuts. Disabled (the default) cuts
-  /// none: a replacement worker then starts from empty state and the dead
-  /// worker's whole window counts as lost.
-  CheckpointPolicy checkpoint;
-
   /// Replacements each shard may consume for dead or hung workers. 0 (the
   /// default) never replaces one: the shard degrades to the shed path.
+  /// Nonzero also cuts a checkpoint at every epoch boundary; with
+  /// epoch_interval_packets 0 none is cut, so a replacement starts from
+  /// empty state and the dead worker's whole window counts as lost.
   std::uint32_t restart_budget = 0;
 
   /// A worker whose heartbeat makes no progress for this long while the
@@ -202,8 +210,8 @@ class ShardedMonitor {
   /// Route a whole time-ordered stream; equivalent to process() on each
   /// packet in turn (same hook firings, cursors, barrier cuts and batches),
   /// but it finds the next epoch boundary once per segment, and with one
-  /// shard and no barriers appends each segment to the batch in bulk. Same
-  /// lifecycle contract as process().
+  /// shard appends each segment to the batch in bulk. Same lifecycle
+  /// contract as process().
   void process_all(std::span<const PacketRecord> packets);
 
   /// Flush partial batches, signal end-of-stream, and join all workers
@@ -332,10 +340,6 @@ class ShardedMonitor {
     PacketBatch pending;          ///< router-side accumulation
     std::uint64_t routed = 0;     ///< handed to flush (incl. later shed)
     std::uint64_t delivered = 0;  ///< pushed into the pipeline
-    std::uint64_t epoch = 0;
-    std::uint64_t last_barrier_delivered = 0;
-    std::uint64_t last_barrier_ts = 0;
-    bool barrier_ts_armed = false;
     std::uint32_t restarts = 0;
     bool retired = false;         ///< no worker left: route to shed
     core::DartStats salvaged;     ///< last image's stats, for a lost worker
@@ -364,7 +368,6 @@ class ShardedMonitor {
   /// Route packets that close no epoch before their last one.
   void route_segment(std::span<const PacketRecord> packets);
   void flush_shard(Shard& shard);
-  void maybe_barrier(Shard& shard, Timestamp ts);
   void deliver(Shard& shard, Work&& work);
   void requeue(Shard& shard, std::vector<Work>&& carryover);
   static void shed(Shard& shard, const Work& work);
@@ -380,7 +383,6 @@ class ShardedMonitor {
   MonitorFactory factory_;
   ShardRouter router_;
   std::shared_ptr<CheckpointCoordinator> coordinator_;
-  bool barriers_ = false;           ///< config_.checkpoint.enabled()
   std::uint64_t routed_total_ = 0;  ///< router-side packets, epoch clock
   std::uint64_t epochs_fired_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -2,6 +2,11 @@
 // PacketTracker exclusion mechanics, and feature interplay.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <iterator>
+#include <set>
+
 #include "core/dart_monitor.hpp"
 #include "core/packet_tracker.hpp"
 
@@ -43,6 +48,48 @@ TEST(DartStatsSummary, MentionsKeyCounters) {
   EXPECT_NE(text.find("samples=1"), std::string::npos);
   EXPECT_NE(text.find("recirc/pkt="), std::string::npos);
   EXPECT_NE(text.find("drops("), std::string::npos);
+}
+
+// Counters numbered base, base + 1, ... in table order, written through the
+// field tables only.
+DartStats numbered(std::uint64_t base) {
+  DartStats stats;
+  std::uint64_t next = base;
+  for (const auto field : kStatFields) stats.*field = next++;
+  for (const auto field : kHealthFields) stats.runtime.*field = next++;
+  return stats;
+}
+
+using StatWords =
+    std::array<std::uint64_t, sizeof(DartStats) / sizeof(std::uint64_t)>;
+
+StatWords words_of(const DartStats& stats) {
+  StatWords words;
+  std::memcpy(words.data(), &stats, sizeof(stats));
+  return words;
+}
+
+TEST(DartStats, SumIsFieldWise) {
+  const DartStats a = numbered(1);
+  const DartStats b = numbered(1000);
+  // The words hold exactly 1..N: the tables name each counter once, so
+  // none is left at zero and none is written twice.
+  const StatWords wa = words_of(a);
+  const std::set<std::uint64_t> values(wa.begin(), wa.end());
+  EXPECT_EQ(wa.size(), std::size(kStatFields) + std::size(kHealthFields));
+  EXPECT_EQ(values.size(), wa.size());
+  EXPECT_EQ(*values.begin(), 1U);
+  EXPECT_EQ(*values.rbegin(), wa.size());
+
+  const StatWords wb = words_of(b);
+  const StatWords sum = words_of(a + b);
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    EXPECT_EQ(sum[i], wa[i] + wb[i]) << "word " << i;
+  }
+  DartStats merged = a;
+  merged.merge(b);
+  EXPECT_EQ(merged, a + b);
+  EXPECT_EQ(a.runtime + b.runtime, (a + b).runtime);
 }
 
 TEST(DartMonitorBoundedRt, SlotTakeoverCountsAndDropsOldFlow) {

@@ -172,7 +172,7 @@ TEST_P(BatchFuzz, PartialFinalBatchIsFlushedNotDropped) {
 // interleaves barrier markers between ring batches, so with a batch width
 // that never divides the barrier interval, every epoch boundary lands
 // mid-batch-stream. Each shard must still match a scalar replay of its
-// stream, and cut exactly one checkpoint per full interval it received.
+// stream, and every shard cuts exactly one checkpoint per global epoch.
 TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
   const auto packets = garbage(GetParam() ^ 0xEB0C, 20000);
   const core::DartConfig dart_config = unbounded_config();
@@ -180,20 +180,20 @@ TEST_P(BatchFuzz, BarrierStraddlingBatchesMatchAcrossWorkerModes) {
   runtime::ShardedConfig config;
   config.shards = 2;
   config.batch_size = 7;  // never divides the barrier interval
-  config.checkpoint.interval_packets = 1000;
+  config.epoch_interval_packets = 1000;
+  config.restart_budget = 1;
   const auto refs =
       runtime_check::per_shard_reference(dart_config, packets, config);
   runtime::ShardedMonitor sharded(config, dart_config);
   sharded.process_all(packets);
   sharded.finish();
 
-  std::uint64_t expected_cuts = 0;
   for (std::uint32_t i = 0; i < config.shards; ++i) {
     runtime_check::expect_shard_matches(sharded, i, refs[i], "barriers");
-    expected_cuts += refs[i].packets.size() / 1000;
   }
   EXPECT_GT(sharded.checkpoints_cut(), 0U);
-  EXPECT_EQ(sharded.checkpoints_cut(), expected_cuts);
+  EXPECT_EQ(sharded.checkpoints_cut(),
+            config.shards * (packets.size() / 1000));
   const core::RuntimeHealth health = sharded.health();
   EXPECT_EQ(health.shed_packets, 0U);
   EXPECT_EQ(health.abandoned_packets, 0U);

@@ -199,7 +199,7 @@ RoutedRun route_in_spans(const trace::Trace& trace, std::uint32_t shards,
   config.shards = shards;
   config.overload.shed_deadline_ns = sec(30);
   config.epoch_interval_packets = 100;
-  if (barriers) config.checkpoint.interval_packets = 64;
+  if (barriers) config.restart_budget = 1;  // cuts at every epoch
   runtime::ShardedMonitor* live = nullptr;
   config.on_epoch = [&run, &live](std::uint64_t epoch, std::uint64_t routed) {
     std::vector<std::uint64_t> hook{epoch, routed};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace dart::runtime {
 namespace {
 
@@ -65,8 +67,7 @@ TEST(OverloadPolicy, DisabledSheddingNeverSheds) {
   policy.spin_budget = 0;
   policy.backoff_initial_ns = 1'000;
   policy.backoff_max_ns = 1'000;
-  policy.shed_deadline_ns = 2'000;  // would shed after two sleeps
-  policy.shed_enabled = false;
+  policy.shed_deadline_ns = UINT64_MAX;  // waits forever
   OverloadGovernor governor(policy);
   for (int i = 0; i < 10'000; ++i) {
     EXPECT_EQ(governor.next().action, OverloadAction::kSleep);
@@ -79,7 +80,6 @@ TEST(OverloadPolicy, DefaultsNeverShedAHealthyWorkerQuickly) {
   // any progress within 2 s keeps its batch.
   OverloadPolicy policy;
   EXPECT_GE(policy.shed_deadline_ns, 1'000'000'000U);
-  EXPECT_TRUE(policy.shed_enabled);
   OverloadGovernor governor(policy);
   std::uint64_t slept = 0;
   for (;;) {

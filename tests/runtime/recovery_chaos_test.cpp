@@ -1,10 +1,12 @@
 // Recovery chaos suite: kills and hangs workers under ShardedMonitor's
-// recovery policy and asserts the crash-recovery contract end to end:
+// recovery policy (a restart budget, with checkpoint barriers at every
+// epoch_interval_packets boundary) and asserts the crash-recovery contract
+// end to end:
 //
 //   (i)   bounded loss  — a kill between barriers loses exactly the packets
 //                         the dead worker processed after its last committed
-//                         cut (≤ one checkpoint interval); a kill landing on
-//                         a barrier loses nothing at all;
+//                         cut (≤ one epoch interval); a kill landing on a
+//                         barrier loses nothing at all;
 //   (ii)  determinism   — for a fixed (trace, seed, plan) the recovered
 //                         run's merged stats and committed samples are
 //                         identical run to run, and relate to the
@@ -46,17 +48,18 @@ core::DartConfig monitor_config() {
   return config;
 }
 
-// batch_size 32 / interval_packets 128 gives a barrier every 4th batch, so
-// the kill-point arithmetic below is exact: ring order per shard is
-// b1..b4, M(128), b5..b8, M(256), ...  A generous queue plus a long shed
-// deadline keeps the kill scenarios shed-free (loss comes only from the
-// crash window), and hang detection stays off except in the hang test.
+// batch_size 32 / epoch_interval_packets 128 gives a barrier every 4th
+// batch, so the kill-point arithmetic below is exact: with one shard the
+// ring order is b1..b4, M(128), b5..b8, M(256), ...  A generous queue plus
+// a long shed deadline keeps the kill scenarios shed-free (loss comes only
+// from the crash window), and hang detection stays off except in the hang
+// test.
 runtime::ShardedConfig recovery_config(runtime::FaultPlan* plan) {
   runtime::ShardedConfig config;
   config.shards = 1;
   config.batch_size = 32;
   config.queue_batches = 8;
-  config.checkpoint.interval_packets = 128;
+  config.epoch_interval_packets = 128;
   config.overload.shed_deadline_ns = sec(10);
   config.restart_budget = 3;
   config.faults = plan;
@@ -288,7 +291,7 @@ TEST(Recovery, NoCheckpointsMeansTheWholePrefixIsTheLossWindow) {
   runtime::FaultPlan plan;
   plan.kill(/*shard=*/0, /*after_batches=*/5);
   runtime::ShardedConfig config = recovery_config(&plan);
-  config.checkpoint = runtime::CheckpointPolicy{};  // disabled
+  config.epoch_interval_packets = 0;  // no epochs, so no barriers
 
   const RunResult faulty = run_supervised(trace, config);
   EXPECT_EQ(faulty.checkpoints, 0U);

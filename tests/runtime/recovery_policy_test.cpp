@@ -1,10 +1,10 @@
 // ShardedMonitor's recovery policy under fault-free conditions: turning on
-// checkpoints and a restart budget must change nothing a run reports —
-// same routing, same per-shard results, same histogram — while cutting
-// checkpoints at a deterministic barrier cadence. The crash-path behavior
-// lives in recovery_chaos_test.cpp; here we pin
-// the no-fault contract and the coordinator's fencing rules, which must
-// hold long before anything crashes.
+// a restart budget, and with it a checkpoint at every epoch boundary, must
+// change nothing a run reports — same routing, same per-shard results, same
+// histogram — while cutting checkpoints at a deterministic barrier cadence.
+// The crash-path behavior lives in recovery_chaos_test.cpp; here we pin the
+// no-fault contract and the coordinator's fencing rules, which must hold
+// long before anything crashes.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -56,7 +56,7 @@ std::vector<core::RttSample> reference_samples(const trace::Trace& trace) {
 TEST(Supervisor, CleanRunMatchesSingleMonitor) {
   const trace::Trace trace = workload(1);
   runtime::ShardedConfig config = supervised_config();
-  config.checkpoint.interval_packets = 512;
+  config.epoch_interval_packets = 512;
   runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
@@ -92,7 +92,7 @@ TEST(Supervisor, MatchesShardedMonitorRun) {
   sharded.finish();
 
   runtime::ShardedConfig config = sharded_config;
-  config.checkpoint.interval_packets = 777;  // odd cadence on purpose
+  config.epoch_interval_packets = 777;  // odd cadence on purpose
   config.restart_budget = 3;
   runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
@@ -128,7 +128,7 @@ TEST(Supervisor, PacketBarrierCadenceIsExact) {
   const trace::Trace trace = workload(3);
   runtime::ShardedConfig config = supervised_config();
   config.shards = 1;  // single stream: the cadence arithmetic is exact
-  config.checkpoint.interval_packets = 256;
+  config.epoch_interval_packets = 256;
   runtime::ShardedMonitor supervisor(config, monitor_config());
   supervisor.process_all(trace.packets());
   supervisor.finish();
@@ -147,25 +147,35 @@ TEST(Supervisor, PacketBarrierCadenceIsExact) {
   expect_histogram_of_samples(supervisor);
 }
 
-TEST(Supervisor, VirtualTimeBarriersFollowTheTraceClock) {
+// One epoch clock: every shard cuts at each epoch_interval_packets
+// boundary, so all shards' latest images name the same epoch and their
+// cursors add up to that epoch's global stream position — a consistent
+// cut, whatever the interval's relation to the batch size.
+TEST(Supervisor, EpochCutIsGlobalAcrossShards) {
   const trace::Trace trace = workload(4);
-  runtime::ShardedConfig config = supervised_config();
-  config.shards = 1;
-  config.checkpoint.interval_vtime_ns = msec(500);
-
-  auto run = [&] {
+  const std::uint64_t n = trace.packets().size();
+  for (const std::uint64_t interval : {1000ULL, 4099ULL}) {
+    SCOPED_TRACE(interval);
+    runtime::ShardedConfig config = supervised_config();
+    config.restart_budget = 1;
+    config.epoch_interval_packets = interval;
     runtime::ShardedMonitor supervisor(config, monitor_config());
     supervisor.process_all(trace.packets());
     supervisor.finish();
-    expect_histogram_of_samples(supervisor);
-    return supervisor.checkpoints_cut();
-  };
-  const std::uint64_t first = run();
-  const std::uint64_t second = run();
-  // ~3 s of trace at a 500 ms cadence: several cuts, and — because the
-  // trigger is packet timestamps, not wall time — identical run to run.
-  EXPECT_GE(first, 4U);
-  EXPECT_EQ(first, second);
+
+    const std::uint64_t epochs = n / interval;
+    ASSERT_GE(epochs, 1U);
+    EXPECT_EQ(supervisor.checkpoints_cut(), supervisor.shards() * epochs);
+    std::uint64_t cursors = 0;
+    for (std::uint32_t i = 0; i < supervisor.shards(); ++i) {
+      core::SnapshotMeta meta;
+      ASSERT_TRUE(supervisor.coordinator().latest(i, nullptr, &meta));
+      EXPECT_EQ(meta.epoch, epochs) << "shard " << i;
+      cursors += meta.cursor;
+    }
+    EXPECT_EQ(cursors, epochs * interval);
+    EXPECT_EQ(supervisor.merged_samples(), reference_samples(trace));
+  }
 }
 
 TEST(Supervisor, DisabledCheckpointingStillMergesEverything) {
@@ -185,7 +195,7 @@ TEST(Supervisor, DisabledCheckpointingStillMergesEverything) {
 TEST(Supervisor, DroppedSamplesKeepTheHistogram) {
   const trace::Trace trace = workload(6);
   runtime::ShardedConfig config = supervised_config();
-  config.checkpoint.interval_packets = 512;
+  config.epoch_interval_packets = 512;
   const auto kept =
       runtime_check::finished_run(config, monitor_config(), trace.packets());
   config.keep_samples = false;
@@ -209,7 +219,7 @@ TEST(Supervisor, CommittedCountMatchesSampleCursor) {
     SCOPED_TRACE(keep ? "samples kept" : "samples dropped");
     runtime::ShardedConfig config = supervised_config();
     config.shards = 1;
-    config.checkpoint.interval_packets = kInterval;
+    config.epoch_interval_packets = kInterval;
     config.keep_samples = keep;
     runtime::ShardedMonitor supervisor(config, monitor_config());
     const runtime::CheckpointCoordinator& coordinator =

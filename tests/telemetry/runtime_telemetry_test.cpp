@@ -173,7 +173,7 @@ TEST(RuntimeTelemetry, SupervisorExportsIdentityAndCommits) {
 
   runtime::ShardedConfig config;
   config.shards = kShards;
-  config.checkpoint.interval_packets = 2048;
+  config.epoch_interval_packets = 2048;
   config.restart_budget = 3;
   config.telemetry = &metrics;
   runtime::ShardedMonitor supervisor(config, reference_config());
