@@ -20,6 +20,7 @@
 //     several points for each cadence and map checkpoint interval to the
 //     loss window, replay-to-recover (MTTR in packets), and residual
 //     sample coverage.
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -185,9 +186,11 @@ core::DartConfig monitor_config_hw() {
   return config;
 }
 
+// Long enough that the widest cadence below (8,192 per shard, an epoch of
+// 32,768 routed packets over 4 shards) cuts more than once.
 trace::Trace recovery_trace() {
   gen::CampusConfig campus;
-  campus.connections = 2000;
+  campus.connections = 6000;
   campus.duration = sec(10);
   campus.seed = 4004;
   return gen::build_campus(campus);
@@ -210,34 +213,44 @@ runtime::ShardedConfig recovery_base_config() {
 /// shards), so each sweep sets it to shards * cadence: every shard then
 /// cuts about once per `cadence` of its own packets, and the row names
 /// keep the per-shard figure. Each cadence is
-/// measured through the shared bench::measure_row harness so the sweep
-/// lands in the persisted trajectory alongside bench_throughput's rows.
+/// measured through the shared bench harness so the sweep
+/// lands in the persisted trajectory alongside bench_throughput's rows
+/// (best of kReps); the table prints the median and the min–max spread
+/// of the same repetitions, and compares medians.
 void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
   std::printf("\n-- checkpoint overhead: barrier cadence vs throughput --\n");
+  constexpr std::uint32_t kReps = 7;
   const trace::Trace trace = recovery_trace();
   const std::uint64_t packets = trace.packets().size();
 
   TextTable table({"cadence (per-shard equivalent)", "checkpoints cut",
-                   "image bytes", "replay time", "vs no checkpoints"});
+                   "image bytes", "replay time (median)", "spread (min-max)",
+                   "vs no checkpoints"});
   double base_ms = 0;
-  // ~10k packets per shard: cadences chosen to span one cut per shard up
-  // to one per few batches.
+  // Cadences chosen to span a couple of cuts per shard up to one per few
+  // batches.
   for (std::uint64_t interval : {0ULL, 8192ULL, 2048ULL, 1024ULL, 512ULL}) {
     runtime::ShardedConfig config = recovery_base_config();
     config.epoch_interval_packets = config.shards * interval;
 
     std::unique_ptr<runtime::ShardedMonitor> supervisor;
-    const bench::BenchRow row = bench::measure_row(
+    std::vector<double> rep_ms;
+    const bench::BenchRow row = bench::measure_row_timed(
         "ckpt_cadence_" +
             (interval == 0 ? std::string("off") : std::to_string(interval)),
-        "supervised", config.shards, packets, /*warmup=*/0, /*reps=*/1, [&] {
-          supervisor = std::make_unique<runtime::ShardedMonitor>(
-              config, monitor_config_hw());
-          supervisor->process_all(trace.packets());
-          supervisor->finish();
+        "supervised", config.shards, packets, /*warmup=*/1, kReps, [&] {
+          const double ns = bench::timed_section_ns([&] {
+            supervisor = std::make_unique<runtime::ShardedMonitor>(
+                config, monitor_config_hw());
+            supervisor->process_all(trace.packets());
+            supervisor->finish();
+          });
+          rep_ms.push_back(ns / 1e6);
+          return ns;
         });
-    const double ms =
-        row.mpps > 0 ? static_cast<double>(packets) / (row.mpps * 1e3) : 0;
+    rep_ms.erase(rep_ms.begin());  // the warmup run
+    std::sort(rep_ms.begin(), rep_ms.end());
+    const double ms = rep_ms[rep_ms.size() / 2];
     if (interval == 0) base_ms = ms;
     rows->push_back(row);
 
@@ -246,13 +259,16 @@ void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
     const bool has_image = supervisor->coordinator().latest(0, &image, &meta);
     char time_buf[32];
     std::snprintf(time_buf, sizeof(time_buf), "%.1f ms", ms);
+    char spread_buf[48];
+    std::snprintf(spread_buf, sizeof(spread_buf), "%.1f-%.1f ms",
+                  rep_ms.front(), rep_ms.back());
     char rel_buf[32];
     std::snprintf(rel_buf, sizeof(rel_buf), "%.2fx",
                   base_ms > 0 ? ms / base_ms : 1.0);
     table.add_row({interval == 0 ? "off" : format_count(interval),
                    format_count(supervisor->checkpoints_cut()),
                    has_image ? format_count(image.bytes.size()) : "-",
-                   time_buf, rel_buf});
+                   time_buf, spread_buf, rel_buf});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(

@@ -308,7 +308,7 @@ bool FleetCollector::apply_frame(std::uint64_t vantage,
           return false;
         }
       } else {
-        // No image (e.g. a sharded vantage): the telemetry text is the
+        // No image (as from every dart-fleet vantage): the telemetry is the
         // authoritative source for the merge counters.
         stats.packets_processed = prom_processed;
         stats.samples = prom_samples;

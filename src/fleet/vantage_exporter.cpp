@@ -45,26 +45,12 @@ RttHistogramSection to_section(const analytics::LogHistogram& hist) {
 
 }  // namespace
 
-bool VantageExporter::publish_epoch(std::uint64_t epoch, std::uint64_t cursor,
-                                    const core::CheckpointImage* checkpoint,
-                                    std::string telemetry,
-                                    const analytics::LogHistogram* rtt_histogram) {
-  SnapshotFrame frame;
-  frame.header.vantage = config_.vantage;
-  frame.header.epoch = epoch;
-  frame.header.cursor = cursor;
-  frame.header.kind = FrameKind::kEpoch;
-  if (checkpoint != nullptr) {
-    frame.has_checkpoint = true;
-    frame.checkpoint = *checkpoint;
-  }
-  frame.has_telemetry = true;
-  frame.telemetry = std::move(telemetry);
-  if (rtt_histogram != nullptr) {
-    frame.has_rtt_histogram = true;
-    frame.rtt_histogram = to_section(*rtt_histogram);
-  }
-  return publish_frame(std::move(frame));
+bool VantageExporter::publish_epoch(
+    std::uint64_t epoch, std::uint64_t cursor,
+    const core::CheckpointImage* checkpoint, std::string telemetry,
+    const analytics::LogHistogram* rtt_histogram) {
+  return publish_state(FrameKind::kEpoch, epoch, cursor, checkpoint,
+                       std::move(telemetry), rtt_histogram);
 }
 
 bool VantageExporter::publish_heartbeat(std::uint64_t epoch,
@@ -77,15 +63,23 @@ bool VantageExporter::publish_heartbeat(std::uint64_t epoch,
   return publish_frame(std::move(frame));
 }
 
-bool VantageExporter::publish_final(std::uint64_t epoch, std::uint64_t cursor,
-                                    const core::CheckpointImage* checkpoint,
-                                    std::string telemetry,
-                                    const analytics::LogHistogram* rtt_histogram) {
+bool VantageExporter::publish_final(
+    std::uint64_t epoch, std::uint64_t cursor,
+    const core::CheckpointImage* checkpoint, std::string telemetry,
+    const analytics::LogHistogram* rtt_histogram) {
+  return publish_state(FrameKind::kFinal, epoch, cursor, checkpoint,
+                       std::move(telemetry), rtt_histogram);
+}
+
+bool VantageExporter::publish_state(
+    FrameKind kind, std::uint64_t epoch, std::uint64_t cursor,
+    const core::CheckpointImage* checkpoint, std::string telemetry,
+    const analytics::LogHistogram* rtt_histogram) {
   SnapshotFrame frame;
   frame.header.vantage = config_.vantage;
   frame.header.epoch = epoch;
   frame.header.cursor = cursor;
-  frame.header.kind = FrameKind::kFinal;
+  frame.header.kind = kind;
   if (checkpoint != nullptr) {
     frame.has_checkpoint = true;
     frame.checkpoint = *checkpoint;

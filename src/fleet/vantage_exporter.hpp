@@ -57,9 +57,9 @@ class VantageExporter {
   bool publish_manifest();
 
   /// Cumulative state at epoch barrier `epoch`, after `cursor` packets.
-  /// Either optional section may be omitted (a sharded vantage has no
-  /// single checkpoint image; a checkpoint-less deployment may send stats
-  /// only). `rtt_histogram`, when given, is the vantage's *cumulative*
+  /// Either optional section may be omitted; `dart-fleet` vantages send no
+  /// `checkpoint`, since a K-shard cut has K images and a frame holds one.
+  /// `rtt_histogram`, when given, is the vantage's *cumulative*
   /// log-binned RTT distribution — the collector folds it into the fleet
   /// quantiles, so its count must equal the telemetry's samples counter.
   bool publish_epoch(std::uint64_t epoch, std::uint64_t cursor,
@@ -84,6 +84,11 @@ class VantageExporter {
   const VantageExporterConfig& config() const { return config_; }
 
  private:
+  /// publish_epoch and publish_final, which differ only in `kind`.
+  bool publish_state(FrameKind kind, std::uint64_t epoch, std::uint64_t cursor,
+                     const core::CheckpointImage* checkpoint,
+                     std::string telemetry,
+                     const analytics::LogHistogram* rtt_histogram);
   bool publish_frame(SnapshotFrame frame);
   bool deliver(std::vector<std::uint8_t> bytes, std::uint64_t sequence);
 

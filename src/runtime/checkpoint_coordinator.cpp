@@ -59,11 +59,11 @@ void CheckpointCoordinator::seal(std::uint32_t shard,
   *rtt = std::move(slot.rtt);
 }
 
-std::uint64_t CheckpointCoordinator::committed_sample_count(
+analytics::LogHistogram CheckpointCoordinator::committed_rtt(
     std::uint32_t shard) const {
   const Slot& slot = *slots_[shard];
   const common::MutexLock lock(slot.mutex);
-  return slot.rtt.count();
+  return slot.rtt;
 }
 
 std::uint64_t CheckpointCoordinator::checkpoints_cut(

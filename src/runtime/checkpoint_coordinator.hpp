@@ -19,8 +19,8 @@
 // state or smuggle rolled-back samples into the results.
 //
 // Consistency invariant: after every accepted image commit,
-//     committed_sample_count(shard) == meta.sample_cursor
-//                                   == stats.samples in the image,
+//     committed_rtt(shard).count() == meta.sample_cursor
+//                                  == stats.samples in the image,
 // because a worker commits exactly the samples it emitted before the cut
 // and a successor restores its sample counter from the same image. The
 // count is the committed histogram's mass, so the invariant reads the same
@@ -70,10 +70,10 @@ class CheckpointCoordinator {
   void seal(std::uint32_t shard, analytics::SampleLog* samples,
             analytics::LogHistogram* rtt);
 
-  /// Samples committed so far: the committed histogram's mass, which
-  /// counts them whether or not their raw records were kept. Valid until
+  /// The RTT histogram of every sample committed so far (its count()
+  /// counts them whether or not their raw records were kept). Valid until
   /// seal().
-  std::uint64_t committed_sample_count(std::uint32_t shard) const;
+  analytics::LogHistogram committed_rtt(std::uint32_t shard) const;
 
   /// Accepted image commits for `shard` / across all shards.
   std::uint64_t checkpoints_cut(std::uint32_t shard) const;

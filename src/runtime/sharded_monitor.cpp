@@ -585,6 +585,41 @@ analytics::LogHistogram ShardedMonitor::rtt_histogram() const {
   return merged;
 }
 
+bool ShardedMonitor::await_epoch(std::uint64_t epoch, EpochCut* cut) {
+  if (config_.restart_budget == 0) return false;  // no markers, no cuts
+  const auto deadline =
+      Clock::now() + std::chrono::nanoseconds(config_.join_timeout_ns);
+  *cut = EpochCut{};
+  for (auto& shard : shards_) {
+    // Nothing is routed while the router waits, so no later cut can
+    // replace the awaited one.
+    core::SnapshotMeta meta;
+    while (!shard->retired &&
+           (!coordinator_->latest(shard->index, nullptr, &meta) ||
+            meta.epoch < epoch)) {
+      if (shard->inc->dead.load(std::memory_order_acquire)) {
+        recover_dead(*shard);  // the successor replays the marker
+      } else if (config_.join_timeout_ns != 0 && Clock::now() >= deadline) {
+        return false;
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    if (meta.epoch > epoch) return false;  // routed past the awaited cut
+    core::CheckpointImage image;
+    core::DartStats stats;
+    if (!coordinator_->latest(shard->index, &image, nullptr) ||
+        core::read_stats(image, &stats)) {
+      stats = core::DartStats{};  // no readable image: zeros, as detach()
+    }
+    stats.runtime = shard->health;
+    cut->stats.push_back(stats);
+    cut->cursors.push_back(shard_routed_cursor(shard->index));
+    cut->rtt.merge(coordinator_->committed_rtt(shard->index));
+  }
+  return true;
+}
+
 bool ShardedMonitor::await_detached(std::uint64_t timeout_ns) const {
   assert(finished_ && "await_detached() requires finish()");
   const auto deadline = Clock::now() + std::chrono::nanoseconds(timeout_ns);

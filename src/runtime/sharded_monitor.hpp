@@ -136,11 +136,11 @@ struct ShardedConfig {
   ///
   /// `on_epoch(epoch, routed)`, when set, then fires on the *router
   /// thread* (`routed` is the total routed so far, i.e. epoch * interval).
-  /// This is the fleet exporter's barrier source: the callback runs
-  /// between process() calls, so it may inspect router-side state and
-  /// publish progress frames, but the workers have not necessarily
-  /// consumed up to the cursor yet — it is a routing barrier, not a
-  /// quiesce point. Keep the callback cheap; it stalls routing.
+  /// The callback runs between process() calls, so it may inspect
+  /// router-side state, but the workers have not necessarily consumed up
+  /// to the cursor yet — it is a routing barrier, not a quiesce point
+  /// (await_epoch() is the quiesce point). Keep the callback cheap; it
+  /// stalls routing.
   std::uint64_t epoch_interval_packets = 0;
   std::function<void(std::uint64_t epoch, std::uint64_t routed)> on_epoch;
 
@@ -236,8 +236,8 @@ class ShardedMonitor {
 
   /// Router-side per-shard cursor: packets routed to `shard` so far,
   /// including the pending partial batch not yet handed to the ring. The
-  /// cursors sum to routed_total(); an on_epoch callback may snapshot them
-  /// to stamp a barrier frame. Same threading contract as routed_total().
+  /// cursors sum to routed_total(); an epoch cut reports them. Same
+  /// threading contract as routed_total().
   std::uint64_t shard_routed_cursor(std::uint32_t shard) const;
 
   /// Per-shard results; valid only after finish(). A shard whose worker
@@ -274,6 +274,23 @@ class ShardedMonitor {
   }
 
   const CheckpointCoordinator& coordinator() const { return *coordinator_; }
+
+  /// One epoch's global cut: per shard, its epoch image's counters (with
+  /// the router's RuntimeHealth) and its routed cursor; and the histogram
+  /// of every sample committed up to the cut, merged across shards.
+  struct EpochCut {
+    std::vector<core::DartStats> stats;
+    std::vector<std::uint64_t> cursors;
+    analytics::LogHistogram rtt;
+  };
+
+  /// Router thread, once process_all() has routed exactly through epoch
+  /// `epoch`'s boundary: wait until every non-retired shard has committed
+  /// its epoch cut (recovering a worker found dead), then fill `cut`; a
+  /// retired shard gives its last cut. False at once with restart_budget 0
+  /// (no markers flow), or at join_timeout_ns (0: never) — always, for a
+  /// monitor without checkpoint support.
+  bool await_epoch(std::uint64_t epoch, EpochCut* cut);
 
   /// Wait up to `timeout_ns` for any force-detached workers to finally
   /// exit (e.g. after a fault plan released a hang). Returns true when

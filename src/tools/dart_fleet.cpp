@@ -2,7 +2,9 @@
 //
 //   dart-fleet vantage --id I --vantages M --spool DIR [workload options]
 //       run one vantage process: replay vantage I's deterministic slice of
-//       the campus workload and publish epoch-aligned snapshot frames.
+//       the campus workload through the sharded runtime (--shards K
+//       workers, default 1) and publish each epoch's committed cut as a
+//       state frame.
 //   dart-fleet collect --spool DIR --vantages M [--out FILE] [--check]
 //       ingest every vantage stream (retry + quarantine + liveness
 //       fencing) and emit the deterministic merged report.
@@ -19,17 +21,17 @@
 // in `vantage` mode a kill fault terminates the process with exit code 3
 // so drivers can assert the crash actually happened. Exit codes: 0 ok,
 // 1 check failure / collection error, 2 usage error, 3 killed by fault.
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "analytics/histogram.hpp"
-#include "core/dart_monitor.hpp"
+#include "core/config.hpp"
 #include "fleet/collector.hpp"
 #include "fleet/snapshot_sink.hpp"
 #include "fleet/vantage_exporter.hpp"
@@ -65,8 +67,7 @@ void print_usage(std::ostream& out) {
          "    --connections N           campus connections (default 2000)\n"
          "    --duration-s T            campus duration seconds (default 6)\n"
          "    --epochs E                epoch barriers to publish (default 4)\n"
-         "    --shards K                worker shards; 1 = single monitor\n"
-         "                              with checkpoint frames (default 1)\n"
+         "    --shards K                worker shards (default 1)\n"
          "    --incarnation N           restart incarnation tag: publish\n"
          "                              slots never collide with an earlier\n"
          "                              incarnation's files (default 0)\n"
@@ -155,9 +156,6 @@ struct VantageOptions {
   std::uint64_t shards = 1;
   std::uint64_t incarnation = 0;
   FaultOptions faults;
-  /// Demo mode: a kill fault ends this vantage's loop instead of
-  /// terminating the process.
-  bool in_process = false;
 };
 
 /// Parse one --fault-* flag (shared by vantage and demo). Returns 0 when
@@ -227,6 +225,23 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
   return 0;
 }
 
+/// Parse one flag vantage and demo share: the workload shape or a
+/// --fault-* flag. Returns 0 when `arg` is neither, 1 when it consumed
+/// `value`, -1 on a missing or malformed value.
+int parse_shared_flag(const std::string& arg, const std::string& value,
+                      bool has_value, VantageOptions* options) {
+  std::uint64_t* number = nullptr;
+  if (arg == "--vantages") number = &options->vantages;
+  else if (arg == "--seed") number = &options->seed;
+  else if (arg == "--connections") number = &options->connections;
+  else if (arg == "--duration-s") number = &options->duration_s;
+  else if (arg == "--epochs") number = &options->epochs;
+  if (number == nullptr) {
+    return parse_fault_flag(arg, value, has_value, &options->faults);
+  }
+  return has_value && parse_u64(value, number) ? 1 : -1;
+}
+
 void apply_faults(const FaultOptions& options, dart::runtime::FaultPlan& plan) {
   if (options.kill_after != ~std::uint64_t{0}) {
     plan.exporter_kill(options.kill_after);
@@ -270,80 +285,6 @@ std::vector<PacketRecord> build_slice(const VantageOptions& options) {
   return slice;
 }
 
-int run_vantage_single(const std::vector<PacketRecord>& slice,
-                       dart::fleet::VantageExporter& exporter,
-                       std::uint64_t interval) {
-  // Cumulative RTT distribution, fed straight off the sample callback:
-  // every state frame carries the histogram-so-far, so the collector's
-  // fleet-wide quantiles stay exact whichever frame it last accepted.
-  dart::analytics::LogHistogram rtt;
-  dart::core::DartMonitor monitor(
-      dart::core::DartConfig{},
-      [&rtt](const dart::core::RttSample& sample) { rtt.add(sample.rtt()); });
-  std::uint64_t epoch = 0;
-  for (std::size_t i = 0; i < slice.size(); ++i) {
-    monitor.process(slice[i]);
-    const std::uint64_t cursor = i + 1;
-    if (cursor % interval != 0) continue;
-    ++epoch;
-    const dart::core::CheckpointImage image = monitor.snapshot(
-        dart::core::SnapshotMeta{epoch, cursor, monitor.stats().samples});
-    const dart::core::DartStats stats = monitor.stats();
-    const std::string telemetry = dart::fleet::render_vantage_telemetry(
-        std::span(&stats, 1), std::span(&cursor, 1));
-    exporter.publish_epoch(epoch, cursor, &image, telemetry, &rtt);
-    if (exporter.killed()) return kExitKilled;
-  }
-  const std::uint64_t cursor = slice.size();
-  const dart::core::CheckpointImage image = monitor.snapshot(
-      dart::core::SnapshotMeta{epoch + 1, cursor, monitor.stats().samples});
-  const dart::core::DartStats stats = monitor.stats();
-  const std::string telemetry = dart::fleet::render_vantage_telemetry(
-      std::span(&stats, 1), std::span(&cursor, 1));
-  exporter.publish_final(epoch + 1, cursor, &image, telemetry, &rtt);
-  return exporter.killed() ? kExitKilled : kExitOk;
-}
-
-int run_vantage_sharded(const VantageOptions& options,
-                        const std::vector<PacketRecord>& slice,
-                        dart::fleet::VantageExporter& exporter,
-                        std::uint64_t interval) {
-  dart::runtime::ShardedConfig config;
-  config.shards = static_cast<std::uint32_t>(options.shards);
-  config.epoch_interval_packets = interval;
-  config.keep_samples = false;  // the final frame carries the histogram
-  config.on_epoch = [&exporter](std::uint64_t epoch, std::uint64_t routed) {
-    // Router-thread barrier: progress-only heartbeats; the cumulative
-    // state frame comes after quiesce, when the counters are settled.
-    exporter.publish_heartbeat(epoch, routed);
-  };
-  dart::runtime::ShardedMonitor monitor(config, dart::core::DartConfig{});
-  for (const PacketRecord& packet : slice) {
-    monitor.process(packet);
-    if (exporter.killed()) return kExitKilled;
-  }
-  monitor.finish();
-  std::vector<dart::core::DartStats> per_shard;
-  std::vector<std::uint64_t> routed_per_shard;
-  for (std::uint32_t shard = 0; shard < monitor.shards(); ++shard) {
-    const dart::core::DartStats stats = monitor.shard_stats(shard);
-    per_shard.push_back(stats);
-    routed_per_shard.push_back(
-        stats.packets_processed + stats.runtime.shed_packets +
-        stats.runtime.abandoned_packets + stats.runtime.lost_to_crash);
-  }
-  // The workers' histograms are readable only after finish(), so the
-  // merged histogram rides the final frame (heartbeats at the barriers
-  // carry no state anyway).
-  const dart::analytics::LogHistogram rtt = monitor.rtt_histogram();
-  const std::uint64_t epochs_fired = slice.size() / interval;
-  exporter.publish_final(
-      epochs_fired + 1, slice.size(), nullptr,
-      dart::fleet::render_vantage_telemetry(per_shard, routed_per_shard),
-      &rtt);
-  return exporter.killed() ? kExitKilled : kExitOk;
-}
-
 int run_vantage(const VantageOptions& options,
                 dart::fleet::SnapshotSink& sink) {
   const std::vector<PacketRecord> slice = build_slice(options);
@@ -369,11 +310,46 @@ int run_vantage(const VantageOptions& options,
 
   exporter.publish_manifest();
   if (exporter.killed()) return kExitKilled;
-  const int code =
-      options.shards > 1
-          ? run_vantage_sharded(options, slice, exporter, interval)
-          : run_vantage_single(slice, exporter, interval);
-  return code;
+
+  // The vantage is the sharded runtime. A restart budget arms the epoch
+  // markers: every shard cuts a checkpoint at each epoch boundary, and the
+  // state frame publishes that global cut. The workers only bin RTTs, so
+  // each frame's histogram is the one committed up to its cut.
+  dart::runtime::ShardedConfig runtime;
+  runtime.shards = static_cast<std::uint32_t>(options.shards);
+  runtime.epoch_interval_packets = interval;
+  runtime.keep_samples = false;
+  runtime.restart_budget = 1;
+  dart::runtime::ShardedMonitor monitor(runtime, dart::core::DartConfig{});
+  const std::span<const PacketRecord> packets(slice);
+  const std::uint64_t epochs = slice.size() / interval;
+  dart::runtime::ShardedMonitor::EpochCut cut;
+  for (std::uint64_t epoch = 1; epoch <= epochs; ++epoch) {
+    monitor.process_all(packets.subspan((epoch - 1) * interval, interval));
+    if (!monitor.await_epoch(epoch, &cut)) {
+      std::cerr << "dart-fleet vantage: epoch " << epoch
+                << " cut never committed\n";
+      return kExitFailure;
+    }
+    exporter.publish_epoch(
+        epoch, epoch * interval, nullptr,
+        dart::fleet::render_vantage_telemetry(cut.stats, cut.cursors),
+        &cut.rtt);
+    if (exporter.killed()) return kExitKilled;
+  }
+  monitor.process_all(packets.subspan(epochs * interval));
+  monitor.finish();
+  dart::runtime::ShardedMonitor::EpochCut last;
+  for (std::uint32_t shard = 0; shard < monitor.shards(); ++shard) {
+    last.stats.push_back(monitor.shard_stats(shard));
+    last.cursors.push_back(monitor.shard_routed_cursor(shard));
+  }
+  last.rtt = monitor.rtt_histogram();
+  exporter.publish_final(
+      epochs + 1, slice.size(), nullptr,
+      dart::fleet::render_vantage_telemetry(last.stats, last.cursors),
+      &last.rtt);
+  return exporter.killed() ? kExitKilled : kExitOk;
 }
 
 int cmd_vantage(const VantageOptions& options) {
@@ -456,53 +432,29 @@ int cmd_check(const std::string& path) {
 }
 
 struct DemoOptions {
-  std::string dir;
-  std::uint64_t vantages = 4;
-  std::uint64_t seed = 42;
-  std::uint64_t connections = 2000;
-  std::uint64_t duration_s = 6;
-  std::uint64_t epochs = 4;
+  VantageOptions fleet;  ///< every vantage's workload; faults go to one
   std::uint64_t fault_vantage = 1;
-  std::uint64_t skew_grace = 2;
-  FaultOptions faults;
-  std::string out;
-  std::string skew_out;
-  bool check = false;
-  bool quiet = false;
+  CollectOptions collect;  ///< spool = --dir
 };
 
-int cmd_demo(const DemoOptions& options) {
-  if (options.dir.empty() || options.vantages == 0) {
+int cmd_demo(DemoOptions options) {
+  const std::uint64_t vantages = options.fleet.vantages;
+  if (options.collect.spool.empty() || vantages == 0) {
     std::cerr << "dart-fleet demo: need --dir and --vantages > 0\n";
     return kExitUsage;
   }
-  dart::fleet::SpoolSink sink(options.dir);
-  for (std::uint64_t id = 0; id < options.vantages; ++id) {
-    VantageOptions vantage;
+  dart::fleet::SpoolSink sink(options.collect.spool);
+  for (std::uint64_t id = 0; id < vantages; ++id) {
+    VantageOptions vantage = options.fleet;
     vantage.id = id;
-    vantage.vantages = options.vantages;
-    vantage.seed = options.seed;
-    vantage.connections = options.connections;
-    vantage.duration_s = options.duration_s;
-    vantage.epochs = options.epochs;
-    vantage.in_process = true;
-    if (options.faults.any && id == options.fault_vantage % options.vantages) {
-      vantage.faults = options.faults;
-    }
+    if (id != options.fault_vantage % vantages) vantage.faults = {};
     const int code = run_vantage(vantage, sink);
     if (code == kExitUsage) return code;
     // kExitKilled just ends this vantage's stream early (in-process
     // "crash"); the collector must fence it and account the loss.
   }
-  CollectOptions collect;
-  collect.spool = options.dir;
-  collect.vantages = options.vantages;
-  collect.out = options.out;
-  collect.skew_out = options.skew_out;
-  collect.check = options.check;
-  collect.quiet = options.quiet;
-  collect.config.skew_grace_epochs = options.skew_grace;
-  return cmd_collect(std::move(collect));
+  options.collect.vantages = vantages;
+  return cmd_collect(std::move(options.collect));
 }
 
 }  // namespace
@@ -526,23 +478,18 @@ int main(int argc, char** argv) {
     VantageOptions options;
     for (std::size_t i = 1; i < args.size(); ++i) {
       const std::string& arg = args[i];
-      const int fault =
-          parse_fault_flag(arg, value_of(i), has_value(i), &options.faults);
-      if (fault == 1) {
+      const int shared =
+          parse_shared_flag(arg, value_of(i), has_value(i), &options);
+      if (shared == 1) {
         ++i;
         continue;
       }
-      if (fault == -1) {
+      if (shared == -1) {
         std::cerr << "dart-fleet vantage: malformed " << arg << " value\n";
         return kExitUsage;
       }
       std::uint64_t* number = nullptr;
       if (arg == "--id") number = &options.id;
-      else if (arg == "--vantages") number = &options.vantages;
-      else if (arg == "--seed") number = &options.seed;
-      else if (arg == "--connections") number = &options.connections;
-      else if (arg == "--duration-s") number = &options.duration_s;
-      else if (arg == "--epochs") number = &options.epochs;
       else if (arg == "--shards") number = &options.shards;
       else if (arg == "--incarnation") number = &options.incarnation;
       if (number != nullptr) {
@@ -625,24 +572,20 @@ int main(int argc, char** argv) {
     DemoOptions options;
     for (std::size_t i = 1; i < args.size(); ++i) {
       const std::string& arg = args[i];
-      const int fault =
-          parse_fault_flag(arg, value_of(i), has_value(i), &options.faults);
-      if (fault == 1) {
+      const int shared =
+          parse_shared_flag(arg, value_of(i), has_value(i), &options.fleet);
+      if (shared == 1) {
         ++i;
         continue;
       }
-      if (fault == -1) {
+      if (shared == -1) {
         std::cerr << "dart-fleet demo: malformed " << arg << " value\n";
         return kExitUsage;
       }
       std::uint64_t* number = nullptr;
-      if (arg == "--vantages") number = &options.vantages;
-      else if (arg == "--seed") number = &options.seed;
-      else if (arg == "--connections") number = &options.connections;
-      else if (arg == "--duration-s") number = &options.duration_s;
-      else if (arg == "--epochs") number = &options.epochs;
-      else if (arg == "--fault-vantage") number = &options.fault_vantage;
-      else if (arg == "--skew-grace") number = &options.skew_grace;
+      if (arg == "--fault-vantage") number = &options.fault_vantage;
+      else if (arg == "--skew-grace")
+        number = &options.collect.config.skew_grace_epochs;
       if (number != nullptr) {
         if (!has_value(i) || !parse_u64(args[++i], number)) {
           std::cerr << "dart-fleet demo: bad value for " << arg << "\n";
@@ -651,21 +594,21 @@ int main(int argc, char** argv) {
         continue;
       }
       if (arg == "--dir" && has_value(i)) {
-        options.dir = args[++i];
+        options.collect.spool = args[++i];
       } else if (arg == "--out" && has_value(i)) {
-        options.out = args[++i];
+        options.collect.out = args[++i];
       } else if (arg == "--skew-out" && has_value(i)) {
-        options.skew_out = args[++i];
+        options.collect.skew_out = args[++i];
       } else if (arg == "--check") {
-        options.check = true;
+        options.collect.check = true;
       } else if (arg == "--quiet") {
-        options.quiet = true;
+        options.collect.quiet = true;
       } else {
         std::cerr << "dart-fleet demo: unknown option " << arg << "\n";
         return kExitUsage;
       }
     }
-    return cmd_demo(options);
+    return cmd_demo(std::move(options));
   }
 
   print_usage(command == "--help" || command == "-h" ? std::cout

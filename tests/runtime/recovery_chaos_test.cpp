@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/dart_monitor.hpp"
@@ -303,6 +304,28 @@ TEST(Recovery, NoCheckpointsMeansTheWholePrefixIsTheLossWindow) {
                 faulty.health.abandoned_packets +
                 faulty.health.lost_to_crash,
             n);
+}
+
+// A worker that dies before its epoch marker is recovered while the router
+// awaits the cut, when nothing is left to route and so no delivery notices
+// the death. The successor replays the parked batch and the marker, and the
+// cut it commits keeps the identity at the boundary.
+TEST(Recovery, AwaitEpochRecoversAWorkerDeadBeforeItsMarker) {
+  const trace::Trace trace = recovery_workload(12);
+  runtime::FaultPlan plan;
+  plan.kill(/*shard=*/0, /*after_batches=*/3);  // b4, just before M(128)
+  runtime::ShardedMonitor supervisor(recovery_config(&plan),
+                                     monitor_config());
+  supervisor.process_all(std::span(trace.packets()).first(128));
+  runtime::ShardedMonitor::EpochCut cut;
+  ASSERT_TRUE(supervisor.await_epoch(1, &cut));
+  const core::DartStats& stats = cut.stats[0];
+  EXPECT_EQ(stats.runtime.workers_killed, 1U);
+  EXPECT_EQ(stats.runtime.lost_to_crash, 96U);  // b1..b3: no earlier image
+  EXPECT_EQ(stats.packets_processed, 32U);      // b4, replayed
+  EXPECT_EQ(cut.cursors[0], 128U);
+  EXPECT_EQ(cut.rtt.count(), stats.samples);
+  supervisor.finish();
 }
 
 }  // namespace

@@ -207,7 +207,7 @@ TEST(Supervisor, DroppedSamplesKeepTheHistogram) {
   runtime_check::expect_samples_dropped(*dropped, *kept);
 }
 
-// The coordinator's invariant, committed_sample_count == meta.sample_cursor
+// The coordinator's invariant, committed_rtt().count() == meta.sample_cursor
 // after every accepted image, read live between barriers: the stream is
 // fed a barrier interval at a time, and each cut is awaited before the
 // next interval is routed, so nothing commits while the two are read.
@@ -240,13 +240,80 @@ TEST(Supervisor, CommittedCountMatchesSampleCursor) {
       core::SnapshotMeta meta;
       ASSERT_TRUE(coordinator.latest(0, nullptr, &meta));
       EXPECT_EQ(meta.cursor, at + kInterval);
-      EXPECT_EQ(coordinator.committed_sample_count(0), meta.sample_cursor);
+      EXPECT_EQ(coordinator.committed_rtt(0).count(), meta.sample_cursor);
       last_cursor = meta.sample_cursor;
     }
     ASSERT_GT(cuts, 4U);
     EXPECT_GT(last_cursor, 0U);
     supervisor.finish();
   }
+}
+
+// await_epoch is the router's quiesce point: after routing exactly through
+// epoch k's boundary it yields the global cut all shards committed there.
+// The cursors add up to the boundary, the committed histogram holds exactly
+// the cut's samples, and the last cut's counters and histogram are those of
+// a per-shard reference replay of the same prefix.
+TEST(Supervisor, AwaitEpochYieldsTheGlobalCut) {
+  const trace::Trace trace = workload(8);
+  const std::span<const PacketRecord> packets(trace.packets());
+  constexpr std::uint64_t kInterval = 1000;
+  runtime::ShardedConfig config = supervised_config();
+  config.epoch_interval_packets = kInterval;
+  config.keep_samples = false;
+  runtime::ShardedMonitor supervisor(config, monitor_config());
+  const std::uint64_t epochs = packets.size() / kInterval;
+  ASSERT_GE(epochs, 3U);
+  runtime::ShardedMonitor::EpochCut cut;
+  for (std::uint64_t k = 1; k <= epochs; ++k) {
+    SCOPED_TRACE(k);
+    supervisor.process_all(packets.subspan((k - 1) * kInterval, kInterval));
+    ASSERT_TRUE(supervisor.await_epoch(k, &cut));
+    ASSERT_EQ(cut.stats.size(), supervisor.shards());
+    ASSERT_EQ(cut.cursors.size(), supervisor.shards());
+    std::uint64_t cursors = 0;
+    std::uint64_t samples = 0;
+    for (std::uint32_t i = 0; i < supervisor.shards(); ++i) {
+      cursors += cut.cursors[i];
+      samples += cut.stats[i].samples;
+    }
+    EXPECT_EQ(cursors, k * kInterval);
+    EXPECT_EQ(cut.rtt.count(), samples);
+  }
+
+  const auto refs = runtime_check::per_shard_reference(
+      monitor_config(), packets.first(epochs * kInterval), config);
+  std::vector<core::RttSample> ref_samples;
+  for (std::uint32_t i = 0; i < supervisor.shards(); ++i) {
+    core::DartStats got = cut.stats[i];
+    got.runtime = core::RuntimeHealth{};
+    EXPECT_EQ(got, refs[i].stats) << "shard " << i;
+    EXPECT_EQ(cut.cursors[i], refs[i].packets.size()) << "shard " << i;
+    ref_samples.insert(ref_samples.end(), refs[i].samples.begin(),
+                       refs[i].samples.end());
+  }
+  runtime_check::expect_same_histogram(
+      cut.rtt, runtime_check::histogram_of(ref_samples));
+  supervisor.finish();
+}
+
+// Without a restart budget no markers flow, so no cut can ever commit:
+// await_epoch says so at once instead of sitting out join_timeout_ns.
+TEST(Supervisor, AwaitEpochWithoutBudgetReturnsAtOnce) {
+  const trace::Trace trace = workload(9);
+  runtime::ShardedConfig config = supervised_config();
+  config.restart_budget = 0;
+  config.epoch_interval_packets = 1000;
+  ASSERT_GE(config.join_timeout_ns, 1'000'000'000U);
+  runtime::ShardedMonitor sharded(config, monitor_config());
+  sharded.process_all(std::span(trace.packets()).first(1000));
+  runtime::ShardedMonitor::EpochCut cut;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(sharded.await_epoch(1, &cut));
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+  sharded.finish();
+  EXPECT_EQ(sharded.checkpoints_cut(), 0U);
 }
 
 analytics::SampleLog log_of(std::size_t samples) {
@@ -270,7 +337,7 @@ TEST(CoordinatorFencing, StaleIncarnationCannotCommit) {
   image.bytes = {1, 2, 3};
   EXPECT_TRUE(coordinator.commit(0, first, core::CheckpointImage{image}, meta,
                                  log_of(1), histogram_of(1)));
-  EXPECT_EQ(coordinator.committed_sample_count(0), 1U);
+  EXPECT_EQ(coordinator.committed_rtt(0).count(), 1U);
   EXPECT_EQ(coordinator.checkpoints_cut(0), 1U);
 
   // Ownership moves to a successor; the old incarnation becomes a zombie.
@@ -288,7 +355,7 @@ TEST(CoordinatorFencing, StaleIncarnationCannotCommit) {
   EXPECT_FALSE(coordinator.commit(0, first, core::CheckpointImage{}, {},
                                   log_of(1), histogram_of(1)));
   // Nothing the zombie sent landed.
-  EXPECT_EQ(coordinator.committed_sample_count(0), 1U);
+  EXPECT_EQ(coordinator.committed_rtt(0).count(), 1U);
   EXPECT_EQ(coordinator.checkpoints_cut(0), 1U);
   core::CheckpointImage latest;
   core::SnapshotMeta latest_meta;
@@ -300,7 +367,7 @@ TEST(CoordinatorFencing, StaleIncarnationCannotCommit) {
   // samples without replacing the stored checkpoint.
   EXPECT_TRUE(coordinator.commit(0, second, core::CheckpointImage{}, {},
                                  log_of(1), histogram_of(1)));
-  EXPECT_EQ(coordinator.committed_sample_count(0), 2U);
+  EXPECT_EQ(coordinator.committed_rtt(0).count(), 2U);
   EXPECT_EQ(coordinator.checkpoints_cut(0), 1U);
 
   // Sealing fences the current owner too and hands over exactly the
@@ -314,7 +381,7 @@ TEST(CoordinatorFencing, StaleIncarnationCannotCommit) {
                                   log_of(1), histogram_of(1)));
 
   // Other shards are independent.
-  EXPECT_EQ(coordinator.committed_sample_count(1), 0U);
+  EXPECT_EQ(coordinator.committed_rtt(1).count(), 0U);
   EXPECT_EQ(coordinator.begin_incarnation(1), 1U);
 }
 
