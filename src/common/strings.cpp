@@ -1,6 +1,8 @@
 #include "common/strings.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace dart {
@@ -25,6 +27,18 @@ std::string format_count(std::uint64_t value) {
     out.push_back(digits[i]);
   }
   return out;
+}
+
+bool parse_nonnegative(std::string_view text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value) ||
+      value < 0.0) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 TextTable::TextTable(std::vector<std::string> header)

@@ -1,8 +1,15 @@
-// Small text-output helpers shared by the benchmark harnesses and examples.
+// Small text helpers shared by the benchmark harnesses, examples and the
+// command-line tools.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace dart {
@@ -16,6 +23,30 @@ std::string format_percent(double ratio, int precision = 1);
 
 /// Group thousands for readability: 1234567 -> "1,234,567".
 std::string format_count(std::uint64_t value);
+
+/// Strict numeric command-line value: the whole token is a decimal integer
+/// in [min, max] and in T's range. No suffix ("12x"), exponent ("1e3"),
+/// whitespace or (for unsigned T) sign; a refused token leaves `out`
+/// untouched, so a typo is never read as its numeric prefix or wrapped
+/// into a narrower field.
+template <std::integral T>
+bool parse_integer(
+    std::string_view text, T* out,
+    std::type_identity_t<T> min = std::numeric_limits<T>::min(),
+    std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// The same for a rate or a ratio: a finite decimal number >= 0 ("1.5",
+/// "2e-1" and "3" pass; "inf", "nan", "-1" and "1.5x" do not).
+bool parse_nonnegative(std::string_view text, double* out);
 
 /// A minimal fixed-width text table: add a header and rows, then render.
 /// Used by every bench binary so the regenerated figures print uniformly.

@@ -1,7 +1,5 @@
 #include "core/stats.hpp"
 
-#include <iterator>
-
 #include "common/strings.hpp"
 #include "core/checkpoint.hpp"
 
@@ -34,22 +32,15 @@ DartStats& DartStats::operator+=(const DartStats& other) {
   return *this;
 }
 
-namespace {
-
-constexpr std::uint32_t kStatFieldCount = static_cast<std::uint32_t>(
-    std::size(kStatFields) + std::size(kHealthFields));
-
-}  // namespace
-
 void DartStats::snapshot(CheckpointWriter& writer) const {
-  writer.u32(kStatFieldCount);
+  writer.u32(kStatCounters);
   for (const auto field : kStatFields) writer.u64(this->*field);
   for (const auto field : kHealthFields) writer.u64(runtime.*field);
 }
 
 CheckpointError DartStats::restore(CheckpointReader& reader) {
   const std::uint32_t count = reader.u32();
-  if (!reader.error() && count != kStatFieldCount) {
+  if (!reader.error() && count != kStatCounters) {
     reader.fail_field();
   }
   DartStats staged;

@@ -195,6 +195,12 @@ inline constexpr std::uint64_t DartStats::* kStatFields[] = {
     &DartStats::samples,
 };
 
+/// Every counter, RuntimeHealth included: the field count that both the
+/// checkpoint's stats section and the fleet frame's stats section lead
+/// with, so a reader built with other tables refuses the section.
+inline constexpr std::uint32_t kStatCounters = static_cast<std::uint32_t>(
+    std::size(kStatFields) + std::size(kHealthFields));
+
 static_assert(sizeof(RuntimeHealth) ==
                   std::size(kHealthFields) * sizeof(std::uint64_t),
               "a RuntimeHealth counter is missing from kHealthFields");

@@ -113,8 +113,6 @@ const char* to_string(QuarantineReason reason) {
       return "duplicate-sequence";
     case QuarantineReason::kStaleEpoch:
       return "stale-epoch";
-    case QuarantineReason::kBadCheckpoint:
-      return "bad-checkpoint";
     case QuarantineReason::kStatsMismatch:
       return "stats-mismatch";
     case QuarantineReason::kIoError:
@@ -219,17 +217,6 @@ bool FleetCollector::apply_frame(std::uint64_t vantage,
       ++status.frames_accepted;
       return true;
     }
-    case FrameKind::kHeartbeat: {
-      // Liveness only: sequence discipline already admitted it in order;
-      // it carries no state to validate and must not move the loss cursor
-      // (its progress claim is not backed by counters).
-      if (status.state != VantageState::kComplete &&
-          status.state != VantageState::kStale) {
-        status.state = VantageState::kLive;
-      }
-      ++status.frames_accepted;
-      return true;
-    }
     case FrameKind::kEpoch:
     case FrameKind::kFinal: {
       if (status.has_stats && (frame.header.epoch <= status.last_epoch ||
@@ -253,77 +240,35 @@ bool FleetCollector::apply_frame(std::uint64_t vantage,
           return false;
         }
       }
-      if (!frame.has_telemetry) {
+      if (!frame.has_stats) {
         quarantine(pending.file, vantage, QuarantineReason::kBadFrame, 44);
         return false;
       }
-      const auto samples = telemetry::parse_prometheus(frame.telemetry);
-      const std::uint64_t prom_routed =
-          as_count(telemetry::prom_value(samples, "dart_routed_total"));
-      const std::uint64_t prom_processed =
-          as_count(telemetry::prom_value(samples, "dart_processed_total"));
-      const std::uint64_t prom_shed =
-          as_count(telemetry::prom_value(samples, "dart_shed_total"));
-      const std::uint64_t prom_abandoned =
-          as_count(telemetry::prom_value(samples, "dart_abandoned_total"));
-      const std::uint64_t prom_lost_to_crash = as_count(
-          telemetry::prom_value(samples, "dart_lost_to_crash_total"));
-      const std::uint64_t prom_samples =
-          as_count(telemetry::prom_value(samples, "dart_samples_total"));
-      // Deep cross-validation before any state moves: the telemetry text
-      // must agree with the envelope cursor and satisfy the per-vantage
-      // identity; an embedded checkpoint must validate and agree too.
-      if (prom_routed != frame.header.cursor ||
-          prom_processed + prom_shed + prom_abandoned + prom_lost_to_crash !=
-              prom_routed) {
+      // Cross-validation before any state moves: the counters must account
+      // for exactly the envelope cursor (the per-vantage identity, summed
+      // without wrap-around), and a histogram section's mass must be the
+      // cumulative sample count.
+      const core::RuntimeHealth& health = frame.stats.runtime;
+      std::uint64_t unaccounted = frame.header.cursor;
+      bool balanced = true;
+      for (const std::uint64_t part :
+           {frame.stats.packets_processed, health.shed_packets,
+            health.abandoned_packets, health.lost_to_crash}) {
+        balanced = balanced && part <= unaccounted;
+        if (balanced) unaccounted -= part;
+      }
+      if (!balanced || unaccounted != 0 ||
+          (frame.has_rtt_histogram &&
+           frame.rtt_histogram.total() != frame.stats.samples)) {
         quarantine(pending.file, vantage, QuarantineReason::kStatsMismatch,
                    36);
         return false;
-      }
-      // A histogram section's mass is the vantage's cumulative sample
-      // count; disagreement means the frame is internally inconsistent.
-      if (frame.has_rtt_histogram &&
-          frame.rtt_histogram.total() != prom_samples) {
-        quarantine(pending.file, vantage, QuarantineReason::kStatsMismatch,
-                   36);
-        return false;
-      }
-      core::DartStats stats;
-      if (frame.has_checkpoint) {
-        core::CheckpointInfo info;
-        if (auto err = core::read_info(frame.checkpoint, &info)) {
-          quarantine(pending.file, vantage,
-                     QuarantineReason::kBadCheckpoint, err.offset);
-          return false;
-        }
-        if (auto err = core::read_stats(frame.checkpoint, &stats)) {
-          quarantine(pending.file, vantage,
-                     QuarantineReason::kBadCheckpoint, err.offset);
-          return false;
-        }
-        if (stats.packets_processed != prom_processed ||
-            stats.samples != prom_samples) {
-          quarantine(pending.file, vantage,
-                     QuarantineReason::kStatsMismatch, 36);
-          return false;
-        }
-      } else {
-        // No image (as from every dart-fleet vantage): the telemetry is the
-        // authoritative source for the merge counters.
-        stats.packets_processed = prom_processed;
-        stats.samples = prom_samples;
-        stats.recirculations = as_count(
-            telemetry::prom_value(samples, "dart_recirculations_total"));
-        stats.runtime.shed_packets = prom_shed;
-        stats.runtime.abandoned_packets = prom_abandoned;
-        stats.runtime.lost_to_crash = prom_lost_to_crash;
       }
       status.last_epoch = frame.header.epoch;
       status.cursor = frame.header.cursor;
       status.epoch_skew = skew;
-      status.stats = stats;
+      status.stats = frame.stats;
       status.has_stats = true;
-      status.telemetry = std::move(frame.telemetry);
       if (frame.has_rtt_histogram) {
         // Cumulative like every other state section: replace, don't add.
         status.rtt_histogram = analytics::LogHistogram::from_layout(

@@ -6,9 +6,10 @@
 //
 //  * Typed ingest errors + quarantine, never a crash: a frame that fails
 //    envelope validation (torn, truncated, CRC-bad), sequence discipline
-//    (duplicate, stale epoch), or deep cross-validation (embedded
-//    checkpoint counters disagree with the telemetry text) is recorded
-//    with a reason and set aside. Because state frames are cumulative, a
+//    (duplicate, stale epoch), or cross-validation (its stats section
+//    breaks processed + shed + abandoned + lost_to_crash == cursor, or its
+//    histogram's mass is not the stats' sample count) is recorded with a
+//    reason and set aside. Because state frames are cumulative, a
 //    quarantined mid-stream frame costs nothing once a later one lands.
 //
 //  * Retry with bounded exponential backoff + jitter: run() polls the
@@ -34,7 +35,7 @@
 //    then skipped and counted missing.
 //
 //  * Epoch alignment under clock skew: the *cursor* (packets covered,
-//    cross-validated against the telemetry counters) is the trusted clock;
+//    cross-validated against the stats counters) is the trusted clock;
 //    the epoch header is just a claim. With a manifest interval the barrier
 //    a state frame should claim is cursor / epoch_interval, so a skewed
 //    claim within skew_grace_epochs heals losslessly (the frame is applied
@@ -43,9 +44,7 @@
 //    advance, so the vantage's loss window stays exact and the fleet
 //    identity holds. The fleet epoch watermark is the minimum aligned
 //    epoch over non-fenced vantages: a fleet epoch is committed only once
-//    every participant has exported at or past it. Heartbeats carry no
-//    validated state and never move cursors, skew estimates, or the
-//    watermark.
+//    every participant has exported at or past it.
 #pragma once
 
 #include <cstdint>
@@ -82,13 +81,12 @@ enum class QuarantineReason : std::uint8_t {
   kUnknownVantage,    ///< vantage id outside the configured fleet
   kDuplicateSequence, ///< sequence number already accepted or pending
   kStaleEpoch,        ///< epoch/cursor went backwards vs accepted state
-  kBadCheckpoint,     ///< embedded checkpoint image failed validation
-  kStatsMismatch,     ///< checkpoint counters disagree with telemetry text
+  kStatsMismatch,     ///< stats disagree with the cursor or the histogram
   kIoError,           ///< spool file could not be read
   kExcessiveSkew,     ///< claimed epoch beyond the skew-grace window
 };
 
-inline constexpr std::size_t kQuarantineReasons = 12;
+inline constexpr std::size_t kQuarantineReasons = 11;
 
 const char* to_string(QuarantineReason reason);
 
@@ -128,7 +126,6 @@ struct VantageStatus {
   std::uint64_t cursor = 0;         ///< packets covered by accepted state
   bool has_stats = false;
   core::DartStats stats;            ///< from the last accepted state frame
-  std::string telemetry;            ///< its embedded telemetry text
   std::uint64_t frames_accepted = 0;
   std::uint64_t frames_quarantined = 0;
   std::uint64_t frames_missing = 0;  ///< gaps skipped after grace
@@ -136,8 +133,7 @@ struct VantageStatus {
   std::uint64_t gap_attempts = 0;    ///< polls the current gap stayed open
   bool fenced = false;               ///< liveness deadline fired (terminal)
   /// Claimed-minus-aligned epoch of the last accepted state frame: the
-  /// per-vantage skew estimate (zero for an honest clock). Heartbeats
-  /// never update it.
+  /// per-vantage skew estimate (zero for an honest clock).
   std::int64_t epoch_skew = 0;
   bool has_rtt_histogram = false;
   /// Cumulative RTT distribution from the last accepted state frame

@@ -115,6 +115,30 @@ FrameError decode_vantage_info(std::span<const std::uint8_t> payload,
   return FrameError::ok();
 }
 
+/// The stats section: a u32 field count that must be this build's
+/// kStatCounters, then exactly that many u64 counters.
+FrameError decode_stats(std::span<const std::uint8_t> payload,
+                        std::uint64_t base_offset, core::DartStats* stats) {
+  Cursor cursor(payload);
+  const std::uint32_t count = cursor.u32();
+  if (!cursor.error() && count != core::kStatCounters) {
+    return FrameError::at(FrameErrorCode::kBadFieldValue, base_offset);
+  }
+  for (const auto field : core::kStatFields) stats->*field = cursor.u64();
+  for (const auto field : core::kHealthFields) {
+    stats->runtime.*field = cursor.u64();
+  }
+  if (cursor.error()) {
+    return FrameError::at(cursor.error().code,
+                          base_offset + cursor.error().offset);
+  }
+  if (cursor.remaining() != 0) {
+    return FrameError::at(FrameErrorCode::kTrailingBytes,
+                          base_offset + cursor.pos());
+  }
+  return FrameError::ok();
+}
+
 FrameError decode_rtt_histogram(std::span<const std::uint8_t> payload,
                                 std::uint64_t base_offset,
                                 RttHistogramSection* hist) {
@@ -223,14 +247,14 @@ std::vector<std::uint8_t> encode_frame(const SnapshotFrame& frame) {
     begin_section(FrameSection::kVantageInfo, body.size());
     out.insert(out.end(), body.begin(), body.end());
   }
-  if (frame.has_checkpoint) {
-    begin_section(FrameSection::kCheckpoint, frame.checkpoint.bytes.size());
-    out.insert(out.end(), frame.checkpoint.bytes.begin(),
-               frame.checkpoint.bytes.end());
-  }
-  if (frame.has_telemetry) {
-    begin_section(FrameSection::kTelemetry, frame.telemetry.size());
-    out.insert(out.end(), frame.telemetry.begin(), frame.telemetry.end());
+  if (frame.has_stats) {
+    begin_section(FrameSection::kStats,
+                  4 + 8 * std::uint64_t{core::kStatCounters});
+    put_u32(out, core::kStatCounters);
+    for (const auto field : core::kStatFields) put_u64(out, frame.stats.*field);
+    for (const auto field : core::kHealthFields) {
+      put_u64(out, frame.stats.runtime.*field);
+    }
   }
   if (frame.has_rtt_histogram) {
     const RttHistogramSection& hist = frame.rtt_histogram;
@@ -275,8 +299,9 @@ FrameError decode_frame(std::span<const std::uint8_t> bytes,
   out->header.epoch = cursor.u64();
   out->header.cursor = cursor.u64();
   const std::uint32_t kind = cursor.u32();
-  if (kind < static_cast<std::uint32_t>(FrameKind::kManifest) ||
-      kind > static_cast<std::uint32_t>(FrameKind::kFinal)) {
+  if (kind != static_cast<std::uint32_t>(FrameKind::kManifest) &&
+      kind != static_cast<std::uint32_t>(FrameKind::kEpoch) &&
+      kind != static_cast<std::uint32_t>(FrameKind::kFinal)) {
     return cursor.error_here(FrameErrorCode::kBadKind);
   }
   out->header.kind = static_cast<FrameKind>(kind);
@@ -304,23 +329,15 @@ FrameError decode_frame(std::span<const std::uint8_t> bytes,
         }
         break;
       }
-      case FrameSection::kCheckpoint: {
-        if (out->has_checkpoint) {
+      case FrameSection::kStats: {
+        if (out->has_stats) {
           return FrameError::at(FrameErrorCode::kDuplicateSection,
                                 section_at);
         }
-        out->has_checkpoint = true;
-        out->checkpoint.bytes.assign(payload.begin(), payload.end());
-        break;
-      }
-      case FrameSection::kTelemetry: {
-        if (out->has_telemetry) {
-          return FrameError::at(FrameErrorCode::kDuplicateSection,
-                                section_at);
+        out->has_stats = true;
+        if (auto err = decode_stats(payload, payload_at, &out->stats)) {
+          return err;
         }
-        out->has_telemetry = true;
-        out->telemetry.assign(reinterpret_cast<const char*>(payload.data()),
-                              payload.size());
         break;
       }
       case FrameSection::kRttHistogram: {

@@ -1,7 +1,9 @@
 // Fleet snapshot frames: the cross-process wire format of the vantage
 // exporter (the checkpoint subsystem's envelope discipline, one level up).
 //
-// A frame is one self-validating publication from one vantage process:
+// A frame is one self-validating publication from one vantage process, of
+// one of three kinds (FrameKind) carrying up to three sections
+// (FrameSection):
 //
 //   offset  0  magic "DFRM"
 //   offset  4  u32 format version (kFrameVersion)
@@ -17,9 +19,12 @@
 // All integers are little-endian. State-bearing frames (kEpoch / kFinal)
 // carry *cumulative* counters: each one supersedes its predecessors, so a
 // collector that loses frame k and accepts frame k+1 has lost nothing.
-// The manifest (sequence 0) declares what the vantage will route in total —
-// the collector's denominator for exact loss-window accounting when the
-// vantage dies mid-run.
+// Their stats section is the vantage's merged core::DartStats exactly as
+// the runtime holds it: a u32 field count, then one u64 per counter in
+// the order of core::kStatFields and core::kHealthFields, so the format
+// keeps no counter list of its own. The manifest (sequence 0) declares
+// what the vantage will route in total — the collector's denominator for
+// exact loss-window accounting when the vantage dies mid-run.
 //
 // Like checkpoints, frames parse into staging state and are accepted whole
 // or quarantined whole: a damaged frame never half-updates the collector.
@@ -30,30 +35,29 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
+#include "core/stats.hpp"
 
 namespace dart::fleet {
 
-inline constexpr std::uint32_t kFrameVersion = 1;
+inline constexpr std::uint32_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 52;
 inline constexpr std::size_t kFrameCrcOffset = 8;
 /// First byte covered by the CRC (everything before identifies the format).
 inline constexpr std::size_t kFrameCrcStart = 12;
 
+/// Frame kinds. Kind 3 is unassigned and decodes as kBadKind.
 enum class FrameKind : std::uint32_t {
-  kManifest = 1,   ///< sequence 0: vantage name + expected totals
-  kEpoch = 2,      ///< cumulative state at an epoch barrier
-  kHeartbeat = 3,  ///< liveness/progress only (no state sections)
-  kFinal = 4,      ///< last cumulative state; the vantage is complete
+  kManifest = 1,  ///< sequence 0: vantage name + expected totals
+  kEpoch = 2,     ///< cumulative state at an epoch barrier
+  kFinal = 4,     ///< last cumulative state; the vantage is complete
 };
 
-/// Section ids inside a frame. Version-1 readers reject unknown ids
-/// (strict framing, as in the checkpoint format).
+/// Section ids inside a frame. Readers reject unknown ids (strict
+/// framing, as in the checkpoint format).
 enum class FrameSection : std::uint32_t {
   kVantageInfo = 1,   ///< manifest body (name + expected totals)
-  kCheckpoint = 2,    ///< a complete DCKP CheckpointImage, verbatim
-  kTelemetry = 3,     ///< deterministic Prometheus text snapshot
-  kRttHistogram = 4,  ///< cumulative log-binned RTT distribution
+  kStats = 2,         ///< cumulative merged DartStats counters
+  kRttHistogram = 3,  ///< cumulative log-binned RTT distribution
 };
 
 /// Upper bound on histogram bins a frame may declare. The default layout
@@ -143,17 +147,15 @@ struct RttHistogramSection {
                          const RttHistogramSection&) = default;
 };
 
-/// A fully decoded frame (or one staged for encoding). Optional sections
-/// are flagged: a heartbeat has neither checkpoint nor telemetry; an epoch
-/// frame from a single-monitor vantage has both.
+/// A fully decoded frame (or one staged for encoding). Sections are
+/// flagged: a manifest carries info, a state frame carries stats and,
+/// from every dart-fleet vantage, an RTT histogram.
 struct SnapshotFrame {
   FrameHeader header;
   bool has_info = false;
   VantageInfo info;
-  bool has_checkpoint = false;
-  core::CheckpointImage checkpoint;
-  bool has_telemetry = false;
-  std::string telemetry;
+  bool has_stats = false;
+  core::DartStats stats;
   bool has_rtt_histogram = false;
   RttHistogramSection rtt_histogram;
 };

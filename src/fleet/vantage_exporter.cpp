@@ -3,9 +3,6 @@
 #include <utility>
 
 #include "runtime/fault_injection.hpp"
-#include "telemetry/export.hpp"
-#include "telemetry/registry.hpp"
-#include "telemetry/runtime_metrics.hpp"
 
 namespace dart::fleet {
 
@@ -46,46 +43,30 @@ RttHistogramSection to_section(const analytics::LogHistogram& hist) {
 }  // namespace
 
 bool VantageExporter::publish_epoch(
-    std::uint64_t epoch, std::uint64_t cursor,
-    const core::CheckpointImage* checkpoint, std::string telemetry,
+    std::uint64_t epoch, std::uint64_t cursor, const core::DartStats& stats,
     const analytics::LogHistogram* rtt_histogram) {
-  return publish_state(FrameKind::kEpoch, epoch, cursor, checkpoint,
-                       std::move(telemetry), rtt_histogram);
-}
-
-bool VantageExporter::publish_heartbeat(std::uint64_t epoch,
-                                        std::uint64_t cursor) {
-  SnapshotFrame frame;
-  frame.header.vantage = config_.vantage;
-  frame.header.epoch = epoch;
-  frame.header.cursor = cursor;
-  frame.header.kind = FrameKind::kHeartbeat;
-  return publish_frame(std::move(frame));
+  return publish_state(FrameKind::kEpoch, epoch, cursor, stats,
+                       rtt_histogram);
 }
 
 bool VantageExporter::publish_final(
-    std::uint64_t epoch, std::uint64_t cursor,
-    const core::CheckpointImage* checkpoint, std::string telemetry,
+    std::uint64_t epoch, std::uint64_t cursor, const core::DartStats& stats,
     const analytics::LogHistogram* rtt_histogram) {
-  return publish_state(FrameKind::kFinal, epoch, cursor, checkpoint,
-                       std::move(telemetry), rtt_histogram);
+  return publish_state(FrameKind::kFinal, epoch, cursor, stats,
+                       rtt_histogram);
 }
 
 bool VantageExporter::publish_state(
     FrameKind kind, std::uint64_t epoch, std::uint64_t cursor,
-    const core::CheckpointImage* checkpoint, std::string telemetry,
+    const core::DartStats& stats,
     const analytics::LogHistogram* rtt_histogram) {
   SnapshotFrame frame;
   frame.header.vantage = config_.vantage;
   frame.header.epoch = epoch;
   frame.header.cursor = cursor;
   frame.header.kind = kind;
-  if (checkpoint != nullptr) {
-    frame.has_checkpoint = true;
-    frame.checkpoint = *checkpoint;
-  }
-  frame.has_telemetry = true;
-  frame.telemetry = std::move(telemetry);
+  frame.has_stats = true;
+  frame.stats = stats;
   if (rtt_histogram != nullptr) {
     frame.has_rtt_histogram = true;
     frame.rtt_histogram = to_section(*rtt_histogram);
@@ -106,7 +87,7 @@ bool VantageExporter::publish_frame(SnapshotFrame frame) {
       return false;
     }
     // Epoch skew rewrites the header *before* sealing: the frame is
-    // internally consistent (valid CRC, matching cursor/telemetry), only
+    // internally consistent (valid CRC, stats matching the cursor), only
     // its claimed barrier is wrong — the collector's alignment layer, not
     // the envelope, has to catch it. The manifest carries no epoch.
     std::uint64_t skewed = 0;
@@ -166,20 +147,6 @@ bool VantageExporter::deliver(std::vector<std::uint8_t> bytes,
     }
   }
   return true;
-}
-
-std::string render_vantage_telemetry(
-    std::span<const core::DartStats> per_shard,
-    std::span<const std::uint64_t> routed_per_shard) {
-  telemetry::Registry registry(per_shard.empty() ? 1 : per_shard.size());
-  telemetry::RuntimeMetrics metrics(registry);
-  for (std::size_t shard = 0; shard < per_shard.size(); ++shard) {
-    metrics.fold_authoritative(shard, routed_per_shard[shard],
-                               per_shard[shard]);
-  }
-  telemetry::SnapshotOptions options;
-  options.deterministic_only = true;
-  return telemetry::to_prometheus(registry.snapshot(options));
 }
 
 }  // namespace dart::fleet

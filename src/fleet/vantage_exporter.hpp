@@ -1,17 +1,19 @@
 // VantageExporter: one monitoring process's side of the fleet protocol.
 //
-// The exporter turns quiesce-time monitor state into the sealed,
+// The exporter turns the runtime's per-epoch results into the sealed,
 // sequence-numbered frame stream the collector ingests:
 //
 //   seq 0            manifest   — name + expected totals (the loss-window
 //                                 denominator, known before packet 1)
-//   seq 1..k         epoch / heartbeat frames at barrier cadence
+//   seq 1..k         epoch frames at barrier cadence
 //   seq k+1          final      — last cumulative state, stream complete
 //
-// Epoch frames are cut at packet-count barriers (every epoch_interval
-// packets), so two vantages replaying deterministic slices publish
-// epoch-aligned state without any clock agreement. All counters in a frame
-// are cumulative: losing any non-final frame loses no accounting.
+// A state frame carries the vantage's merged DartStats as they are (one
+// binary stats section) and its RTT histogram. Epoch frames are cut at
+// packet-count barriers (every epoch_interval packets), so two vantages
+// replaying deterministic slices publish epoch-aligned state without any
+// clock agreement. All counters in a frame are cumulative: losing any
+// non-final frame loses no accounting.
 //
 // With a FaultPlan installed (set_fault_plan) the exporter consults it
 // before every publish, which is where the chaos harness injects crashes
@@ -22,7 +24,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -56,24 +57,19 @@ class VantageExporter {
   /// Frame 0. Must be the first publication.
   bool publish_manifest();
 
-  /// Cumulative state at epoch barrier `epoch`, after `cursor` packets.
-  /// Either optional section may be omitted; `dart-fleet` vantages send no
-  /// `checkpoint`, since a K-shard cut has K images and a frame holds one.
-  /// `rtt_histogram`, when given, is the vantage's *cumulative*
-  /// log-binned RTT distribution — the collector folds it into the fleet
-  /// quantiles, so its count must equal the telemetry's samples counter.
+  /// Cumulative state at epoch barrier `epoch`, after `cursor` packets:
+  /// the vantage's merged counters, whose processed + shed + abandoned +
+  /// lost_to_crash must equal `cursor`. `rtt_histogram`, when given, is
+  /// the vantage's *cumulative* log-binned RTT distribution — the
+  /// collector folds it into the fleet quantiles, so its count must equal
+  /// `stats.samples`.
   bool publish_epoch(std::uint64_t epoch, std::uint64_t cursor,
-                     const core::CheckpointImage* checkpoint,
-                     std::string telemetry,
+                     const core::DartStats& stats,
                      const analytics::LogHistogram* rtt_histogram = nullptr);
-
-  /// Progress-only liveness signal between state frames.
-  bool publish_heartbeat(std::uint64_t epoch, std::uint64_t cursor);
 
   /// Last cumulative state; marks the stream complete.
   bool publish_final(std::uint64_t epoch, std::uint64_t cursor,
-                     const core::CheckpointImage* checkpoint,
-                     std::string telemetry,
+                     const core::DartStats& stats,
                      const analytics::LogHistogram* rtt_histogram = nullptr);
 
   /// True once a kill fault (or sink failure) has fired: the process is
@@ -86,8 +82,7 @@ class VantageExporter {
  private:
   /// publish_epoch and publish_final, which differ only in `kind`.
   bool publish_state(FrameKind kind, std::uint64_t epoch, std::uint64_t cursor,
-                     const core::CheckpointImage* checkpoint,
-                     std::string telemetry,
+                     const core::DartStats& stats,
                      const analytics::LogHistogram* rtt_histogram);
   bool publish_frame(SnapshotFrame frame);
   bool deliver(std::vector<std::uint8_t> bytes, std::uint64_t sequence);
@@ -106,14 +101,5 @@ class VantageExporter {
   std::optional<HeldFrame> held_;
   runtime::FaultPlan* faults_ = nullptr;
 };
-
-/// Render the deterministic telemetry text a state frame embeds: a fresh
-/// registry, the standard runtime families, one authoritative fold per
-/// shard, deterministic-only snapshot. Rebuilding from scratch per frame
-/// keeps cumulative counters exact (folds are set, not add) and needs no
-/// live-telemetry runtime, only the vantage's merged DartStats.
-std::string render_vantage_telemetry(
-    std::span<const core::DartStats> per_shard,
-    std::span<const std::uint64_t> routed_per_shard);
 
 }  // namespace dart::fleet

@@ -107,6 +107,10 @@ namespace dart::runtime {
 
 class FaultPlan;
 
+/// Most shards the command-line tools accept for --shards. Every shard is
+/// a worker thread, so a mistyped count is refused rather than started.
+inline constexpr std::uint32_t kMaxShards = 1024;
+
 struct ShardedConfig {
   /// Number of worker threads / monitor partitions (>= 1).
   std::uint32_t shards = 1;

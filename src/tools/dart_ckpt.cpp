@@ -22,6 +22,7 @@
 #include "core/flow_filter.hpp"
 #include "core/stats.hpp"
 #include "gen/workload.hpp"
+#include "tools/cli_flags.hpp"
 
 namespace {
 
@@ -219,10 +220,8 @@ int cmd_make_demo(const std::string& path,
         std::cerr << "error: --truncate needs a value\n";
         return 2;
       }
-      try {
-        truncate_to = static_cast<std::size_t>(std::stoull(options[++i]));
-      } catch (...) {
-        std::cerr << "error: bad --truncate value\n";
+      if (!dart::tools::flag_value("dart-ckpt", option, options[++i],
+                                   &truncate_to)) {
         return 2;
       }
     } else {

@@ -26,6 +26,8 @@
 // drain-to-barrier stop, never an abort. The sealed report preserves
 //     processed + shed + abandoned + lost_to_crash == routed
 // and is byte-identical to `dartd replay` of the same trace.
+// Numeric flags take the whole token as a decimal number in range; any
+// other value is a usage error naming the flag.
 // Exit codes: 0 ok, 1 runtime error, 2 usage error.
 #include <chrono>
 #include <csignal>
@@ -35,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "daemon/epoch_runner.hpp"
@@ -42,12 +45,20 @@
 #include "daemon/replay_source.hpp"
 #include "daemon/socket_source.hpp"
 #include "gen/workload.hpp"
+#include "runtime/sharded_monitor.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
+#include "tools/cli_flags.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
+
+using dart::runtime::kMaxShards;
+using dart::tools::flag_value;
+
+/// Names the tool in usage errors.
+constexpr std::string_view kTool = "dartd";
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -61,7 +72,7 @@ void print_usage(std::ostream& out) {
          "    --connections N             concurrent flows (default 400)\n"
          "    --duration-s D              trace duration (default 4)\n"
          "  replay --trace FILE           offline deterministic reference\n"
-         "    --shards N                  worker shards (default 2)\n"
+         "    --shards N                  worker shards, 1..1024 (default 2)\n"
          "    --epoch-interval N          packets per epoch (default 65536)\n"
          "    --out FILE                  write the report (atomic)\n"
          "  run                           live daemon until SIGTERM\n"
@@ -72,10 +83,6 @@ void print_usage(std::ostream& out) {
          "    --port P                    query port (default 0 = ephemeral)\n"
          "    --port-file FILE            write \"<query> <ingest>\" ports\n"
          "    --final-out FILE            write the final report (atomic)\n";
-}
-
-std::uint64_t parse_u64(const char* text) {
-  return static_cast<std::uint64_t>(std::strtoull(text, nullptr, 10));
 }
 
 std::string render_status(const dart::daemon::DaemonStatus& status) {
@@ -92,11 +99,11 @@ std::string render_status(const dart::daemon::DaemonStatus& status) {
   return out;
 }
 
-int run_gen(std::uint64_t seed, std::uint64_t connections,
+int run_gen(std::uint64_t seed, std::uint32_t connections,
             std::uint64_t duration_s, const std::string& out_path) {
   dart::gen::CampusConfig workload;
   workload.seed = seed;
-  workload.connections = static_cast<std::uint32_t>(connections);
+  workload.connections = connections;
   workload.duration = dart::sec(duration_s);
   const dart::trace::Trace trace = dart::gen::build_campus(workload);
   if (!dart::trace::write_binary_file(trace, out_path)) {
@@ -124,7 +131,7 @@ std::optional<dart::trace::Trace> load_trace(const std::string& path) {
 dart::daemon::DaemonConfig make_daemon_config(std::uint32_t shards,
                                               std::uint64_t epoch_interval) {
   dart::daemon::DaemonConfig config;
-  config.shards = shards == 0 ? 1 : shards;
+  config.shards = shards;
   config.epoch_interval = epoch_interval;
   return config;
 }
@@ -260,17 +267,17 @@ int main(int argc, char** argv) {
 
   if (command == "gen") {
     std::uint64_t seed = 1;
-    std::uint64_t connections = 400;
+    std::uint32_t connections = 400;
     std::uint64_t duration_s = 4;
     std::string out_path;
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--seed" && i + 1 < argc) {
-        seed = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &seed)) return 2;
       } else if (arg == "--connections" && i + 1 < argc) {
-        connections = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &connections)) return 2;
       } else if (arg == "--duration-s" && i + 1 < argc) {
-        duration_s = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &duration_s)) return 2;
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else {
@@ -295,9 +302,11 @@ int main(int argc, char** argv) {
       if (arg == "--trace" && i + 1 < argc) {
         trace_path = argv[++i];
       } else if (arg == "--shards" && i + 1 < argc) {
-        shards = static_cast<std::uint32_t>(parse_u64(argv[++i]));
+        if (!flag_value(kTool, arg, argv[++i], &shards, 1, kMaxShards)) {
+          return 2;
+        }
       } else if (arg == "--epoch-interval" && i + 1 < argc) {
-        epoch_interval = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &epoch_interval)) return 2;
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else {
@@ -321,17 +330,24 @@ int main(int argc, char** argv) {
         options.trace_path = argv[++i];
         have_source = true;
       } else if (arg == "--rate" && i + 1 < argc) {
-        options.rate = std::strtod(argv[++i], nullptr);
+        if (!flag_value(kTool, arg, argv[++i], &options.rate)) return 2;
       } else if (arg == "--listen" && i + 1 < argc) {
         options.listen = true;
-        options.listen_port = static_cast<std::uint16_t>(parse_u64(argv[++i]));
+        if (!flag_value(kTool, arg, argv[++i], &options.listen_port)) {
+          return 2;
+        }
         have_source = true;
       } else if (arg == "--shards" && i + 1 < argc) {
-        options.shards = static_cast<std::uint32_t>(parse_u64(argv[++i]));
+        if (!flag_value(kTool, arg, argv[++i], &options.shards, 1,
+                        kMaxShards)) {
+          return 2;
+        }
       } else if (arg == "--epoch-interval" && i + 1 < argc) {
-        options.epoch_interval = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &options.epoch_interval)) {
+          return 2;
+        }
       } else if (arg == "--port" && i + 1 < argc) {
-        options.query_port = static_cast<std::uint16_t>(parse_u64(argv[++i]));
+        if (!flag_value(kTool, arg, argv[++i], &options.query_port)) return 2;
       } else if (arg == "--port-file" && i + 1 < argc) {
         options.port_file = argv[++i];
       } else if (arg == "--final-out" && i + 1 < argc) {

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "core/config.hpp"
 #include "fleet/collector.hpp"
 #include "fleet/snapshot_sink.hpp"
@@ -44,6 +45,7 @@
 namespace {
 
 using dart::PacketRecord;
+using dart::parse_integer;
 using dart::fleet::FleetCollector;
 
 constexpr int kExitOk = 0;
@@ -67,7 +69,7 @@ void print_usage(std::ostream& out) {
          "    --connections N           campus connections (default 2000)\n"
          "    --duration-s T            campus duration seconds (default 6)\n"
          "    --epochs E                epoch barriers to publish (default 4)\n"
-         "    --shards K                worker shards (default 1)\n"
+         "    --shards K                worker shards, 1..1024 (default 1)\n"
          "    --incarnation N           restart incarnation tag: publish\n"
          "                              slots never collide with an earlier\n"
          "                              incarnation's files (default 0)\n"
@@ -110,24 +112,6 @@ void print_usage(std::ostream& out) {
          "    (fault flags as for vantage)\n";
 }
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool parse_i64(const std::string& text, std::int64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 struct FaultOptions {
   bool any = false;
   std::uint64_t kill_after = ~std::uint64_t{0};
@@ -146,14 +130,14 @@ struct FaultOptions {
 
 struct VantageOptions {
   std::uint64_t id = 0;
-  std::uint64_t vantages = 4;
+  std::uint32_t vantages = 4;  ///< the router's partition count is a u32
   std::string spool;
   std::string name;
   std::uint64_t seed = 42;
-  std::uint64_t connections = 2000;
+  std::uint32_t connections = 2000;
   std::uint64_t duration_s = 6;
   std::uint64_t epochs = 4;
-  std::uint64_t shards = 1;
+  std::uint32_t shards = 1;
   std::uint64_t incarnation = 0;
   FaultOptions faults;
 };
@@ -170,16 +154,16 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
     return parts;
   };
   if (arg == "--fault-kill-after") {
-    if (!has_value || !parse_u64(value, &faults->kill_after)) return -1;
+    if (!has_value || !parse_integer(value, &faults->kill_after)) return -1;
     faults->any = true;
     return 1;
   }
   if (arg == "--fault-stall") {
     const auto parts = split(value, ':');
     if (!has_value || parts.size() != 3 ||
-        !parse_u64(parts[0], &faults->stall_first) ||
-        !parse_u64(parts[1], &faults->stall_count) ||
-        !parse_u64(parts[2], &faults->stall_ms)) {
+        !parse_integer(parts[0], &faults->stall_first) ||
+        !parse_integer(parts[1], &faults->stall_count) ||
+        !parse_integer(parts[2], &faults->stall_ms)) {
       return -1;
     }
     faults->has_stall = true;
@@ -191,8 +175,8 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
     std::uint64_t seq = 0;
     std::uint64_t keep = 40;
     if (!has_value || parts.empty() || parts.size() > 2 ||
-        !parse_u64(parts[0], &seq) ||
-        (parts.size() == 2 && !parse_u64(parts[1], &keep))) {
+        !parse_integer(parts[0], &seq) ||
+        (parts.size() == 2 && !parse_integer(parts[1], &keep))) {
       return -1;
     }
     faults->truncate.emplace_back(seq, keep);
@@ -201,7 +185,7 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
   }
   if (arg == "--fault-duplicate" || arg == "--fault-reorder") {
     std::uint64_t seq = 0;
-    if (!has_value || !parse_u64(value, &seq)) return -1;
+    if (!has_value || !parse_integer(value, &seq)) return -1;
     (arg == "--fault-duplicate" ? faults->duplicate : faults->reorder)
         .push_back(seq);
     faults->any = true;
@@ -209,7 +193,7 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
   }
   if (arg == "--fault-skew-offset" || arg == "--fault-skew-drift") {
     std::int64_t amount = 0;
-    if (!has_value || !parse_i64(value, &amount)) return -1;
+    if (!has_value || !parse_integer(value, &amount)) return -1;
     (arg == "--fault-skew-offset" ? faults->skew_offset
                                   : faults->skew_drift) = amount;
     faults->has_skew = true;
@@ -217,7 +201,7 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
     return 1;
   }
   if (arg == "--fault-epoch-lag") {
-    if (!has_value || !parse_u64(value, &faults->epoch_lag)) return -1;
+    if (!has_value || !parse_integer(value, &faults->epoch_lag)) return -1;
     faults->has_skew = true;
     faults->any = true;
     return 1;
@@ -230,16 +214,19 @@ int parse_fault_flag(const std::string& arg, const std::string& value,
 /// `value`, -1 on a missing or malformed value.
 int parse_shared_flag(const std::string& arg, const std::string& value,
                       bool has_value, VantageOptions* options) {
+  if (arg == "--connections" || arg == "--vantages") {
+    std::uint32_t* narrow = arg == "--connections" ? &options->connections
+                                                   : &options->vantages;
+    return has_value && parse_integer(value, narrow) ? 1 : -1;
+  }
   std::uint64_t* number = nullptr;
-  if (arg == "--vantages") number = &options->vantages;
-  else if (arg == "--seed") number = &options->seed;
-  else if (arg == "--connections") number = &options->connections;
+  if (arg == "--seed") number = &options->seed;
   else if (arg == "--duration-s") number = &options->duration_s;
   else if (arg == "--epochs") number = &options->epochs;
   if (number == nullptr) {
     return parse_fault_flag(arg, value, has_value, &options->faults);
   }
-  return has_value && parse_u64(value, number) ? 1 : -1;
+  return has_value && parse_integer(value, number) ? 1 : -1;
 }
 
 void apply_faults(const FaultOptions& options, dart::runtime::FaultPlan& plan) {
@@ -271,11 +258,11 @@ void apply_faults(const FaultOptions& options, dart::runtime::FaultPlan& plan) {
 std::vector<PacketRecord> build_slice(const VantageOptions& options) {
   dart::gen::CampusConfig config;
   config.seed = options.seed;
-  config.connections = static_cast<std::uint32_t>(options.connections);
+  config.connections = options.connections;
   config.duration = dart::sec(options.duration_s);
   const dart::trace::Trace trace = dart::gen::build_campus(config);
-  const dart::runtime::ShardRouter partition(
-      static_cast<std::uint32_t>(options.vantages), kFleetRouteSeed);
+  const dart::runtime::ShardRouter partition(options.vantages,
+                                             kFleetRouteSeed);
   std::vector<PacketRecord> slice;
   for (const PacketRecord& packet : trace.packets()) {
     if (partition.route(packet.tuple) == options.id) {
@@ -313,10 +300,10 @@ int run_vantage(const VantageOptions& options,
 
   // The vantage is the sharded runtime. A restart budget arms the epoch
   // markers: every shard cuts a checkpoint at each epoch boundary, and the
-  // state frame publishes that global cut. The workers only bin RTTs, so
-  // each frame's histogram is the one committed up to its cut.
+  // state frame publishes that global cut: the shards' summed counters and
+  // the histogram committed up to the cut (the workers only bin RTTs).
   dart::runtime::ShardedConfig runtime;
-  runtime.shards = static_cast<std::uint32_t>(options.shards);
+  runtime.shards = options.shards;
   runtime.epoch_interval_packets = interval;
   runtime.keep_samples = false;
   runtime.restart_budget = 1;
@@ -331,24 +318,16 @@ int run_vantage(const VantageOptions& options,
                 << " cut never committed\n";
       return kExitFailure;
     }
-    exporter.publish_epoch(
-        epoch, epoch * interval, nullptr,
-        dart::fleet::render_vantage_telemetry(cut.stats, cut.cursors),
-        &cut.rtt);
+    dart::core::DartStats stats;
+    for (const dart::core::DartStats& shard : cut.stats) stats += shard;
+    exporter.publish_epoch(epoch, epoch * interval, stats, &cut.rtt);
     if (exporter.killed()) return kExitKilled;
   }
   monitor.process_all(packets.subspan(epochs * interval));
   monitor.finish();
-  dart::runtime::ShardedMonitor::EpochCut last;
-  for (std::uint32_t shard = 0; shard < monitor.shards(); ++shard) {
-    last.stats.push_back(monitor.shard_stats(shard));
-    last.cursors.push_back(monitor.shard_routed_cursor(shard));
-  }
-  last.rtt = monitor.rtt_histogram();
-  exporter.publish_final(
-      epochs + 1, slice.size(), nullptr,
-      dart::fleet::render_vantage_telemetry(last.stats, last.cursors),
-      &last.rtt);
+  const dart::analytics::LogHistogram rtt = monitor.rtt_histogram();
+  exporter.publish_final(epochs + 1, slice.size(), monitor.merged_stats(),
+                         &rtt);
   return exporter.killed() ? kExitKilled : kExitOk;
 }
 
@@ -488,12 +467,19 @@ int main(int argc, char** argv) {
         std::cerr << "dart-fleet vantage: malformed " << arg << " value\n";
         return kExitUsage;
       }
+      if (arg == "--shards") {
+        if (!has_value(i) || !parse_integer(args[++i], &options.shards, 1,
+                                            dart::runtime::kMaxShards)) {
+          std::cerr << "dart-fleet vantage: bad value for " << arg << "\n";
+          return kExitUsage;
+        }
+        continue;
+      }
       std::uint64_t* number = nullptr;
       if (arg == "--id") number = &options.id;
-      else if (arg == "--shards") number = &options.shards;
       else if (arg == "--incarnation") number = &options.incarnation;
       if (number != nullptr) {
-        if (!has_value(i) || !parse_u64(args[++i], number)) {
+        if (!has_value(i) || !parse_integer(args[++i], number)) {
           std::cerr << "dart-fleet vantage: bad value for " << arg << "\n";
           return kExitUsage;
         }
@@ -530,7 +516,7 @@ int main(int argc, char** argv) {
       else if (arg == "--poll-base-ms") number = &poll_base_ms;
       else if (arg == "--poll-max-ms") number = &poll_max_ms;
       if (number != nullptr) {
-        if (!has_value(i) || !parse_u64(args[++i], number)) {
+        if (!has_value(i) || !parse_integer(args[++i], number)) {
           std::cerr << "dart-fleet collect: bad value for " << arg << "\n";
           return kExitUsage;
         }
@@ -587,7 +573,7 @@ int main(int argc, char** argv) {
       else if (arg == "--skew-grace")
         number = &options.collect.config.skew_grace_epochs;
       if (number != nullptr) {
-        if (!has_value(i) || !parse_u64(args[++i], number)) {
+        if (!has_value(i) || !parse_integer(args[++i], number)) {
           std::cerr << "dart-fleet demo: bad value for " << arg << "\n";
           return kExitUsage;
         }

@@ -2,7 +2,8 @@
 // deployment against a Tofino-style target, playing the role of the
 // hardware compiler's constraint pass (Section 4/5 and Table 1 of the
 // paper). Prints a placement report and rule-coded diagnostics; exits 0
-// when the configuration is feasible, 1 when it is not, 2 on usage error.
+// when the configuration is feasible, 1 when it is not, 2 on usage error
+// (a numeric value that is not a whole decimal number in range included).
 //
 //   dart-pipeline-lint --target tofino1                 # paper defaults
 //   dart-pipeline-lint --target tofino1 --pt-stages 4   # rejected: stages
@@ -11,12 +12,14 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataplane/resource_model.hpp"
 #include "dataplane/verify/checker.hpp"
 #include "dataplane/verify/pipeline_program.hpp"
 #include "dataplane/verify/static_checks.hpp"
+#include "tools/cli_flags.hpp"
 
 namespace {
 
@@ -25,6 +28,10 @@ using dart::dataplane::TargetProfile;
 using dart::dataplane::verify::CheckReport;
 using dart::dataplane::verify::MonitorShape;
 using dart::dataplane::verify::Rule;
+using dart::tools::flag_value;
+
+/// Names the tool in usage errors.
+constexpr std::string_view kTool = "dart-pipeline-lint";
 
 void print_usage(std::ostream& out) {
   out << "usage: dart-pipeline-lint [options]\n"
@@ -71,26 +78,6 @@ void print_rules(std::ostream& out) {
   for (const Rule rule : rules) {
     out << dart::dataplane::verify::rule_code(rule) << "  "
         << dart::dataplane::verify::rule_name(rule) << "\n";
-  }
-}
-
-bool parse_u32(const std::string& text, std::uint32_t& out) {
-  try {
-    const unsigned long long value = std::stoull(text);
-    if (value > 0xFFFFFFFFull) return false;
-    out = static_cast<std::uint32_t>(value);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  try {
-    out = std::stoull(text);
-    return true;
-  } catch (...) {
-    return false;
   }
 }
 
@@ -146,21 +133,23 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--rt-slots") {
-      std::uint64_t n = 0;
-      if (!value(v) || !parse_u64(v, n)) return 2;
-      layout.rt_slots = static_cast<std::size_t>(n);
+      if (!value(v) || !flag_value(kTool, arg, v, &layout.rt_slots)) return 2;
     } else if (arg == "--pt-slots") {
-      std::uint64_t n = 0;
-      if (!value(v) || !parse_u64(v, n)) return 2;
-      layout.pt_slots = static_cast<std::size_t>(n);
+      if (!value(v) || !flag_value(kTool, arg, v, &layout.pt_slots)) return 2;
     } else if (arg == "--pt-stages") {
-      if (!value(v) || !parse_u32(v, shape.pt_stages)) return 2;
+      if (!value(v) || !flag_value(kTool, arg, v, &shape.pt_stages)) return 2;
     } else if (arg == "--recirc") {
-      if (!value(v) || !parse_u32(v, shape.max_recirculations)) return 2;
+      if (!value(v) || !flag_value(kTool, arg, v, &shape.max_recirculations)) {
+        return 2;
+      }
     } else if (arg == "--flow-rules") {
-      if (!value(v) || !parse_u32(v, layout.flow_filter_rules)) return 2;
+      if (!value(v) || !flag_value(kTool, arg, v, &layout.flow_filter_rules)) {
+        return 2;
+      }
     } else if (arg == "--register-bits") {
-      if (!value(v) || !parse_u32(v, shape.register_bits)) return 2;
+      if (!value(v) || !flag_value(kTool, arg, v, &shape.register_bits)) {
+        return 2;
+      }
     } else if (arg == "--extra-table") {
       if (!value(v)) return 2;
       extra_tables.push_back(v);

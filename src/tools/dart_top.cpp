@@ -14,7 +14,9 @@
 // per shard and in aggregate; a violation exits nonzero, which is what the
 // ctest entries assert. `render` and `watch` work on any snapshot file,
 // whichever process exported it.
-// Exit codes: 0 ok, 1 identity violation / unreadable file, 2 usage error.
+// Numeric flags take the whole token as a decimal number in range.
+// Exit codes: 0 ok, 1 identity violation / unreadable file, 2 usage error
+// (a bad flag value included).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,8 +38,14 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
 #include "telemetry/snapshot_watch.hpp"
+#include "tools/cli_flags.hpp"
 
 namespace {
+
+using dart::tools::flag_value;
+
+/// Names the tool in usage errors.
+constexpr std::string_view kTool = "dart-top";
 
 using dart::telemetry::PromSample;
 
@@ -48,7 +57,7 @@ void print_usage(std::ostream& out) {
          "    --interval-ms N             poll interval (default 1000)\n"
          "    --iterations N              stop after N renders (0 = forever)\n"
          "  demo                          run an instrumented demo workload\n"
-         "    --shards N                  worker shards (default 4)\n"
+         "    --shards N                  worker shards, 1..1024 (default 4)\n"
          "    --seed S                    workload seed (default 1)\n"
          "    --out FILE                  also write the Prometheus snapshot\n"
          "    --json FILE                 also write the JSON snapshot\n"
@@ -273,10 +282,6 @@ int run_demo(std::uint32_t shards, std::uint64_t seed,
   return 0;
 }
 
-std::uint64_t parse_u64(const char* text) {
-  return static_cast<std::uint64_t>(std::strtoull(text, nullptr, 10));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -308,9 +313,9 @@ int main(int argc, char** argv) {
     for (int i = 3; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--interval-ms" && i + 1 < argc) {
-        interval_ms = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &interval_ms)) return 2;
       } else if (arg == "--iterations" && i + 1 < argc) {
-        iterations = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &iterations)) return 2;
       } else {
         print_usage(std::cerr);
         return 2;
@@ -330,9 +335,12 @@ int main(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--shards" && i + 1 < argc) {
-        shards = static_cast<std::uint32_t>(parse_u64(argv[++i]));
+        if (!flag_value(kTool, arg, argv[++i], &shards, 1,
+                        dart::runtime::kMaxShards)) {
+          return 2;
+        }
       } else if (arg == "--seed" && i + 1 < argc) {
-        seed = parse_u64(argv[++i]);
+        if (!flag_value(kTool, arg, argv[++i], &seed)) return 2;
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else if (arg == "--json" && i + 1 < argc) {
@@ -346,7 +354,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    return run_demo(shards == 0 ? 1 : shards, seed, out_path, json_path,
+    return run_demo(shards, seed, out_path, json_path,
                     deterministic, check);
   }
 

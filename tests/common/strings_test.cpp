@@ -41,5 +41,53 @@ TEST(TextTable, PadsShortRows) {
   EXPECT_NE(out.find("| only |"), std::string::npos);
 }
 
+TEST(ParseFlag, IntegerTakesTheWholeTokenInRange) {
+  std::uint64_t value = 7;
+  EXPECT_TRUE(parse_integer("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(parse_integer("18446744073709551615", &value));
+  EXPECT_EQ(value, ~std::uint64_t{0});
+  EXPECT_TRUE(parse_integer("1024", &value, 1, 1024));
+  EXPECT_EQ(value, 1024u);
+  value = 7;
+  for (const char* bad : {"", "abc", "12x", "1e3", "-1", "+1", " 1", "1 ",
+                          "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_integer(bad, &value)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_integer("0", &value, 1, 1024));
+  EXPECT_FALSE(parse_integer("1025", &value, 1, 1024));
+  EXPECT_EQ(value, 7u);  // a refused token leaves the value alone
+}
+
+TEST(ParseFlag, NarrowFieldsRefuseInsteadOfWrapping) {
+  std::uint16_t port = 1;
+  EXPECT_TRUE(parse_integer("65535", &port));
+  EXPECT_EQ(port, 65535u);
+  EXPECT_FALSE(parse_integer("70000", &port));
+  EXPECT_EQ(port, 65535u);
+  std::uint32_t stages = 0;
+  EXPECT_FALSE(parse_integer("4294967296", &stages));
+
+  std::int64_t offset = 0;
+  EXPECT_TRUE(parse_integer("-3", &offset));
+  EXPECT_EQ(offset, -3);
+  EXPECT_FALSE(parse_integer("3x", &offset));
+  EXPECT_FALSE(parse_integer("9223372036854775808", &offset));
+}
+
+TEST(ParseFlag, NonnegativeIsAFiniteNumberAtLeastZero) {
+  double rate = -1.0;
+  EXPECT_TRUE(parse_nonnegative("1.5", &rate));
+  EXPECT_EQ(rate, 1.5);
+  EXPECT_TRUE(parse_nonnegative("2e-1", &rate));
+  EXPECT_EQ(rate, 0.2);
+  EXPECT_TRUE(parse_nonnegative("0", &rate));
+  EXPECT_EQ(rate, 0.0);
+  for (const char* bad : {"", "-1", "inf", "nan", "1.5x", "1e400"}) {
+    EXPECT_FALSE(parse_nonnegative(bad, &rate)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(rate, 0.0);
+}
+
 }  // namespace
 }  // namespace dart

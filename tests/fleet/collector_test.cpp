@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "analytics/histogram.hpp"
-#include "core/dart_monitor.hpp"
 #include "fleet/frame.hpp"
 #include "fleet/snapshot_sink.hpp"
 #include "fleet/vantage_exporter.hpp"
@@ -29,13 +28,12 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// Telemetry text for a vantage that processed every routed packet.
-std::string clean_telemetry(std::uint64_t cursor, std::uint64_t samples) {
+/// Counters of a vantage that processed every routed packet.
+core::DartStats clean_stats(std::uint64_t cursor, std::uint64_t samples) {
   core::DartStats stats;
   stats.packets_processed = cursor;
   stats.samples = samples;
-  return render_vantage_telemetry(std::span(&stats, 1),
-                                  std::span(&cursor, 1));
+  return stats;
 }
 
 VantageExporterConfig vantage_config(std::uint64_t vantage,
@@ -52,10 +50,8 @@ VantageExporterConfig vantage_config(std::uint64_t vantage,
 void publish_clean_stream(SnapshotSink& sink, std::uint64_t vantage) {
   VantageExporter exporter(vantage_config(vantage, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-  ASSERT_TRUE(exporter.publish_final(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(100, 10)));
+  ASSERT_TRUE(exporter.publish_final(2, 200, clean_stats(200, 20)));
 }
 
 CollectorConfig offline_config(const std::string& dir,
@@ -178,14 +174,11 @@ TEST(FleetCollector, QuarantinesStaleEpoch) {
   SpoolSink sink(dir);
   VantageExporter exporter(vantage_config(0, 300), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(2, 200, clean_stats(200, 20)));
   // Epoch goes backwards relative to accepted state: must be quarantined,
   // not silently rewind the loss cursor.
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-  ASSERT_TRUE(exporter.publish_final(3, 300, nullptr,
-                                     clean_telemetry(300, 30)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(100, 10)));
+  ASSERT_TRUE(exporter.publish_final(3, 300, clean_stats(300, 30)));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();
@@ -199,11 +192,9 @@ TEST(FleetCollector, QuarantinesTelemetryCursorMismatch) {
   SpoolSink sink(dir);
   VantageExporter exporter(vantage_config(0, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  // Telemetry claims 150 routed but the envelope cursor says 100.
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(150, 10)));
-  ASSERT_TRUE(exporter.publish_final(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  // The counters account for 150 packets but the envelope cursor says 100.
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(150, 10)));
+  ASSERT_TRUE(exporter.publish_final(2, 200, clean_stats(200, 20)));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();
@@ -211,39 +202,51 @@ TEST(FleetCollector, QuarantinesTelemetryCursorMismatch) {
   EXPECT_EQ(collector.status(0).state, VantageState::kComplete);
 }
 
-TEST(FleetCollector, QuarantinesCorruptEmbeddedCheckpoint) {
-  const std::string dir = fresh_dir("bad_ckpt");
+// A hostile section cannot balance its books by overflowing a counter:
+// (2^64 - 1) + 101 wraps to the cursor of 100 but is no identity.
+TEST(FleetCollector, QuarantinesStatsThatOnlyBalanceByWrapping) {
+  const std::string dir = fresh_dir("stats_wrap");
   SpoolSink sink(dir);
   VantageExporter exporter(vantage_config(0, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  core::CheckpointImage garbage;
-  garbage.bytes = {1, 2, 3, 4, 5, 6, 7, 8};
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, &garbage,
-                                     clean_telemetry(100, 10)));
-  ASSERT_TRUE(exporter.publish_final(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  core::DartStats wrapped = clean_stats(~std::uint64_t{0}, 10);
+  wrapped.runtime.shed_packets = 101;
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, wrapped));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();
-  EXPECT_EQ(collector.quarantined_by(QuarantineReason::kBadCheckpoint), 1u);
-  EXPECT_EQ(collector.status(0).state, VantageState::kComplete);
+  EXPECT_EQ(collector.quarantined_by(QuarantineReason::kStatsMismatch), 1u);
+  EXPECT_EQ(collector.status(0).cursor, 0u);
+  EXPECT_EQ(collector.status(0).stats, core::DartStats{});
 }
 
-TEST(FleetCollector, AcceptsConsistentEmbeddedCheckpoint) {
-  const std::string dir = fresh_dir("good_ckpt");
+// Kind 3 (once a heartbeat) is no frame kind: a resealed kind-3 frame is
+// quarantined at decode and its progress claim moves no cursor.
+TEST(FleetCollector, QuarantinesResealedKindThreeFrame) {
+  const std::string dir = fresh_dir("kind_three");
   SpoolSink sink(dir);
-  VantageExporter exporter(vantage_config(0, 0), sink);
+  VantageExporter exporter(vantage_config(0, 500), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  // A real monitor image whose counters agree with the telemetry text.
-  const core::DartMonitor monitor((core::DartConfig()));
-  const core::CheckpointImage image =
-      monitor.snapshot(core::SnapshotMeta{1, 0, 0});
-  ASSERT_TRUE(exporter.publish_final(1, 0, &image, clean_telemetry(0, 0)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(100, 10)));
+  SnapshotFrame claim;
+  claim.header.sequence = 2;
+  claim.header.epoch = 2;
+  claim.header.cursor = 400;
+  claim.has_stats = true;
+  claim.stats = clean_stats(400, 40);
+  std::vector<std::uint8_t> bytes = encode_frame(claim);
+  bytes[44] = 3;  // frame kind, little-endian u32
+  reseal_frame(bytes);
+  ASSERT_TRUE(sink.publish(0, 2, bytes));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();
-  EXPECT_TRUE(collector.quarantined().empty());
-  EXPECT_EQ(collector.status(0).state, VantageState::kComplete);
+  EXPECT_EQ(collector.quarantined_by(QuarantineReason::kBadFrame), 1u);
+  EXPECT_EQ(collector.status(0).state, VantageState::kStale);
+  EXPECT_EQ(collector.status(0).cursor, 100u);
+  EXPECT_EQ(collector.status(0).lost_to_vantage(), 400u);
+  std::string error;
+  EXPECT_TRUE(check_fleet_identity(collector.report_text(), &error)) << error;
 }
 
 TEST(FleetCollector, FencesKilledVantageWithExactLossWindow) {
@@ -253,8 +256,7 @@ TEST(FleetCollector, FencesKilledVantageWithExactLossWindow) {
   // Vantage 1 dies after one epoch: manifest promises 500, state covers 100.
   VantageExporter exporter(vantage_config(1, 500), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(100, 10)));
 
   FleetCollector collector(offline_config(dir, 2));
   collector.run();
@@ -267,24 +269,6 @@ TEST(FleetCollector, FencesKilledVantageWithExactLossWindow) {
   EXPECT_NE(collector.report_text().find(
                 "fleet_lost_to_vantage_total{vantage=\"v1\"} 400"),
             std::string::npos);
-}
-
-TEST(FleetCollector, HeartbeatProgressNeverMovesTheLossCursor) {
-  const std::string dir = fresh_dir("heartbeat");
-  SpoolSink sink(dir);
-  VantageExporter exporter(vantage_config(0, 500), sink);
-  ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-  // A heartbeat claims progress to 400 — but it carries no counters, so
-  // the loss window must still be measured from the last *state* frame.
-  ASSERT_TRUE(exporter.publish_heartbeat(2, 400));
-
-  FleetCollector collector(offline_config(dir, 1));
-  collector.run();
-  EXPECT_EQ(collector.status(0).state, VantageState::kStale);
-  EXPECT_EQ(collector.status(0).cursor, 100u);
-  EXPECT_EQ(collector.status(0).lost_to_vantage(), 400u);
 }
 
 TEST(FleetCollector, SilentVantageFencesMissing) {
@@ -309,10 +293,8 @@ TEST(FleetCollector, GapHealsWhenReorderedFrameArrivesInGrace) {
   SpoolSink sink(dir);
   VantageExporter exporter(vantage_config(0, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-  ASSERT_TRUE(exporter.publish_final(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(100, 10)));
+  ASSERT_TRUE(exporter.publish_final(2, 200, clean_stats(200, 20)));
   // Hide the epoch frame: the collector sees sequences 0 and 2 first.
   const auto held = std::filesystem::path(dir) / SpoolSink::file_name(0, 1);
   const auto aside = std::filesystem::path(dir) / "held.aside";
@@ -337,10 +319,8 @@ TEST(FleetCollector, GapSkipsAfterGraceCountingMissing) {
   SpoolSink sink(dir);
   VantageExporter exporter(vantage_config(0, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-  ASSERT_TRUE(exporter.publish_final(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(100, 10)));
+  ASSERT_TRUE(exporter.publish_final(2, 200, clean_stats(200, 20)));
   std::filesystem::remove(std::filesystem::path(dir) /
                           SpoolSink::file_name(0, 1));
 
@@ -372,10 +352,8 @@ void publish_skewed_stream(SnapshotSink& sink, std::uint64_t vantage,
                            std::uint64_t skew) {
   VantageExporter exporter(vantage_config(vantage, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1 + skew, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-  ASSERT_TRUE(exporter.publish_final(2 + skew, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(1 + skew, 100, clean_stats(100, 10)));
+  ASSERT_TRUE(exporter.publish_final(2 + skew, 200, clean_stats(200, 20)));
 }
 
 TEST(FleetCollectorSkew, WithinGraceHealsToByteIdenticalReport) {
@@ -412,10 +390,8 @@ TEST(FleetCollectorSkew, BeyondGraceQuarantinesExactly) {
   VantageExporter exporter(vantage_config(0, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
   // Claimed epoch 9 against an aligned barrier of 1: skew 8 > grace 2.
-  ASSERT_TRUE(exporter.publish_epoch(9, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-  ASSERT_TRUE(exporter.publish_final(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(9, 100, clean_stats(100, 10)));
+  ASSERT_TRUE(exporter.publish_final(2, 200, clean_stats(200, 20)));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();
@@ -436,12 +412,10 @@ TEST(FleetCollectorSkew, ExcessiveSkewFreezesTheLossCursor) {
   SpoolSink sink(dir);
   VantageExporter exporter(vantage_config(0, 400), sink);  // interval 200
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 200, clean_stats(200, 20)));
   // The final arrives with a hopeless clock: quarantined, so the cursor
   // must stay at 200 and the loss window must be exactly 400 - 200.
-  ASSERT_TRUE(exporter.publish_final(77, 400, nullptr,
-                                     clean_telemetry(400, 40)));
+  ASSERT_TRUE(exporter.publish_final(77, 400, clean_stats(400, 40)));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();
@@ -465,8 +439,7 @@ TEST(FleetCollectorSkew, WatermarkIsTheSlowestAlignedVantage) {
   // Vantage 1 has only exported epoch 1 — but claims 3. The watermark is
   // measured in aligned epochs, so the skewed claim cannot drag the fleet
   // forward past what its cursor actually covers.
-  ASSERT_TRUE(lagger.publish_epoch(3, 100, nullptr,
-                                   clean_telemetry(100, 10)));
+  ASSERT_TRUE(lagger.publish_epoch(3, 100, clean_stats(100, 10)));
 
   FleetCollector collector(offline_config(dir, 2));
   collector.poll();  // both vantages live, nobody fenced yet
@@ -482,36 +455,6 @@ TEST(FleetCollectorSkew, WatermarkIsTheSlowestAlignedVantage) {
   EXPECT_EQ(collector.epoch_watermark(), 2u);
 }
 
-// Satellite regression: a heartbeat with a wildly skewed claimed epoch
-// still proves liveness — and moves neither the loss cursor, the skew
-// estimate, nor the watermark.
-TEST(FleetCollectorSkew, SkewedHeartbeatProvesLivenessMovesNothing) {
-  const std::string dir = fresh_dir("skewed_heartbeat");
-  SpoolSink sink(dir);
-  VantageExporter exporter(vantage_config(0, 200), sink);
-  ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10)));
-
-  FleetCollector collector(offline_config(dir, 1));
-  collector.poll();
-  ASSERT_EQ(collector.status(0).state, VantageState::kLive);
-  const std::uint64_t watermark_before = collector.epoch_watermark();
-
-  // The vantage's clock goes insane but the process is alive: heartbeats
-  // claim epoch 60, far beyond any grace window.
-  ASSERT_TRUE(exporter.publish_heartbeat(60, 450));
-  collector.poll();
-  const VantageStatus& status = collector.status(0);
-  EXPECT_EQ(status.state, VantageState::kLive);
-  EXPECT_EQ(status.attempts_without_progress, 0u);  // liveness proven
-  EXPECT_TRUE(collector.quarantined().empty());
-  EXPECT_EQ(status.cursor, 100u);                   // loss cursor frozen
-  EXPECT_EQ(status.epoch_skew, 0);                  // estimator untouched
-  EXPECT_EQ(status.aligned_epoch(), 1u);
-  EXPECT_EQ(collector.epoch_watermark(), watermark_before);
-}
-
 // Adversarial cursor at the integer ceiling: the claimed epoch is light
 // years from the cursor-derived barrier, so the alignment gate quarantines
 // the frame — no overflow, no crash, and the loss window stays exact.
@@ -520,12 +463,10 @@ TEST(FleetCollectorSkew, CursorAtIntegerCeilingQuarantinesSafely) {
   SpoolSink sink(dir);
   VantageExporter exporter(vantage_config(0, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  // 2^63 survives the double round trip through the telemetry text, so
-  // the frame is internally consistent — only the alignment gate is left
-  // to catch it.
+  // The counters account for all 2^63 packets, so the frame is internally
+  // consistent — only the alignment gate is left to catch it.
   const std::uint64_t huge = std::uint64_t{1} << 63;
-  ASSERT_TRUE(exporter.publish_epoch(1, huge, nullptr,
-                                     clean_telemetry(huge, 10)));
+  ASSERT_TRUE(exporter.publish_epoch(1, huge, clean_stats(huge, 10)));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();
@@ -548,9 +489,9 @@ void publish_stream_with_rtt(SnapshotSink& sink, std::uint64_t vantage,
   VantageExporter exporter(vantage_config(vantage, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
   ASSERT_TRUE(exporter.publish_epoch(
-      1, 100, nullptr, clean_telemetry(100, rtts.size()), &hist));
+      1, 100, clean_stats(100, rtts.size()), &hist));
   ASSERT_TRUE(exporter.publish_final(
-      2, 200, nullptr, clean_telemetry(200, rtts.size()), &hist));
+      2, 200, clean_stats(200, rtts.size()), &hist));
 }
 
 TEST(FleetCollectorRtt, MergedHistogramMatchesSingleCollectorReference) {
@@ -601,12 +542,10 @@ TEST(FleetCollectorRtt, HistogramCountMismatchQuarantines) {
   hist.add(75'000);
   VantageExporter exporter(vantage_config(0, 200), sink);
   ASSERT_TRUE(exporter.publish_manifest());
-  // Telemetry counts 10 samples; the histogram carries mass for 1. A
+  // The stats count 10 samples; the histogram carries mass for 1. A
   // frame that disagrees with itself is quarantined, not averaged in.
-  ASSERT_TRUE(exporter.publish_epoch(1, 100, nullptr,
-                                     clean_telemetry(100, 10), &hist));
-  ASSERT_TRUE(exporter.publish_final(2, 200, nullptr,
-                                     clean_telemetry(200, 20)));
+  ASSERT_TRUE(exporter.publish_epoch(1, 100, clean_stats(100, 10), &hist));
+  ASSERT_TRUE(exporter.publish_final(2, 200, clean_stats(200, 20)));
 
   FleetCollector collector(offline_config(dir, 1));
   collector.run();

@@ -1,5 +1,5 @@
-// VantageExporter: sequence discipline, publish-slot accounting, telemetry
-// rendering, and the exact delivery shapes each
+// VantageExporter: sequence discipline, publish-slot accounting, the stats
+// section a state frame carries, and the exact delivery shapes each
 // exporter-side fault produces — the collector's test vectors come from
 // here, so the shapes must be pinned.
 #include "fleet/vantage_exporter.hpp"
@@ -12,7 +12,6 @@
 #include "fleet/frame.hpp"
 #include "fleet/snapshot_sink.hpp"
 #include "runtime/fault_injection.hpp"
-#include "telemetry/export.hpp"
 
 namespace dart::fleet {
 namespace {
@@ -27,6 +26,13 @@ VantageExporterConfig small_config() {
   return config;
 }
 
+/// Counters of a vantage that processed all `cursor` routed packets.
+core::DartStats processed(std::uint64_t cursor) {
+  core::DartStats stats;
+  stats.packets_processed = cursor;
+  return stats;
+}
+
 SnapshotFrame decode_entry(const MemorySink::Entry& entry) {
   SnapshotFrame frame;
   const FrameError err = decode_frame(entry.bytes, &frame);
@@ -38,15 +44,14 @@ TEST(VantageExporter, PublishesSequencedStream) {
   MemorySink sink;
   VantageExporter exporter(small_config(), sink);
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "dart_x 1\n"));
-  EXPECT_TRUE(exporter.publish_heartbeat(1, 300));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "dart_x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
   EXPECT_FALSE(exporter.killed());
-  EXPECT_EQ(exporter.frames_published(), 4u);
+  EXPECT_EQ(exporter.frames_published(), 3u);
 
-  ASSERT_EQ(sink.entries().size(), 4u);
+  ASSERT_EQ(sink.entries().size(), 3u);
   const FrameKind kinds[] = {FrameKind::kManifest, FrameKind::kEpoch,
-                             FrameKind::kHeartbeat, FrameKind::kFinal};
+                             FrameKind::kFinal};
   for (std::size_t i = 0; i < sink.entries().size(); ++i) {
     EXPECT_EQ(sink.entries()[i].vantage, 3u);
     EXPECT_EQ(sink.entries()[i].publish_index, i);
@@ -71,20 +76,29 @@ TEST(VantageExporter, DefaultsNameFromVantageId) {
   EXPECT_EQ(decode_entry(sink.entries()[0]).info.name, "v9");
 }
 
+// A state frame carries the counters it was given, every field, as its
+// stats section — the identity-consistent numbers the collector checks
+// against the cursor. The manifest carries none.
 TEST(VantageExporter, RendersIdentityConsistentTelemetry) {
   core::DartStats stats;
   stats.packets_processed = 950;
   stats.samples = 120;
+  stats.recirculations = 31;
   stats.runtime.shed_packets = 50;
-  const std::uint64_t routed = 1000;
-  const std::string text =
-      render_vantage_telemetry(std::span(&stats, 1), std::span(&routed, 1));
+  stats.runtime.backpressure_events = 7;
+  MemorySink sink;
+  VantageExporter exporter(small_config(), sink);
+  ASSERT_TRUE(exporter.publish_manifest());
+  ASSERT_TRUE(exporter.publish_final(1, 1000, stats));
 
-  const auto samples = telemetry::parse_prometheus(text);
-  EXPECT_EQ(telemetry::prom_value(samples, "dart_routed_total"), 1000.0);
-  EXPECT_EQ(telemetry::prom_value(samples, "dart_processed_total"), 950.0);
-  EXPECT_EQ(telemetry::prom_value(samples, "dart_shed_total"), 50.0);
-  EXPECT_EQ(telemetry::prom_value(samples, "dart_samples_total"), 120.0);
+  ASSERT_EQ(sink.entries().size(), 2u);
+  EXPECT_FALSE(decode_entry(sink.entries()[0]).has_stats);
+  const SnapshotFrame frame = decode_entry(sink.entries()[1]);
+  ASSERT_TRUE(frame.has_stats);
+  EXPECT_EQ(frame.stats, stats);
+  EXPECT_EQ(frame.stats.packets_processed + frame.stats.runtime.shed_packets,
+            frame.header.cursor);
+  EXPECT_FALSE(frame.has_rtt_histogram);
 }
 
 TEST(VantageExporter, PublishesRttHistogramSection) {
@@ -95,14 +109,12 @@ TEST(VantageExporter, PublishesRttHistogramSection) {
   rtt.add(900'000);  // 900 us
   rtt.add(900'000);
   ASSERT_TRUE(exporter.publish_manifest());
-  ASSERT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n", &rtt));
-  // Heartbeats carry no sections, histogram included.
-  ASSERT_TRUE(exporter.publish_heartbeat(1, 300));
-  ASSERT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n", &rtt));
+  ASSERT_TRUE(exporter.publish_epoch(1, 200, processed(200), &rtt));
+  ASSERT_TRUE(exporter.publish_final(2, 400, processed(400), &rtt));
 
-  ASSERT_EQ(sink.entries().size(), 4u);
-  EXPECT_FALSE(decode_entry(sink.entries()[2]).has_rtt_histogram);
-  for (const std::size_t at : {std::size_t{1}, std::size_t{3}}) {
+  ASSERT_EQ(sink.entries().size(), 3u);
+  EXPECT_FALSE(decode_entry(sink.entries()[0]).has_rtt_histogram);
+  for (const std::size_t at : {std::size_t{1}, std::size_t{2}}) {
     const SnapshotFrame frame = decode_entry(sink.entries()[at]);
     ASSERT_TRUE(frame.has_rtt_histogram) << "entry " << at;
     EXPECT_EQ(frame.rtt_histogram.total(), 3u);
@@ -126,17 +138,15 @@ TEST(VantageExporterFaults, SkewOffsetShiftsEveryStateEpoch) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_TRUE(exporter.publish_heartbeat(1, 300));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n"));
-  ASSERT_EQ(sink.entries().size(), 4u);
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
+  ASSERT_EQ(sink.entries().size(), 3u);
   EXPECT_EQ(decode_entry(sink.entries()[0]).header.epoch, 0u);
   EXPECT_EQ(decode_entry(sink.entries()[1]).header.epoch, 4u);
-  EXPECT_EQ(decode_entry(sink.entries()[2]).header.epoch, 4u);
-  EXPECT_EQ(decode_entry(sink.entries()[3]).header.epoch, 5u);
+  EXPECT_EQ(decode_entry(sink.entries()[2]).header.epoch, 5u);
   // The trusted clock is untouched: cursors still tell the truth.
   EXPECT_EQ(decode_entry(sink.entries()[1]).header.cursor, 200u);
-  EXPECT_EQ(decode_entry(sink.entries()[3]).header.cursor, 400u);
+  EXPECT_EQ(decode_entry(sink.entries()[2]).header.cursor, 400u);
 }
 
 TEST(VantageExporterFaults, SkewDriftGrowsWithTheEpoch) {
@@ -147,8 +157,8 @@ TEST(VantageExporterFaults, SkewDriftGrowsWithTheEpoch) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
   EXPECT_EQ(decode_entry(sink.entries()[1]).header.epoch, 3u);  // 1 + 2*1
   EXPECT_EQ(decode_entry(sink.entries()[2]).header.epoch, 6u);  // 2 + 2*2
 }
@@ -161,8 +171,8 @@ TEST(VantageExporterFaults, EpochLagClampsAtZero) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
   EXPECT_EQ(decode_entry(sink.entries()[1]).header.epoch, 0u);  // 1-3 -> 0
   EXPECT_EQ(decode_entry(sink.entries()[2]).header.epoch, 0u);  // 2-3 -> 0
 }
@@ -175,11 +185,11 @@ TEST(VantageExporterFaults, KillStopsTheStreamBeforeTheFrame) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_FALSE(exporter.publish_epoch(2, 400, nullptr, "x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_FALSE(exporter.publish_epoch(2, 400, processed(400)));
   EXPECT_TRUE(exporter.killed());
   // Once dead, everything is a no-op — like the process it models.
-  EXPECT_FALSE(exporter.publish_final(3, 400, nullptr, "x 3\n"));
+  EXPECT_FALSE(exporter.publish_final(3, 400, processed(400)));
   ASSERT_EQ(sink.entries().size(), 2u);
   EXPECT_EQ(decode_entry(sink.entries().back()).header.sequence, 1u);
 }
@@ -192,8 +202,8 @@ TEST(VantageExporterFaults, TruncateTearsExactlyOneFrame) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
   ASSERT_EQ(sink.entries().size(), 3u);
   EXPECT_EQ(sink.entries()[1].bytes.size(), 40u);
   SnapshotFrame torn;
@@ -210,8 +220,8 @@ TEST(VantageExporterFaults, DuplicateOccupiesTwoPublishSlots) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
   ASSERT_EQ(sink.entries().size(), 4u);
   EXPECT_EQ(decode_entry(sink.entries()[1]).header.sequence, 1u);
   EXPECT_EQ(decode_entry(sink.entries()[2]).header.sequence, 1u);
@@ -229,8 +239,8 @@ TEST(VantageExporterFaults, ReorderDeliversAfterSuccessor) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
   EXPECT_EQ(exporter.frames_published(), 3u);
   ASSERT_EQ(sink.entries().size(), 3u);
   // Arrival order: 0, 2, 1 — while publish slots stay monotonic.
@@ -249,8 +259,8 @@ TEST(VantageExporterFaults, ReorderedFrameCanAlsoDuplicate) {
   exporter.set_fault_plan(&plan);
 
   EXPECT_TRUE(exporter.publish_manifest());
-  EXPECT_TRUE(exporter.publish_epoch(1, 200, nullptr, "x 1\n"));
-  EXPECT_TRUE(exporter.publish_final(2, 400, nullptr, "x 2\n"));
+  EXPECT_TRUE(exporter.publish_epoch(1, 200, processed(200)));
+  EXPECT_TRUE(exporter.publish_final(2, 400, processed(400)));
   ASSERT_EQ(sink.entries().size(), 4u);
   // The held frame keeps its own sequence through the duplicate fault:
   // arrival order 0, 2, 1, 1.

@@ -12,6 +12,16 @@
 namespace dart::fleet {
 namespace {
 
+/// Every counter distinct, so a field the codec drops, repeats or swaps
+/// shows up in the round trip.
+core::DartStats sample_stats() {
+  core::DartStats stats;
+  std::uint64_t value = 1000;
+  for (const auto field : core::kStatFields) stats.*field = value++;
+  for (const auto field : core::kHealthFields) stats.runtime.*field = value++;
+  return stats;
+}
+
 SnapshotFrame sample_frame() {
   SnapshotFrame frame;
   frame.header.vantage = 3;
@@ -19,10 +29,8 @@ SnapshotFrame sample_frame() {
   frame.header.epoch = 2;
   frame.header.cursor = 5000;
   frame.header.kind = FrameKind::kEpoch;
-  frame.has_checkpoint = true;
-  frame.checkpoint.bytes = {0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03};
-  frame.has_telemetry = true;
-  frame.telemetry = "dart_routed_total 5000\ndart_processed_total 5000\n";
+  frame.has_stats = true;
+  frame.stats = sample_stats();
   return frame;
 }
 
@@ -42,6 +50,16 @@ void patch_u64_at(std::vector<std::uint8_t>& bytes, std::size_t offset,
   }
 }
 
+std::uint64_t read_u64_at(const std::vector<std::uint8_t>& bytes,
+                          std::size_t offset) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) {
+    value |= std::uint64_t{bytes[offset + static_cast<std::size_t>(i)]}
+             << (8 * i);
+  }
+  return value;
+}
+
 RttHistogramSection sample_histogram() {
   RttHistogramSection hist;
   hist.log_min = 4.0;
@@ -59,6 +77,8 @@ TEST(FleetFrame, RoundTripsAllSections) {
   frame.info.expected_routed = 20000;
   frame.info.planned_epochs = 4;
   frame.info.epoch_interval = 5000;
+  frame.has_rtt_histogram = true;
+  frame.rtt_histogram = sample_histogram();
 
   const std::vector<std::uint8_t> bytes = encode_frame(frame);
   SnapshotFrame decoded;
@@ -67,28 +87,24 @@ TEST(FleetFrame, RoundTripsAllSections) {
   EXPECT_EQ(decoded.header, frame.header);
   ASSERT_TRUE(decoded.has_info);
   EXPECT_EQ(decoded.info, frame.info);
-  ASSERT_TRUE(decoded.has_checkpoint);
-  EXPECT_EQ(decoded.checkpoint.bytes, frame.checkpoint.bytes);
-  ASSERT_TRUE(decoded.has_telemetry);
-  EXPECT_EQ(decoded.telemetry, frame.telemetry);
+  ASSERT_TRUE(decoded.has_stats);
+  EXPECT_EQ(decoded.stats, frame.stats);
+  ASSERT_TRUE(decoded.has_rtt_histogram);
+  EXPECT_EQ(decoded.rtt_histogram, frame.rtt_histogram);
 }
 
-TEST(FleetFrame, RoundTripsSectionlessHeartbeat) {
-  SnapshotFrame frame;
-  frame.header.vantage = 1;
-  frame.header.sequence = 4;
-  frame.header.epoch = 3;
-  frame.header.cursor = 900;
-  frame.header.kind = FrameKind::kHeartbeat;
-
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytes);
-  SnapshotFrame decoded;
-  ASSERT_FALSE(decode_frame(bytes, &decoded));
-  EXPECT_EQ(decoded.header, frame.header);
-  EXPECT_FALSE(decoded.has_info);
-  EXPECT_FALSE(decoded.has_checkpoint);
-  EXPECT_FALSE(decoded.has_telemetry);
+// The stats section is the counter tables verbatim: a u32 field count,
+// then one u64 per counter in kStatFields, kHealthFields order.
+TEST(FleetFrame, StatsSectionIsTheCounterTablesInOrder) {
+  const std::vector<std::uint8_t> bytes = encode_frame(sample_frame());
+  const std::size_t payload_at = kFrameHeaderBytes + 12;
+  ASSERT_EQ(bytes.size(), payload_at + 4 + 8 * core::kStatCounters);
+  EXPECT_EQ(read_u64_at(bytes, payload_at) & 0xFFFFFFFFu,
+            core::kStatCounters);
+  for (std::uint32_t i = 0; i < core::kStatCounters; ++i) {
+    EXPECT_EQ(read_u64_at(bytes, payload_at + 4 + 8 * i), 1000u + i)
+        << "counter " << i;
+  }
 }
 
 TEST(FleetFrame, RejectsManifestWithoutInfoSection) {
@@ -148,23 +164,22 @@ TEST(FleetFrame, RejectsBadMagicAndVersion) {
   EXPECT_EQ(decode_frame(bytes, &decoded).code, FrameErrorCode::kBadVersion);
 }
 
+// Kind 3 (the retired heartbeat) is as unknown as any other number.
 TEST(FleetFrame, RejectsBadKindEvenWithValidCrc) {
-  std::vector<std::uint8_t> bytes = encode_frame(sample_frame());
-  patch_u32_at(bytes, 44, 99);
-  reseal_frame(bytes);
-  SnapshotFrame decoded;
-  const FrameError err = decode_frame(bytes, &decoded);
-  EXPECT_EQ(err.code, FrameErrorCode::kBadKind);
-  EXPECT_EQ(err.offset, 44u);
+  for (const std::uint32_t kind : {0u, 3u, 5u, 99u}) {
+    std::vector<std::uint8_t> bytes = encode_frame(sample_frame());
+    patch_u32_at(bytes, 44, kind);
+    reseal_frame(bytes);
+    SnapshotFrame decoded;
+    const FrameError err = decode_frame(bytes, &decoded);
+    EXPECT_EQ(err.code, FrameErrorCode::kBadKind) << "kind " << kind;
+    EXPECT_EQ(err.offset, 44u);
+  }
 }
 
 TEST(FleetFrame, RejectsDuplicateSection) {
-  SnapshotFrame frame;
-  frame.header.kind = FrameKind::kEpoch;
-  frame.has_telemetry = true;
-  frame.telemetry = "x 1\n";
-  std::vector<std::uint8_t> bytes = encode_frame(frame);
-  // Append a second telemetry section by hand and bump the section count.
+  std::vector<std::uint8_t> bytes = encode_frame(sample_frame());
+  // Append a second stats section by hand and bump the section count.
   const std::size_t section_at = kFrameHeaderBytes;
   const std::size_t section_len = bytes.size() - section_at;
   std::vector<std::uint8_t> extra(bytes.begin() + static_cast<long>(section_at),
@@ -179,12 +194,8 @@ TEST(FleetFrame, RejectsDuplicateSection) {
 }
 
 TEST(FleetFrame, RejectsUnknownSectionId) {
-  SnapshotFrame frame;
-  frame.header.kind = FrameKind::kEpoch;
-  frame.has_telemetry = true;
-  frame.telemetry = "x 1\n";
-  std::vector<std::uint8_t> bytes = encode_frame(frame);
-  patch_u32_at(bytes, kFrameHeaderBytes, 77);  // telemetry id -> unknown
+  std::vector<std::uint8_t> bytes = encode_frame(sample_frame());
+  patch_u32_at(bytes, kFrameHeaderBytes, 77);  // stats id -> unknown
   reseal_frame(bytes);
   SnapshotFrame decoded;
   EXPECT_EQ(decode_frame(bytes, &decoded).code,
@@ -192,10 +203,8 @@ TEST(FleetFrame, RejectsUnknownSectionId) {
 }
 
 TEST(FleetFrame, RejectsSectionLengthPastEnd) {
-  SnapshotFrame frame = sample_frame();
-  frame.has_checkpoint = false;
-  std::vector<std::uint8_t> bytes = encode_frame(frame);
-  // The telemetry section's u64 length sits right after its u32 id.
+  std::vector<std::uint8_t> bytes = encode_frame(sample_frame());
+  // The stats section's u64 length sits right after its u32 id.
   patch_u32_at(bytes, kFrameHeaderBytes + 4, 0xFFFF);
   patch_u32_at(bytes, kFrameHeaderBytes + 8, 0);
   reseal_frame(bytes);
@@ -259,6 +268,52 @@ TEST(FleetFrame, RejectsHostileHistogramLayouts) {
   reseal_frame(bytes);
   EXPECT_EQ(decode_frame(bytes, &decoded).code,
             FrameErrorCode::kBadFieldValue);
+}
+
+// A CRC-valid stats section must match this build's counter tables: a
+// field count other than kStatCounters, a length other than 4 + 8 x count
+// and a section cut short are each refused with a typed error.
+TEST(FleetFrame, RejectsHostileStatsSections) {
+  const std::vector<std::uint8_t> clean = encode_frame(sample_frame());
+  const std::size_t length_at = kFrameHeaderBytes + 4;
+  const std::size_t payload_at = kFrameHeaderBytes + 12;
+  const std::uint64_t length = 4 + 8 * std::uint64_t{core::kStatCounters};
+  SnapshotFrame decoded;
+
+  for (const std::uint32_t bad_count :
+       {0u, core::kStatCounters - 1, core::kStatCounters + 1}) {
+    std::vector<std::uint8_t> bytes = clean;
+    patch_u32_at(bytes, payload_at, bad_count);
+    reseal_frame(bytes);
+    const FrameError err = decode_frame(bytes, &decoded);
+    EXPECT_EQ(err.code, FrameErrorCode::kBadFieldValue)
+        << "field count " << bad_count;
+    EXPECT_EQ(err.offset, payload_at);
+  }
+
+  // One counter too many: the right count, but 8 bytes past 4 + 8 x count.
+  std::vector<std::uint8_t> longer = clean;
+  longer.insert(longer.end(), 8, 0x11);
+  patch_u64_at(longer, length_at, length + 8);
+  reseal_frame(longer);
+  FrameError err = decode_frame(longer, &decoded);
+  EXPECT_EQ(err.code, FrameErrorCode::kTrailingBytes);
+  EXPECT_EQ(err.offset, payload_at + length);
+
+  // One counter short: the section (and the frame) end 8 bytes early.
+  std::vector<std::uint8_t> shorter(clean.begin(), clean.end() - 8);
+  patch_u64_at(shorter, length_at, length - 8);
+  reseal_frame(shorter);
+  err = decode_frame(shorter, &decoded);
+  EXPECT_EQ(err.code, FrameErrorCode::kTruncated);
+  EXPECT_EQ(err.offset, payload_at + length - 8);
+
+  // A section too short to hold even its field count.
+  std::vector<std::uint8_t> stub(
+      clean.begin(), clean.begin() + static_cast<long>(payload_at + 2));
+  patch_u64_at(stub, length_at, 2);
+  reseal_frame(stub);
+  EXPECT_EQ(decode_frame(stub, &decoded).code, FrameErrorCode::kTruncated);
 }
 
 TEST(FleetFrame, RejectsHistogramWithInvertedRangeAndMass) {
