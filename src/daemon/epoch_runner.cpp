@@ -166,8 +166,10 @@ std::string EpochRunner::run_cycle(PacketSource& source, const StopFn& stop) {
         std::chrono::nanoseconds(config_.idle_sleep_ns));
   }
 
-  // Drain to the barrier: flush partial batches, join every worker, settle
-  // results. After this the accounting identity holds exactly.
+  // Drain to the barrier: every process_all call already handed its
+  // packets to the rings, so join every worker once it has drained its
+  // ring, then settle results. After this the accounting identity holds
+  // exactly.
   monitor.finish();
   std::string report = render_final_report(monitor, cycle);
   {

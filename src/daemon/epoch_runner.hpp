@@ -6,8 +6,9 @@
 // ShardedMonitor from a PacketSource, and at every epoch barrier (the
 // router-thread on_epoch hook) seals a snapshot of the routed cursors into
 // a mutex-guarded board that query threads read concurrently. Shutdown
-// (stop predicate true, or source exhausted) is drain-to-barrier: flush
-// partial batches, join workers, settle results — so the final report
+// (stop predicate true, or source exhausted) is drain-to-barrier: the
+// workers drain what every poll's process_all call already handed them,
+// join, and settle results — so the final report
 // carries the exact accounting identity
 //
 //     processed + shed + abandoned + lost_to_crash == routed

@@ -199,10 +199,21 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
 // Router side: delivery, barriers, health watching.
 
 void ShardedMonitor::process(const PacketRecord& packet) {
-  process_all(std::span(&packet, 1));
+  route(std::span(&packet, 1));
 }
 
 void ShardedMonitor::process_all(std::span<const PacketRecord> packets) {
+  route(packets);
+  // The call is the delivery unit: a packet waits in a pending batch only
+  // while the call that routed it runs, so a trickling source is not held
+  // back until batch_size packets pile up. A retired shard keeps batching:
+  // its batches are shed, and each shed batch is one RuntimeHealth event.
+  for (auto& shard : shards_) {
+    if (!shard->retired) flush_shard(*shard);
+  }
+}
+
+void ShardedMonitor::route(std::span<const PacketRecord> packets) {
   if (finished_) {
     throw LifecycleError(LifecycleViolation::kProcessAfterFinish);
   }
@@ -237,7 +248,7 @@ void ShardedMonitor::process_all(std::span<const PacketRecord> packets) {
         Work marker;
         marker.epoch = epochs_fired_;
         marker.cursor = shard->delivered;
-        deliver(*shard, std::move(marker));
+        deliver(*shard, marker);
       }
     }
     // Router-thread barrier: fires between packets, so the callback can
@@ -277,12 +288,17 @@ std::uint64_t ShardedMonitor::shard_routed_cursor(std::uint32_t shard) const {
 
 void ShardedMonitor::flush_shard(Shard& shard) {
   if (shard.pending.empty()) return;
+  shard.routed += shard.pending.size();
   Work work;
-  work.batch = std::move(shard.pending);
-  shard.pending.clear();  // moved-from: restore a defined empty state
+  work.batch.swap(shard.pending);
+  deliver(shard, work);
+  // Pushed, `work` holds the buffer the worker left in the slot (emptied,
+  // capacity kept); shed, it still holds the batch. Either way it becomes
+  // the next pending batch, so once every slot has cycled a flush
+  // allocates nothing.
+  shard.pending.swap(work.batch);
+  shard.pending.clear();
   shard.pending.reserve(config_.batch_size);
-  shard.routed += work.batch.size();
-  deliver(shard, std::move(work));
 }
 
 void ShardedMonitor::shed(Shard& shard, const Work& work) {
@@ -291,7 +307,7 @@ void ShardedMonitor::shed(Shard& shard, const Work& work) {
   shard.health.shed_packets += work.batch.size();
 }
 
-void ShardedMonitor::deliver(Shard& shard, Work&& work) {
+void ShardedMonitor::deliver(Shard& shard, Work& work) {
   const std::uint64_t packets = work.batch.size();
   OverloadGovernor governor(config_.overload);
   bool contended = false;
@@ -307,7 +323,7 @@ void ShardedMonitor::deliver(Shard& shard, Work&& work) {
       recover_dead(shard);
       continue;
     }
-    if (inc.queue.try_push(std::move(work))) {
+    if (inc.queue.try_push(work)) {
       shard.delivered += packets;
       if (tm != nullptr) {
         tm->ring_occupancy->at(shard.index)
@@ -375,7 +391,7 @@ void ShardedMonitor::requeue(Shard& shard, std::vector<Work>&& carryover) {
         recover_dead(shard);
         continue;
       }
-      if (inc.queue.try_push(std::move(work))) {
+      if (inc.queue.try_push(work)) {
         shard.health.replayed_after_restore += packets;
         break;
       }

@@ -10,9 +10,14 @@
 //
 // The caller's thread routes each packet by the canonical 4-tuple hash onto
 // one of N shards; each shard is a worker thread owning a private monitor
-// (no shared mutable state between shards). Handoff is batched (~256
-// packets per push) through bounded SPSC rings; a full ring backpressures
-// the router, bounding memory at O(shards * queue depth * batch).
+// (no shared mutable state between shards). Handoff is batched through
+// bounded SPSC rings: each process_all() call hands every shard its share
+// of the call before returning, cut into batches of at most batch_size, so
+// batches fill under load and shrink to what arrived when the source
+// trickles. A push exchanges the batch for the buffer the worker emptied
+// into that slot, so a warmed-up ring hands off without allocating. A full
+// ring backpressures the router, bounding memory at O(shards * queue depth
+// * batch).
 //
 // Each worker's sample sink bins the RTT into its LogHistogram ("hist"),
 // so the RTT distribution is aggregated as it is measured:
@@ -115,8 +120,10 @@ struct ShardedConfig {
   /// Number of worker threads / monitor partitions (>= 1).
   std::uint32_t shards = 1;
 
-  /// Packets accumulated per shard before a queue handoff. One push
-  /// amortizes the ring synchronization over the whole batch.
+  /// Most packets per ring batch. A shard's batch is handed off when it
+  /// reaches this size, at an epoch barrier, and at the end of every
+  /// process_all() call, so under load one push amortizes the ring
+  /// synchronization over this many packets.
   std::size_t batch_size = 256;
 
   /// Bounded ring capacity per shard, in batches. A full ring stalls the
@@ -206,16 +213,23 @@ class ShardedMonitor {
   ShardedMonitor& operator=(const ShardedMonitor&) = delete;
 
   /// Route one packet to its shard. Caller thread only; packets must arrive
-  /// in monitor order (as for DartMonitor::process). Throws LifecycleError
-  /// (kProcessAfterFinish) once finish() has run — the workers have joined
-  /// and a routed batch would land in a ring with no consumer.
+  /// in monitor order (as for DartMonitor::process). The packet waits in
+  /// its shard's pending batch until the batch fills, an epoch barrier
+  /// cuts it, or a process_all() or finish() call hands it off. Throws
+  /// LifecycleError (kProcessAfterFinish) once finish() has run — the
+  /// workers have joined and a routed batch would land in a ring with no
+  /// consumer.
   void process(const PacketRecord& packet);
 
-  /// Route a whole time-ordered stream; equivalent to process() on each
-  /// packet in turn (same hook firings, cursors, barrier cuts and batches),
-  /// but it finds the next epoch boundary once per segment, and with one
-  /// shard appends each segment to the batch in bulk. Same lifecycle
-  /// contract as process().
+  /// Route a whole time-ordered stream, then hand every live shard's
+  /// partial batch to its ring, so each packet of the call reaches its
+  /// worker before the call returns. Routing equals process() on each
+  /// packet in turn (same hook firings, cursors, barrier cuts and results);
+  /// only the batches differ: each shard's share of one call is cut at
+  /// batch_size and at barriers and never carried into the next call. It
+  /// finds the next epoch boundary once per segment, and with one shard
+  /// appends each segment to the batch in bulk. Same lifecycle contract as
+  /// process().
   void process_all(std::span<const PacketRecord> packets);
 
   /// Flush partial batches, signal end-of-stream, and join all workers
@@ -239,7 +253,7 @@ class ShardedMonitor {
   std::uint64_t routed_total() const { return routed_total_; }
 
   /// Router-side per-shard cursor: packets routed to `shard` so far,
-  /// including the pending partial batch not yet handed to the ring. The
+  /// including any pending partial batch not yet handed to the ring. The
   /// cursors sum to routed_total(); an epoch cut reports them. Same
   /// threading contract as routed_total().
   std::uint64_t shard_routed_cursor(std::uint32_t shard) const;
@@ -358,7 +372,7 @@ class ShardedMonitor {
     /// not replaced.
     std::shared_ptr<Incarnation> inc;
     std::vector<std::shared_ptr<Incarnation>> detached;  ///< hung zombies
-    PacketBatch pending;          ///< router-side accumulation
+    PacketBatch pending;          ///< router-side accumulation (recycled)
     std::uint64_t routed = 0;     ///< handed to flush (incl. later shed)
     std::uint64_t delivered = 0;  ///< pushed into the pipeline
     std::uint32_t restarts = 0;
@@ -386,10 +400,17 @@ class ShardedMonitor {
   // destructor: flush, end-of-input, reap, settle results, fold telemetry.
   // Idempotent.
   void shutdown() noexcept;
+  /// Route packets onto the pending batches, cutting them at batch_size
+  /// and at epoch barriers; process() and process_all() share it.
+  void route(std::span<const PacketRecord> packets);
   /// Route packets that close no epoch before their last one.
   void route_segment(std::span<const PacketRecord> packets);
+  /// Hand the pending batch to the ring and take back, as the next pending
+  /// batch, the buffer the push exchanged for it.
   void flush_shard(Shard& shard);
-  void deliver(Shard& shard, Work&& work);
+  /// Push `work` (or shed it); once pushed, `work` holds what the slot
+  /// held before.
+  void deliver(Shard& shard, Work& work);
   void requeue(Shard& shard, std::vector<Work>&& carryover);
   static void shed(Shard& shard, const Work& work);
   void recover_dead(Shard& shard);

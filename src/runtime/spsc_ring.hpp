@@ -5,7 +5,15 @@
 // a wait-free SPSC ring with acquire/release publication suffices — no locks
 // and no CAS loops on the hot path. Slots hold whole packet *batches*
 // (vectors), so one push/pop pair amortizes the synchronization cost over
-// ~256 packets.
+// every packet of the batch.
+//
+// Push and pop *exchange* a value with the slot rather than move it in or
+// out: the consumer's pop leaves its previous value in the slot it read,
+// and the producer's next push into that slot hands it back. A batch
+// buffer the worker has emptied thus returns to the router with its
+// capacity intact, so a warmed-up ring moves batches without allocating.
+// Each slot still holds at most one value, so memory stays bounded by
+// capacity() values.
 //
 // The implementation is the classic Lamport ring with cached indices: the
 // producer re-reads the consumer index only when the ring looks full, and
@@ -52,27 +60,34 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer side. Returns false when the ring is full (the caller applies
-  /// backpressure — in this runtime, by yielding and retrying).
-  bool try_push(T&& value) {
+  /// Producer side: swaps `value` into the next slot, so on success
+  /// `value` holds what the consumer left there (a default T until the slot
+  /// was popped once). Returns false, `value` untouched, when the ring is
+  /// full (the caller applies backpressure — in this runtime, by yielding
+  /// and retrying).
+  bool try_push(T& value) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     if (head - cached_tail_ > mask_) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
       if (head - cached_tail_ > mask_) return false;
     }
-    slots_[head & mask_] = std::move(value);
+    using std::swap;
+    swap(slots_[head & mask_], value);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
-  /// Consumer side. Returns false when the ring is empty.
+  /// Consumer side: swaps the oldest value into `out` and leaves `out`'s
+  /// previous contents in the slot, for the producer's next push there.
+  /// Returns false, `out` untouched, when the ring is empty.
   bool try_pop(T& out) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail == cached_head_) {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (tail == cached_head_) return false;
     }
-    out = std::move(slots_[tail & mask_]);
+    using std::swap;
+    swap(slots_[tail & mask_], out);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -89,9 +104,10 @@ class SpscRing {
  private:
   // A slot's contents cross threads only through the index release-stores:
   // the producer's head_ release publishes the slot it just wrote and the
-  // consumer's matching acquire load makes it visible (and symmetrically
-  // tail_ hands the emptied slot back). The cached indices never cross
-  // threads at all.
+  // consumer's matching acquire load makes it visible; symmetrically tail_
+  // publishes the value the consumer left behind, which the producer reads
+  // only after acquiring a tail_ past that slot. The cached indices never
+  // cross threads at all.
   std::vector<T> slots_ DART_PUBLISHED_BY(head_ /* and reclaimed by tail_ */);
   std::size_t mask_ = 0;
 

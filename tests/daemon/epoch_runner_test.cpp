@@ -5,20 +5,28 @@
 // (3) stop is drain-to-barrier — a mid-run SIGTERM settles results instead
 // of abandoning them. The RTT lines, rendered from the workers' merged
 // histograms, are also held to a reference rendered from the sorted merged
-// sample stream.
+// sample stream, and a source that goes idle strands no routed packet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analytics/histogram.hpp"
 #include "daemon/epoch_runner.hpp"
+#include "daemon/packet_source.hpp"
 #include "daemon/replay_source.hpp"
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/runtime_metrics.hpp"
 
 namespace dart {
 namespace {
@@ -277,6 +285,66 @@ TEST(EpochRunner, SampleFreeCycleRendersZeroRttLines) {
               "dart_rtt_ns{quantile=\"0.90000000000000002\"} 0\n"
               "dart_rtt_ns{quantile=\"0.98999999999999999\"} 0\n");
   }
+}
+
+/// Yields its packets on the first poll, then idles without ever being
+/// exhausted, like a live feed that has gone quiet.
+class TricklingSource : public daemon::PacketSource {
+ public:
+  explicit TricklingSource(std::vector<PacketRecord> packets)
+      : packets_(std::move(packets)) {}
+  std::size_t poll(std::vector<PacketRecord>& out, std::size_t max) override {
+    const std::size_t n = std::min(max, packets_.size() - next_);
+    out.insert(out.end(), packets_.begin() + static_cast<std::ptrdiff_t>(next_),
+               packets_.begin() + static_cast<std::ptrdiff_t>(next_ + n));
+    next_ += n;
+    return n;
+  }
+  bool exhausted() const override { return false; }
+
+ private:
+  std::vector<PacketRecord> packets_;
+  std::size_t next_ = 0;
+};
+
+// A source that goes quiet after fewer packets than a ring batch must not
+// strand them: the workers process every one while the cycle still runs,
+// as the live worker-packet counter shows, long before the stop.
+TEST(EpochRunner, IdleSourceStrandsNoPacketBeforeStop) {
+  const trace::Trace trace = daemon_workload();
+  const std::size_t k = 200;
+  ASSERT_LT(k, runtime::ShardedConfig{}.batch_size);
+  ASSERT_GT(trace.size(), k);
+
+  daemon::DaemonConfig config = runner_config(1000);
+  telemetry::Registry registry(config.shards);
+  telemetry::RuntimeMetrics metrics(registry);
+  config.telemetry = &metrics;
+  daemon::EpochRunner runner(config);
+  TricklingSource source(std::vector<PacketRecord>(
+      trace.packets().begin(),
+      trace.packets().begin() + static_cast<std::ptrdiff_t>(k)));
+  std::atomic<bool> stop{false};
+  std::string report;
+  std::thread ingest([&] {
+    report = runner.run_cycle(
+        source, [&stop] { return stop.load(std::memory_order_acquire); });
+  });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (metrics.worker_packets->total() < k &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t live_packets = metrics.worker_packets->total();
+  stop.store(true, std::memory_order_release);
+  ingest.join();
+
+  EXPECT_EQ(live_packets, k);
+  EXPECT_EQ(report_value(report, "dart_routed_total"), k);
+  EXPECT_EQ(report_value(report, "dart_processed_total"), k);
+  expect_identity(report);
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 // routed == epoch * interval at each firing and no trailing partial
 // epoch at drain. The daemon's rotation barrier stands on this math, so
 // the constexpr helpers are pinned down to the 2^63 edge. process_all,
-// which routes a segment per epoch, is held to per-packet process().
+// which routes a segment per epoch, is held to per-packet process() in
+// everything but batch shape, and its batches to the per-call partition:
+// every packet a call routes reaches its worker before the call returns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -244,6 +248,38 @@ RoutedRun route_in_spans(const trace::Trace& trace, std::uint32_t shards,
   return run;
 }
 
+/// The ring batches process_all must hand each shard when `trace` arrives
+/// in consecutive calls of `span` packets: each shard's share of one call
+/// is cut at the batch size (256) and, with barriers, at every epoch
+/// boundary (100), and is never carried into the next call.
+std::vector<std::vector<std::size_t>> span_batches(const trace::Trace& trace,
+                                                   std::uint32_t shards,
+                                                   bool barriers,
+                                                   std::size_t span) {
+  const runtime::ShardRouter router(shards,
+                                    runtime::ShardedConfig{}.route_seed);
+  std::vector<std::vector<std::size_t>> batches(shards);
+  std::vector<std::size_t> pending(shards, 0);
+  const auto flush = [&](std::uint32_t shard) {
+    if (pending[shard] == 0) return;
+    batches[shard].push_back(pending[shard]);
+    pending[shard] = 0;
+  };
+  const std::vector<PacketRecord>& packets = trace.packets();
+  for (std::size_t routed = 0; routed < packets.size();) {
+    const std::size_t end = std::min(routed + span, packets.size());
+    for (; routed < end; ++routed) {
+      const std::uint32_t shard = router.route(packets[routed].tuple);
+      if (++pending[shard] == 256) flush(shard);
+      if (barriers && (routed + 1) % 100 == 0) {
+        for (std::uint32_t s = 0; s < shards; ++s) flush(s);
+      }
+    }
+    for (std::uint32_t s = 0; s < shards; ++s) flush(s);
+  }
+  return batches;
+}
+
 // Span sizes straddle the ring batch (256) and the epoch interval (100),
 // so segments end on, just before and just after every kind of boundary.
 TEST(EpochHook, ProcessAllRoutesLikePerPacketProcess) {
@@ -251,10 +287,10 @@ TEST(EpochHook, ProcessAllRoutesLikePerPacketProcess) {
   ASSERT_GT(trace.size(), 1000u);
   for (const std::uint32_t shards : {1u, 3u}) {
     for (const bool barriers : {false, true}) {
-      // process() is itself a one-packet process_all, so first pin the
-      // per-packet run to what the router must do: hooks at every 100th
-      // packet with the cursors ShardRouter implies, and (one shard, no
-      // barriers) full ring batches up to the tail.
+      // First pin the per-packet run to what the router must do: hooks at
+      // every 100th packet with the cursors ShardRouter implies, and (one
+      // shard, no barriers) full ring batches up to the tail, since
+      // process() hands a batch off only when it fills.
       const RoutedRun want = route_in_spans(trace, shards, barriers, 0);
       ASSERT_EQ(want.hooks.size(), trace.size() / 100);
       const runtime::ShardRouter router(shards,
@@ -284,13 +320,58 @@ TEST(EpochHook, ProcessAllRoutesLikePerPacketProcess) {
                      std::to_string(span));
         const RoutedRun got = route_in_spans(trace, shards, barriers, span);
         EXPECT_EQ(got.hooks, want.hooks);
-        EXPECT_EQ(got.batches, want.batches);
+        EXPECT_EQ(got.batches, span_batches(trace, shards, barriers, span));
         EXPECT_EQ(got.barrier_cuts, want.barrier_cuts);
         EXPECT_EQ(got.last_cut, want.last_cut);
         EXPECT_EQ(got.stats, want.stats);
         EXPECT_EQ(got.samples, want.samples);
       }
     }
+  }
+}
+
+/// Counts the packets its worker has processed, readable from any thread.
+class CountingMonitor : public runtime::DartReplayMonitor {
+ public:
+  CountingMonitor(core::SampleCallback on_sample,
+                  std::atomic<std::size_t>& processed)
+      : DartReplayMonitor(core::DartConfig{}, std::move(on_sample)),
+        processed_(processed) {}
+  void process_batch(std::span<const PacketRecord> packets) override {
+    DartReplayMonitor::process_batch(packets);
+    processed_.fetch_add(packets.size(), std::memory_order_release);
+  }
+
+ private:
+  std::atomic<std::size_t>& processed_;
+};
+
+// A call routing fewer packets than a batch still delivers all of them:
+// with no further call and no finish(), the workers process every packet.
+TEST(EpochHook, ProcessAllDeliversAPartialBatchBeforeReturning) {
+  const trace::Trace trace = small_workload();
+  for (const std::uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    std::atomic<std::size_t> processed{0};
+    runtime::ShardedConfig config;
+    config.shards = shards;
+    runtime::ShardedMonitor monitor(
+        config, [&processed](std::uint32_t, core::SampleCallback on_sample) {
+          return std::make_unique<CountingMonitor>(std::move(on_sample),
+                                                   processed);
+        });
+    const std::size_t k = 100;
+    ASSERT_LT(k, config.batch_size);
+    monitor.process_all(std::span(trace.packets()).first(k));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (processed.load(std::memory_order_acquire) < k &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(processed.load(std::memory_order_acquire), k);
+    monitor.finish();
+    EXPECT_EQ(monitor.merged_stats().packets_processed, k);
   }
 }
 
