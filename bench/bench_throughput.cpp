@@ -205,8 +205,11 @@ BENCHMARK(BM_WorkloadGeneration)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Ingest rows: the two ways records enter dartd. Both decode 32-byte .dtrc
-// records a block at a time through the shared codec (trace_io.hpp).
+// Ingest rows: the two ways records enter dartd. Both go through the shared
+// block codec (trace_io.hpp): BM_TraceRead reads each block of 32-byte .dtrc
+// records straight into the trace's storage and checks it with one validity
+// scan; BM_SocketIngest appends each run of buffered wire records to the
+// poll batch at once and checks it there.
 
 const std::string& serialized_trace() {
   static const std::string bytes = [] {
@@ -234,10 +237,7 @@ BENCHMARK(BM_TraceRead)->Unit(benchmark::kMillisecond);
 void BM_SocketIngest(benchmark::State& state) {
   const std::vector<PacketRecord>& packets = shared_trace().packets();
   std::vector<std::uint8_t> wire(packets.size() * trace::kPacketRecordBytes);
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    trace::encode_packet_record(packets[i],
-                                wire.data() + i * trace::kPacketRecordBytes);
-  }
+  trace::encode_records(packets, wire.data());
   std::vector<PacketRecord> batch;
   batch.reserve(daemon::DaemonConfig{}.poll_budget);
   for (auto _ : state) {

@@ -3,12 +3,11 @@
 // The RT/PT register arrays are probed at uniformly random rows; sized for
 // the paper's capture scale (millions of concurrent connections and
 // outstanding packets) they span hundreds of megabytes, and on 4 KB pages
-// every probe is also a DTLB miss. That is doubly hostile to the batched
-// hot path: page walks serialize the probe loads, and x86 silently drops a
-// software prefetch whose translation misses the TLB — the whole prefetch
-// sweep evaporates. Backing the tables with 2 MB pages keeps the working
-// set inside a handful of TLB entries so both the demand loads and the
-// prefetch hints actually reach the memory system.
+// nearly every probe is also a DTLB miss whose page walk stalls the probe
+// load. Backing the slot arrays with 2 MB pages keeps them within TLB
+// reach: a few hundred huge-page entries, which the second-level TLB
+// holds, map what would take tens of thousands of 4 KB entries, so most
+// probes pay the memory access without a page walk in front of it.
 //
 // advise_hugepages() must run between allocation and first touch (reserve,
 // advise, then resize): kernels in `madvise` THP mode promote a region to

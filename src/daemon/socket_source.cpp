@@ -1,6 +1,8 @@
 #include "daemon/socket_source.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "daemon/net.hpp"
 #include "trace/trace_io.hpp"
@@ -29,16 +31,21 @@ std::size_t SocketSource::decode_buffered(std::vector<PacketRecord>& out,
                                           std::size_t max) {
   std::size_t appended = 0;
   while (appended < max && len_ - head_ >= kRecordBytes) {
-    PacketRecord packet;
-    const bool valid =
-        trace::decode_packet_record(buffer_.data() + head_, packet);
-    head_ += kRecordBytes;
-    if (!valid) {
-      ++rejected_;  // fixed-size framing: skip the record, stay in sync
-      continue;
-    }
-    out.push_back(packet);
-    ++appended;
+    // Append the next run of whole records at once and decode it in place;
+    // invalid records are compacted away, so take further runs until `max`
+    // valid records are out or the buffer holds no whole record.
+    const std::size_t count =
+        std::min(max - appended, (len_ - head_) / kRecordBytes);
+    const std::size_t base = out.size();
+    out.resize(base + count);
+    std::memcpy(out.data() + base, buffer_.data() + head_,
+                count * kRecordBytes);
+    const std::size_t kept =
+        trace::decode_records(std::span(out).subspan(base, count)).kept;
+    out.resize(base + kept);
+    head_ += count * kRecordBytes;
+    rejected_ += count - kept;  // fixed-size framing: skipped, still in sync
+    appended += kept;
   }
   return appended;
 }

@@ -1,20 +1,21 @@
 // SocketSource: packet records streamed over loopback TCP.
 //
 // The wire format is exactly the .dtrc packet stream — back-to-back
-// 32-byte little-endian records (trace::encode_packet_record), no header —
+// 32-byte little-endian records (trace::encode_records), no header —
 // so a feeder can `dart-trace`-split a capture and pipe it in, and a test
 // can byte-compare against file replay. One feeder at a time: the source
 // accepts lazily inside poll() (never blocking; CON009).
 //
 // Ingest is block-at-a-time: each read(2) takes up to one block
 // (trace::kBlockRecords records) of whatever bytes are ready, poll()
-// decodes every whole record in the buffer through the shared codec, and
-// the bytes of a record split across reads carry over to the next read. A
-// poll that stops at `max` leaves the rest of the block buffered for the
-// next poll, and reads the socket again only once every whole buffered
-// record is delivered. So exhausted() turns true only after EOF has been
-// seen *and* no whole record is left to deliver. rearm() readies the
-// source for the next feeder/cycle.
+// appends the buffer's whole records to its batch as one run and decodes
+// them there with the shared block codec (trace::decode_records, which
+// compacts invalid records away), and the bytes of a record split across
+// reads carry over to the next read. A poll that stops at `max` leaves the
+// rest of the block buffered for the next poll, and reads the socket again
+// only once every whole buffered record is delivered. So exhausted() turns
+// true only after EOF has been seen *and* no whole record is left to
+// deliver. rearm() readies the source for the next feeder/cycle.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,8 @@ class SocketSource final : public PacketSource {
   std::uint64_t rejected_records() const { return rejected_; }
 
  private:
-  /// Decodes up to `max` valid whole records from the buffer into `out`.
+  /// Appends up to `max` valid whole records from the buffer to `out`, a
+  /// run of buffered records per copy, each run decoded in place.
   std::size_t decode_buffered(std::vector<PacketRecord>& out,
                               std::size_t max);
 

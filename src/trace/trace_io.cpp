@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 #include <vector>
 
 namespace dart::trace {
@@ -14,11 +16,35 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'D', 'T', 'R', 'C'};
 
-// Both record streams share one record size, so one block buffer (and one
-// block size) serves the packet and the truth section alike.
+// Both record streams share one record size, so one block size serves the
+// packet and the truth section alike.
 static_assert(kPacketRecordBytes == kTruthRecordBytes);
 constexpr std::size_t kRecordBytes = kPacketRecordBytes;
-constexpr std::size_t kBlockBytes = kBlockRecords * kRecordBytes;
+
+// The block codec copies records whole, so the in-memory layout must be
+// the wire layout of the header comment: same size, every field at its
+// wire offset, no padding, and copyable as bytes.
+static_assert(std::is_trivially_copyable_v<PacketRecord>);
+static_assert(std::is_trivially_copyable_v<TruthSample>);
+static_assert(sizeof(PacketRecord) == kPacketRecordBytes);
+static_assert(sizeof(TruthSample) == kTruthRecordBytes);
+static_assert(sizeof(Ipv4Addr) == 4 && sizeof(bool) == 1);
+static_assert(offsetof(FourTuple, src_ip) == 0);
+static_assert(offsetof(FourTuple, dst_ip) == 4);
+static_assert(offsetof(FourTuple, src_port) == 8);
+static_assert(offsetof(FourTuple, dst_port) == 10);
+static_assert(sizeof(FourTuple) == 12);
+static_assert(offsetof(PacketRecord, ts) == 0);
+static_assert(offsetof(PacketRecord, tuple) == 8);
+static_assert(offsetof(PacketRecord, seq) == 20);
+static_assert(offsetof(PacketRecord, ack) == 24);
+static_assert(offsetof(PacketRecord, payload) == 28);
+static_assert(offsetof(PacketRecord, flags) == 30);
+static_assert(offsetof(PacketRecord, outbound) == 31);
+static_assert(offsetof(TruthSample, tuple) == 0);
+static_assert(offsetof(TruthSample, eack) == 12);
+static_assert(offsetof(TruthSample, seq_ts) == 16);
+static_assert(offsetof(TruthSample, ack_ts) == 24);
 
 template <typename T>
 constexpr T swap_bytes(T value) {
@@ -30,8 +56,8 @@ constexpr T swap_bytes(T value) {
   return swapped;
 }
 
-// Fixed-width little-endian loads and stores: a memcpy the compiler turns
-// into one move, plus a byte swap compiled only on big-endian hosts.
+// Little-endian loads and stores of single fields (the header, the truth
+// check): one move, plus a byte swap compiled only on big-endian hosts.
 template <typename T>
 T load_le(const std::uint8_t* in) {
   T value = 0;
@@ -50,6 +76,87 @@ void store_le(std::uint8_t* out, T value) {
   std::memcpy(out, &value, sizeof(T));
 }
 
+// Converts a record between wire and host byte order, field by field (an
+// involution). Only big-endian hosts call these; `outbound` and `flags`
+// are single bytes and never swapped.
+void swap_tuple(FourTuple& tuple) {
+  tuple.src_ip = Ipv4Addr{swap_bytes(tuple.src_ip.value())};
+  tuple.dst_ip = Ipv4Addr{swap_bytes(tuple.dst_ip.value())};
+  tuple.src_port = swap_bytes(tuple.src_port);
+  tuple.dst_port = swap_bytes(tuple.dst_port);
+}
+
+[[maybe_unused]] void swap_fields(PacketRecord& packet) {
+  packet.ts = swap_bytes(packet.ts);
+  swap_tuple(packet.tuple);
+  packet.seq = swap_bytes(packet.seq);
+  packet.ack = swap_bytes(packet.ack);
+  packet.payload = swap_bytes(packet.payload);
+}
+
+[[maybe_unused]] void swap_fields(TruthSample& truth) {
+  swap_tuple(truth.tuple);
+  truth.eack = swap_bytes(truth.eack);
+  truth.seq_ts = swap_bytes(truth.seq_ts);
+  truth.ack_ts = swap_bytes(truth.ack_ts);
+}
+
+// The validity check, on a record's wire bytes: a packet's direction flag
+// is 0 or 1, and a truth RTT is non-negative (an ack observed before its
+// data packet is an impossible record, not a measurement).
+template <typename Record>
+bool valid_record(const std::uint8_t* record) {
+  if constexpr (std::is_same_v<Record, PacketRecord>) {
+    return record[offsetof(PacketRecord, outbound)] <= 1;
+  } else {
+    return load_le<std::uint64_t>(record + offsetof(TruthSample, ack_ts)) >=
+           load_le<std::uint64_t>(record + offsetof(TruthSample, seq_ts));
+  }
+}
+
+template <typename Record>
+void encode_block(std::span<const Record> records, std::uint8_t* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!records.empty()) {
+      std::memcpy(out, records.data(), records.size_bytes());
+    }
+  } else {
+    for (Record record : records) {
+      swap_fields(record);
+      std::memcpy(out, &record, kRecordBytes);
+      out += kRecordBytes;
+    }
+  }
+}
+
+/// The one validity scan: valid runs are moved down over the invalid
+/// records before them with one memmove each, so a clean block moves
+/// nothing. Every access goes through the block's bytes until a record
+/// has passed.
+template <typename Record>
+BlockDecode decode_block(std::span<Record> records) {
+  auto* bytes = reinterpret_cast<std::uint8_t*>(records.data());
+  const std::size_t n = records.size();
+  const auto valid = [bytes](std::size_t i) {
+    return valid_record<Record>(bytes + i * kRecordBytes);
+  };
+  std::size_t i = 0;
+  while (i < n && valid(i)) ++i;
+  BlockDecode result{i, i};
+  while (i < n) {
+    while (i < n && !valid(i)) ++i;
+    const std::size_t run = i;
+    while (i < n && valid(i)) ++i;
+    std::memmove(bytes + result.kept * kRecordBytes,
+                 bytes + run * kRecordBytes, (i - run) * kRecordBytes);
+    result.kept += i - run;
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    for (Record& record : records.first(result.kept)) swap_fields(record);
+  }
+  return result;
+}
+
 /// Bytes from the current position to end-of-stream, when the stream is
 /// seekable; nullopt otherwise (e.g. a pipe).
 std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
@@ -62,68 +169,72 @@ std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
   return static_cast<std::uint64_t>(end - pos);
 }
 
-/// Hands out the records of a stream one at a time while reading them a
-/// block per istream::read. offset() is the stream offset of the next
-/// record, so every failure can point at the start of the damaged record.
-class BlockReader {
- public:
-  BlockReader(std::istream& in, std::uint64_t offset)
-      : in_(in), offset_(offset), block_(kBlockBytes) {}
+/// What reading one section left behind.
+struct SectionRead {
+  std::uint64_t kept = 0;     ///< valid records appended
+  std::uint64_t skipped = 0;  ///< invalid records dropped
+  std::uint64_t missing = 0;  ///< declared records the stream ended before
+  TraceError damage;          ///< the first bad record or the truncation
+};
 
-  /// The next whole record, or nullptr when the stream ends inside it.
-  /// `records_left` (declared records of the current section not yet
-  /// handed out) caps each read, so the reader never consumes bytes past
-  /// the section's last record.
-  const std::uint8_t* next(std::uint64_t records_left) {
-    if (pos_ == len_) {
-      const std::uint64_t want =
-          std::min<std::uint64_t>(records_left, kBlockRecords) * kRecordBytes;
-      in_.read(reinterpret_cast<char*>(block_.data()),
-               static_cast<std::streamsize>(want));
-      len_ = static_cast<std::size_t>(in_.gcount());
-      pos_ = 0;
+/// Reads a section of `count` declared records, starting at stream offset
+/// `offset`, onto the end of `records`. Each block of up to kBlockRecords
+/// records lands in the vector's storage by one istream::read, never past
+/// the section's last record, and is decoded there. With `stop_at_bad`
+/// (strict mode) the read ends at the first block holding a bad record.
+template <typename Record>
+SectionRead read_section(std::istream& in, std::uint64_t offset,
+                         std::uint64_t count, bool stop_at_bad,
+                         TraceErrorCode truncated,
+                         std::vector<Record>& records) {
+  SectionRead section;
+  std::uint64_t done = 0;
+  while (done < count) {
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(count - done, kBlockRecords));
+    const std::size_t base = records.size();
+    records.resize(base + want);
+    in.read(reinterpret_cast<char*>(records.data() + base),
+            static_cast<std::streamsize>(want * kRecordBytes));
+    const auto got = static_cast<std::size_t>(in.gcount()) / kRecordBytes;
+    const BlockDecode block =
+        decode_block(std::span<Record>(records).subspan(base, got));
+    records.resize(base + block.kept);
+    section.kept += block.kept;
+    if (block.kept < got) {
+      if (!section.damage) {
+        section.damage = {TraceErrorCode::kBadFieldValue,
+                          offset + (done + block.first_bad) * kRecordBytes};
+      }
+      section.skipped += got - block.kept;
+      if (stop_at_bad) return section;
     }
-    if (len_ - pos_ < kRecordBytes) return nullptr;
-    const std::uint8_t* record = block_.data() + pos_;
-    pos_ += kRecordBytes;
-    offset_ += kRecordBytes;
-    return record;
+    done += got;
+    if (got < want) {
+      if (!section.damage) {
+        section.damage = {truncated, offset + done * kRecordBytes};
+      }
+      section.missing = count - done;
+      return section;
+    }
   }
+  return section;
+}
 
-  std::uint64_t offset() const { return offset_; }
-
- private:
-  std::istream& in_;
-  std::uint64_t offset_;
-  std::vector<std::uint8_t> block_;
-  std::size_t pos_ = 0;
-  std::size_t len_ = 0;
-};
-
-/// Collects encoded records into a block and writes once per full block.
-class BlockWriter {
- public:
-  explicit BlockWriter(std::ostream& out) : out_(out), block_(kBlockBytes) {}
-
-  /// Room for the next `bytes` (at most one record) of output.
-  std::uint8_t* next(std::size_t bytes) {
-    if (len_ + bytes > block_.size()) flush();
-    std::uint8_t* slot = block_.data() + len_;
-    len_ += bytes;
-    return slot;
+/// Writes a section a block at a time: each block of up to kBlockRecords
+/// records is encoded into `block` and written with one ostream::write.
+template <typename Record>
+void write_section(const std::vector<Record>& records,
+                   std::vector<std::uint8_t>& block, std::ostream& out) {
+  const std::span<const Record> all(records);
+  for (std::size_t first = 0; first < all.size(); first += kBlockRecords) {
+    const auto chunk = all.subspan(first,
+                                   std::min(kBlockRecords, all.size() - first));
+    encode_block(chunk, block.data());
+    out.write(reinterpret_cast<const char*>(block.data()),
+              static_cast<std::streamsize>(chunk.size_bytes()));
   }
-
-  void flush() {
-    out_.write(reinterpret_cast<const char*>(block_.data()),
-               static_cast<std::streamsize>(len_));
-    len_ = 0;
-  }
-
- private:
-  std::ostream& out_;
-  std::vector<std::uint8_t> block_;
-  std::size_t len_ = 0;
-};
+}
 
 TraceReadResult fail(TraceErrorCode code, std::uint64_t offset) {
   TraceReadResult result;
@@ -155,75 +266,42 @@ std::string TraceError::to_string() const {
   return out;
 }
 
+void encode_records(std::span<const PacketRecord> records,
+                    std::uint8_t* out) {
+  encode_block(records, out);
+}
+
+void encode_records(std::span<const TruthSample> records, std::uint8_t* out) {
+  encode_block(records, out);
+}
+
+BlockDecode decode_records(std::span<PacketRecord> records) {
+  return decode_block(records);
+}
+
 void encode_packet_record(const PacketRecord& packet, std::uint8_t* out) {
-  store_le<std::uint64_t>(out + 0, packet.ts);
-  store_le<std::uint32_t>(out + 8, packet.tuple.src_ip.value());
-  store_le<std::uint32_t>(out + 12, packet.tuple.dst_ip.value());
-  store_le<std::uint16_t>(out + 16, packet.tuple.src_port);
-  store_le<std::uint16_t>(out + 18, packet.tuple.dst_port);
-  store_le<std::uint32_t>(out + 20, packet.seq);
-  store_le<std::uint32_t>(out + 24, packet.ack);
-  store_le<std::uint16_t>(out + 28, packet.payload);
-  out[30] = packet.flags;
-  out[31] = packet.outbound ? 1 : 0;
+  encode_block(std::span(&packet, 1), out);
 }
 
 bool decode_packet_record(const std::uint8_t* in, PacketRecord& packet) {
-  const std::uint8_t outbound = in[31];
-  if (outbound > 1) return false;
-  packet.ts = load_le<std::uint64_t>(in + 0);
-  packet.tuple.src_ip = Ipv4Addr{load_le<std::uint32_t>(in + 8)};
-  packet.tuple.dst_ip = Ipv4Addr{load_le<std::uint32_t>(in + 12)};
-  packet.tuple.src_port = load_le<std::uint16_t>(in + 16);
-  packet.tuple.dst_port = load_le<std::uint16_t>(in + 18);
-  packet.seq = load_le<std::uint32_t>(in + 20);
-  packet.ack = load_le<std::uint32_t>(in + 24);
-  packet.payload = load_le<std::uint16_t>(in + 28);
-  packet.flags = in[30];
-  packet.outbound = outbound != 0;
-  return true;
-}
-
-void encode_truth_record(const TruthSample& truth, std::uint8_t* out) {
-  store_le<std::uint32_t>(out + 0, truth.tuple.src_ip.value());
-  store_le<std::uint32_t>(out + 4, truth.tuple.dst_ip.value());
-  store_le<std::uint16_t>(out + 8, truth.tuple.src_port);
-  store_le<std::uint16_t>(out + 10, truth.tuple.dst_port);
-  store_le<std::uint32_t>(out + 12, truth.eack);
-  store_le<std::uint64_t>(out + 16, truth.seq_ts);
-  store_le<std::uint64_t>(out + 24, truth.ack_ts);
-}
-
-bool decode_truth_record(const std::uint8_t* in, TruthSample& truth) {
-  const std::uint64_t seq_ts = load_le<std::uint64_t>(in + 16);
-  const std::uint64_t ack_ts = load_le<std::uint64_t>(in + 24);
-  // A truth RTT must be non-negative: ack observed before its data
-  // packet is an impossible record, not a measurement.
-  if (ack_ts < seq_ts) return false;
-  truth.tuple.src_ip = Ipv4Addr{load_le<std::uint32_t>(in + 0)};
-  truth.tuple.dst_ip = Ipv4Addr{load_le<std::uint32_t>(in + 4)};
-  truth.tuple.src_port = load_le<std::uint16_t>(in + 8);
-  truth.tuple.dst_port = load_le<std::uint16_t>(in + 10);
-  truth.eack = load_le<std::uint32_t>(in + 12);
-  truth.seq_ts = seq_ts;
-  truth.ack_ts = ack_ts;
+  PacketRecord record;
+  std::memcpy(&record, in, kRecordBytes);
+  if (decode_block(std::span(&record, 1)).kept == 0) return false;
+  packet = record;
   return true;
 }
 
 bool write_binary(const Trace& trace, std::ostream& out) {
-  BlockWriter writer(out);
-  std::uint8_t* header = writer.next(kHeaderBytes);
-  std::memcpy(header, kMagic.data(), kMagic.size());
-  store_le<std::uint32_t>(header + 4, kTraceFormatVersion);
-  store_le<std::uint64_t>(header + 8, trace.packets().size());
-  store_le<std::uint64_t>(header + 16, trace.truth().size());
-  for (const PacketRecord& p : trace.packets()) {
-    encode_packet_record(p, writer.next(kRecordBytes));
-  }
-  for (const TruthSample& s : trace.truth()) {
-    encode_truth_record(s, writer.next(kRecordBytes));
-  }
-  writer.flush();
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  std::memcpy(header.data(), kMagic.data(), kMagic.size());
+  store_le<std::uint32_t>(header.data() + 4, kTraceFormatVersion);
+  store_le<std::uint64_t>(header.data() + 8, trace.packets().size());
+  store_le<std::uint64_t>(header.data() + 16, trace.truth().size());
+  out.write(reinterpret_cast<const char*>(header.data()),
+            static_cast<std::streamsize>(header.size()));
+  std::vector<std::uint8_t> block(kBlockRecords * kRecordBytes);
+  write_section(trace.packets(), block, out);
+  write_section(trace.truth(), block, out);
   return static_cast<bool>(out);
 }
 
@@ -281,78 +359,45 @@ TraceReadResult read_binary_checked(std::istream& in,
   if (counts_impossible) {
     result.error = {TraceErrorCode::kImpossibleCount, kHeaderBytes - 16};
   }
+  // Reservations are capped by the stream size, or at 2^20 records on a
+  // stream that cannot tell its size.
+  const auto reservation = [&remaining](std::uint64_t count) {
+    return static_cast<std::size_t>(std::min(
+        count, remaining.has_value() ? *remaining / kRecordBytes
+                                     : std::uint64_t{1} << 20));
+  };
+  const bool strict = !options.tolerant;
   Trace trace;
-  const std::uint64_t reserve_cap =
-      remaining.has_value() ? *remaining / kPacketRecordBytes
-                            : std::uint64_t{1} << 20;
-  trace.packets().reserve(static_cast<std::size_t>(
-      std::min(packet_count, reserve_cap)));
-  BlockReader reader(in, kHeaderBytes);
 
-  // --- Packet records. ---
-  for (std::uint64_t i = 0; i < packet_count; ++i) {
-    const std::uint64_t record_start = reader.offset();
-    const std::uint8_t* record = reader.next(packet_count - i);
-    if (record == nullptr) {
-      if (!options.tolerant) {
-        return fail(TraceErrorCode::kTruncatedPacket, record_start);
-      }
-      if (!result.error) {
-        result.error = {TraceErrorCode::kTruncatedPacket, record_start};
-      }
-      result.lost_records += (packet_count - i) + truth_count;
-      result.trace = std::move(trace);
-      return result;
-    }
-    PacketRecord p;
-    if (!decode_packet_record(record, p)) {
-      if (!options.tolerant) {
-        return fail(TraceErrorCode::kBadFieldValue, record_start);
-      }
-      if (!result.error) {
-        result.error = {TraceErrorCode::kBadFieldValue, record_start};
-      }
-      ++result.skipped_records;
-      continue;
-    }
-    trace.add(p);
-    ++result.packets_read;
+  // --- Packet records, then truth records. A strict read fails at the
+  // first damage; a tolerant one keeps what was valid and counts the rest.
+  trace.packets().reserve(reservation(packet_count));
+  const SectionRead packets =
+      read_section(in, kHeaderBytes, packet_count, strict,
+                   TraceErrorCode::kTruncatedPacket, trace.packets());
+  if (strict && packets.damage) {
+    return fail(packets.damage.code, packets.damage.offset);
+  }
+  if (!result.error) result.error = packets.damage;
+  result.packets_read = packets.kept;
+  result.skipped_records = packets.skipped;
+  if (packets.missing != 0) {
+    result.lost_records = packets.missing + truth_count;
+    result.trace = std::move(trace);
+    return result;
   }
 
-  // --- Truth records. ---
-  trace.truth().reserve(static_cast<std::size_t>(
-      std::min(truth_count, remaining.has_value()
-                                ? *remaining / kTruthRecordBytes
-                                : std::uint64_t{1} << 20)));
-  for (std::uint64_t i = 0; i < truth_count; ++i) {
-    const std::uint64_t record_start = reader.offset();
-    const std::uint8_t* record = reader.next(truth_count - i);
-    if (record == nullptr) {
-      if (!options.tolerant) {
-        return fail(TraceErrorCode::kTruncatedTruth, record_start);
-      }
-      if (!result.error) {
-        result.error = {TraceErrorCode::kTruncatedTruth, record_start};
-      }
-      result.lost_records += truth_count - i;
-      result.trace = std::move(trace);
-      return result;
-    }
-    TruthSample s;
-    if (!decode_truth_record(record, s)) {
-      if (!options.tolerant) {
-        return fail(TraceErrorCode::kBadFieldValue, record_start);
-      }
-      if (!result.error) {
-        result.error = {TraceErrorCode::kBadFieldValue, record_start};
-      }
-      ++result.skipped_records;
-      continue;
-    }
-    trace.add_truth(s);
-    ++result.truth_read;
+  trace.truth().reserve(reservation(truth_count));
+  const SectionRead truth =
+      read_section(in, kHeaderBytes + packet_count * kRecordBytes, truth_count,
+                   strict, TraceErrorCode::kTruncatedTruth, trace.truth());
+  if (strict && truth.damage) {
+    return fail(truth.damage.code, truth.damage.offset);
   }
-
+  if (!result.error) result.error = truth.damage;
+  result.truth_read = truth.kept;
+  result.skipped_records += truth.skipped;
+  result.lost_records = truth.missing;
   result.trace = std::move(trace);
   return result;
 }

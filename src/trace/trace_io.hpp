@@ -9,10 +9,15 @@
 //   truth:   u32 src_ip | u32 dst_ip | u16 sport | u16 dport | u32 eack |
 //            u64 seq_ts | u64 ack_ts
 //
-// The two record layouts are spelled out once, in the codec functions
-// below (encode/decode_packet_record, encode/decode_truth_record). The file
-// reader and writer, and the daemon's socket source, move whole blocks of
-// kBlockRecords records per stream call and run the codec over the block.
+// Each 32-byte record is laid out field for field like the in-memory
+// PacketRecord / TruthSample, so the codec below works on whole blocks:
+// on a little-endian host a block of records *is* its wire bytes (the
+// layout is pinned by static_asserts next to the codec), and a big-endian
+// host byte-swaps each field. The file reader lands each block of up to
+// kBlockRecords records straight in the trace's storage with one
+// istream::read and checks it in place with one validity scan; the writer
+// encodes a block per ostream::write; the daemon's socket source appends
+// whole buffered runs. No record is decoded on its own.
 //
 // Reading is hardened: a damaged capture is a *diagnosed* condition, never
 // undefined behaviour. read_binary_checked() returns a typed TraceError
@@ -28,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "trace/trace.hpp"
@@ -50,25 +56,33 @@ inline constexpr std::size_t kBlockRecords = 2048;
 bool write_binary(const Trace& trace, std::ostream& out);
 bool write_binary_file(const Trace& trace, const std::string& path);
 
-/// Wire codec for a single packet record: exactly the 32-byte little-endian
-/// layout of the .dtrc packet stream, exposed for byte-stream ingest (the
-/// daemon's socket source) so live feeds and file replay share one format
-/// instead of growing a second, subtly different framing.
+/// Block codec. Encode writes the wire bytes of `records.size()` records
+/// (32 bytes each) to `out`.
+void encode_records(std::span<const PacketRecord> records, std::uint8_t* out);
+void encode_records(std::span<const TruthSample> records, std::uint8_t* out);
+
+struct BlockDecode {
+  std::size_t kept = 0;       ///< valid records, now at the block's front
+  std::size_t first_bad = 0;  ///< index of the first invalid record, or
+                              ///< the block size when every record is valid
+};
+
+/// Decodes a block in place: `records` holds the raw wire bytes of that
+/// many records, copied or read straight into its storage. One scan checks
+/// that every record's outbound byte is at most 1 (it is read as a byte,
+/// never as a `bool`, until it has passed) and moves the valid records down
+/// over the invalid ones, in order. Only records[0, kept) hold valid
+/// objects afterwards. The file reader runs the same scan over truth
+/// blocks, where a record is valid when ack_ts >= seq_ts.
+BlockDecode decode_records(std::span<PacketRecord> records);
+
+/// One-record calls of the block codec over a 32-byte packet record.
+/// Decode returns false (leaving `packet` untouched) when the record fails
+/// the block check.
 void encode_packet_record(const PacketRecord& packet,
                           std::uint8_t* out /* kPacketRecordBytes */);
-
-/// Returns false when a field is out of range (outbound flag > 1) — the
-/// same validation read_binary_checked applies per record. `packet` is
-/// left untouched on failure.
 bool decode_packet_record(const std::uint8_t* in /* kPacketRecordBytes */,
                           PacketRecord& packet);
-
-/// Codec for one 32-byte truth record. Decode returns false (leaving
-/// `truth` untouched) for a negative RTT, ack_ts < seq_ts.
-void encode_truth_record(const TruthSample& truth,
-                         std::uint8_t* out /* kTruthRecordBytes */);
-bool decode_truth_record(const std::uint8_t* in /* kTruthRecordBytes */,
-                         TruthSample& truth);
 
 enum class TraceErrorCode : std::uint8_t {
   kNone = 0,

@@ -5,10 +5,15 @@
 // reassembles fixed-size records across arbitrary write boundaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <thread>
 #include <vector>
 
+#include "common/random.hpp"
 #include "daemon/net.hpp"
 #include "daemon/replay_source.hpp"
 #include "daemon/socket_source.hpp"
@@ -123,10 +128,7 @@ std::vector<std::uint8_t> encode_all(
     const std::vector<PacketRecord>& packets) {
   std::vector<std::uint8_t> bytes(packets.size() *
                                   trace::kPacketRecordBytes);
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    trace::encode_packet_record(packets[i],
-                                bytes.data() + i * trace::kPacketRecordBytes);
-  }
+  trace::encode_records(packets, bytes.data());
   return bytes;
 }
 
@@ -307,6 +309,105 @@ TEST(SocketSource, InvalidRecordInsideALargeBlockIsRejectedAlone) {
     ASSERT_EQ(got[i], packets[i < bad ? i : i + 1]) << "record " << i;
   }
   EXPECT_EQ(source.rejected_records(), 1u);
+}
+
+// The validity sweep through the socket: record i's outbound byte takes
+// every value in turn through the first block (runs of 254 adjacent bad
+// records), the second block has bad runs at both edges, the final record
+// is bad, and the feeder's writes split records mid-way.
+TEST(SocketSource, ValiditySweepRejectsEveryBadRecordAcrossSplitWrites) {
+  constexpr std::size_t kBlock = trace::kBlockRecords;
+  std::vector<PacketRecord> packets = numbered_packets(2 * kBlock + 77);
+  std::vector<std::uint8_t> bytes = encode_all(packets);
+  std::vector<PacketRecord> want;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    std::uint8_t outbound = packets[i].outbound ? 1 : 0;
+    if (i < kBlock) {
+      outbound = static_cast<std::uint8_t>(i % 256);
+    } else if (i < kBlock + 3 || (i >= 2 * kBlock - 3 && i < 2 * kBlock) ||
+               i == packets.size() - 1) {
+      outbound = static_cast<std::uint8_t>(2 + i % 254);
+    }
+    bytes[i * trace::kPacketRecordBytes + 31] = outbound;
+    if (outbound > 1) continue;
+    packets[i].outbound = outbound == 1;
+    want.push_back(packets[i]);
+  }
+
+  daemon::SocketSource source{0};
+  const int fd = daemon::connect_tcp_local(source.port());
+  ASSERT_GE(fd, 0);
+  std::thread feeder([fd, &bytes] {
+    // Chunk sizes that are not multiples of the record size.
+    constexpr std::size_t kChunks[] = {1000, 61, 4093, 32 * 5 + 7};
+    std::size_t off = 0;
+    for (std::size_t k = 0; off < bytes.size(); ++k) {
+      const std::size_t chunk =
+          std::min(kChunks[k % std::size(kChunks)], bytes.size() - off);
+      EXPECT_TRUE(daemon::write_all(fd, bytes.data() + off, chunk,
+                                    [] { return false; }));
+      off += chunk;
+    }
+    daemon::close_fd(fd);
+  });
+  const std::vector<PacketRecord> got = drain(source, 100);
+  feeder.join();
+
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "record " << i;
+  }
+  EXPECT_EQ(source.rejected_records(), packets.size() - want.size());
+}
+
+// On a little-endian host a .dtrc record is its object's own bytes: the
+// layout the block codec relies on to move records a block at a time.
+TEST(PacketRecordCodec, WireBytesAreTheObjectRepresentation) {
+  if (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "big-endian hosts byte-swap every field";
+  }
+  Rng rng(0xB10C);
+  std::vector<PacketRecord> packets(300);
+  for (PacketRecord& p : packets) {
+    p.ts = rng.next_u64();
+    p.tuple = FourTuple{Ipv4Addr{static_cast<std::uint32_t>(rng.next_u64())},
+                        Ipv4Addr{static_cast<std::uint32_t>(rng.next_u64())},
+                        static_cast<std::uint16_t>(rng.next_u64()),
+                        static_cast<std::uint16_t>(rng.next_u64())};
+    p.seq = static_cast<std::uint32_t>(rng.next_u64());
+    p.ack = static_cast<std::uint32_t>(rng.next_u64());
+    p.payload = static_cast<std::uint16_t>(rng.next_u64());
+    p.flags = static_cast<std::uint8_t>(rng.next_u64());
+    p.outbound = (rng.next_u64() & 1) != 0;
+  }
+  std::vector<trace::TruthSample> truth(300);
+  for (trace::TruthSample& s : truth) {
+    s.tuple = packets[&s - truth.data()].tuple;
+    s.eack = static_cast<std::uint32_t>(rng.next_u64());
+    s.seq_ts = rng.next_u64() >> 1;
+    s.ack_ts = s.seq_ts + (rng.next_u64() >> 2);
+  }
+  std::vector<std::uint8_t> wire(packets.size() * trace::kPacketRecordBytes);
+  trace::encode_records(packets, wire.data());
+  EXPECT_EQ(std::memcmp(wire.data(), packets.data(), wire.size()), 0);
+  // Spot-check the documented layout: ts at byte 0, outbound at byte 31.
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const std::uint8_t* record = wire.data() + i * trace::kPacketRecordBytes;
+    EXPECT_EQ(record[0], packets[i].ts & 0xFF);
+    EXPECT_EQ(record[31], packets[i].outbound ? 1 : 0);
+  }
+
+  std::vector<std::uint8_t> truth_wire(truth.size() *
+                                       trace::kTruthRecordBytes);
+  trace::encode_records(truth, truth_wire.data());
+  EXPECT_EQ(std::memcmp(truth_wire.data(), truth.data(), truth_wire.size()),
+            0);
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    const std::uint8_t* record =
+        truth_wire.data() + i * trace::kTruthRecordBytes;
+    EXPECT_EQ(record[24], truth[i].ack_ts & 0xFF);
+    EXPECT_EQ(record[31], truth[i].ack_ts >> 56);
+  }
 }
 
 // Round-trip of the wire format itself: encode/decode is the .dtrc record

@@ -502,5 +502,74 @@ TEST(TraceBlock, CorruptRecordsAtBlockEdgesMatchOracle) {
   }
 }
 
+/// The outbound byte of packet record `i` in the validity sweep: every
+/// byte value in turn through the first block (so runs of 254 adjacent bad
+/// records), then valid records with bad runs at both edges of the second
+/// block, and a bad final record.
+std::uint8_t sweep_outbound(std::size_t i, std::uint8_t valid) {
+  const auto bad = static_cast<std::uint8_t>(2 + i % 254);
+  if (i < kBlockRecords) return static_cast<std::uint8_t>(i % 256);
+  if (i < kBlockRecords + 3 || (i >= 2 * kBlockRecords - 3 &&
+                                i < 2 * kBlockRecords) ||
+      i == kPackets - 1) {
+    return bad;
+  }
+  return valid;
+}
+
+/// Truth records with ack_ts < seq_ts in the validity sweep: the first
+/// record, a run inside the first block, both edges of the first block
+/// boundary, and the final record.
+bool sweep_bad_truth(std::size_t i) {
+  return i == 0 || (i >= 100 && i < 105) || i == kBlockRecords - 1 ||
+         i == kBlockRecords || i == kTruth - 1;
+}
+
+TEST(TraceBlock, ValiditySweepMatchesOracle) {
+  std::string sweep = multi_block_bytes();
+  std::size_t bad_packets = 0;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    char& outbound = sweep[packet_offset(i) + 31];
+    outbound = static_cast<char>(
+        sweep_outbound(i, static_cast<std::uint8_t>(outbound)));
+    if (static_cast<std::uint8_t>(outbound) > 1) ++bad_packets;
+  }
+  std::size_t bad_truth = 0;
+  for (std::size_t i = 0; i < kTruth; ++i) {
+    if (!sweep_bad_truth(i)) continue;
+    sweep[truth_offset(i) + 24 + 5] = 0;  // ack_ts bits 40..47: below seq_ts
+    ++bad_truth;
+  }
+  ASSERT_GT(bad_packets, 2 * 254U);
+  expect_matches_oracle(sweep, "validity sweep");
+
+  // Strict: the first bad record's offset, in either section.
+  std::stringstream strict_in(sweep);
+  const TraceReadResult strict = read_binary_checked(strict_in);
+  EXPECT_FALSE(strict.trace.has_value());
+  EXPECT_EQ(strict.error.code, TraceErrorCode::kBadFieldValue);
+  EXPECT_EQ(strict.error.offset, packet_offset(2));  // outbound byte 2
+  std::string bad_truth_only = multi_block_bytes();
+  bad_truth_only[truth_offset(kBlockRecords - 1) + 24 + 5] = 0;
+  std::stringstream truth_in(bad_truth_only);
+  const TraceReadResult truth_strict = read_binary_checked(truth_in);
+  EXPECT_EQ(truth_strict.error.code, TraceErrorCode::kBadFieldValue);
+  EXPECT_EQ(truth_strict.error.offset, truth_offset(kBlockRecords - 1));
+
+  // Tolerant: every bad record skipped, and the kept ones are the oracle's.
+  std::stringstream tolerant_in(sweep);
+  std::stringstream oracle_in(sweep);
+  const TraceReadResult tolerant =
+      read_binary_checked(tolerant_in, {.tolerant = true});
+  const TraceReadResult want = oracle_read(oracle_in, {.tolerant = true});
+  ASSERT_TRUE(tolerant.trace.has_value());
+  EXPECT_EQ(tolerant.skipped_records, bad_packets + bad_truth);
+  EXPECT_EQ(tolerant.packets_read, kPackets - bad_packets);
+  EXPECT_EQ(tolerant.truth_read, kTruth - bad_truth);
+  EXPECT_EQ(tolerant.error.offset, packet_offset(2));
+  EXPECT_TRUE(tolerant.trace->packets() == want.trace->packets());
+  EXPECT_TRUE(tolerant.trace->truth() == want.trace->truth());
+}
+
 }  // namespace
 }  // namespace dart::trace
