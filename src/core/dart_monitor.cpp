@@ -296,7 +296,7 @@ namespace {
 // verifies field by field that the image was cut from an identically
 // configured monitor and refuses anything else (the table serializations
 // only make sense against the exact same geometry and hash seeds).
-void write_config(CheckpointWriter& writer, const DartConfig& config) {
+void write_config(SealedWriter& writer, const DartConfig& config) {
   writer.u64(config.rt_size);
   writer.u64(config.pt_size);
   writer.u32(config.pt_stages);
@@ -311,8 +311,7 @@ void write_config(CheckpointWriter& writer, const DartConfig& config) {
   writer.u64(config.hash_seed);
 }
 
-CheckpointError verify_config(CheckpointReader& reader,
-                              const DartConfig& config) {
+SealedError verify_config(SealedReader& reader, const DartConfig& config) {
   bool match = true;
   match &= reader.u64() == config.rt_size;
   match &= reader.u64() == config.pt_size;
@@ -327,11 +326,11 @@ CheckpointError verify_config(CheckpointReader& reader,
   match &= reader.u32() == config.shadow_sync_interval;
   match &= reader.u64() == config.hash_seed;
   if (reader.error()) return reader.error();
-  if (!match) return reader.error_here(CheckpointErrorCode::kGeometryMismatch);
+  if (!match) return reader.error_here(SealedErrorCode::kGeometryMismatch);
   return reader.finish();
 }
 
-void write_packet(CheckpointWriter& writer, const PacketRecord& packet) {
+void write_packet(SealedWriter& writer, const PacketRecord& packet) {
   writer.u64(packet.ts);
   writer.u32(packet.tuple.src_ip.value());
   writer.u32(packet.tuple.dst_ip.value());
@@ -344,7 +343,7 @@ void write_packet(CheckpointWriter& writer, const PacketRecord& packet) {
   writer.u8(packet.outbound ? 1 : 0);
 }
 
-PacketRecord read_packet(CheckpointReader& reader) {
+PacketRecord read_packet(SealedReader& reader) {
   PacketRecord packet;
   packet.ts = reader.u64();
   packet.tuple.src_ip = Ipv4Addr{reader.u32()};
@@ -404,51 +403,23 @@ CheckpointImage DartMonitor::snapshot(const SnapshotMeta& meta) const {
   return writer.seal();
 }
 
-CheckpointError DartMonitor::restore(const CheckpointImage& image) {
-  CheckpointInfo info;
-  if (const CheckpointError err = read_info(image, &info)) return err;
-
-  // Index the sections; version-1 framing is strict, so an unknown id or a
-  // repeat is damage, not something to skip over.
-  constexpr std::uint32_t kMaxSectionId =
-      static_cast<std::uint32_t>(CheckpointSection::kFlowFilter);
-  const CheckpointSectionInfo* sections[kMaxSectionId + 1] = {};
-  for (const CheckpointSectionInfo& section : info.sections) {
-    const std::uint64_t header_at = section.offset - 12;
-    if (section.id == 0 || section.id > kMaxSectionId) {
-      return CheckpointError::at(CheckpointErrorCode::kBadSectionHeader,
-                                 header_at);
-    }
-    if (sections[section.id] != nullptr) {
-      return CheckpointError::at(CheckpointErrorCode::kDuplicateSection,
-                                 header_at);
-    }
-    sections[section.id] = &section;
-  }
-  auto section_of = [&sections](CheckpointSection id) {
-    return sections[static_cast<std::uint32_t>(id)];
-  };
-  auto reader_of = [&image](const CheckpointSectionInfo& section) {
-    return CheckpointReader(
-        std::span<const std::uint8_t>(image.bytes)
-            .subspan(static_cast<std::size_t>(section.offset),
-                     static_cast<std::size_t>(section.length)),
-        section.offset);
-  };
-  auto require = [&section_of, &image](CheckpointSection id,
-                                       const CheckpointSectionInfo** out) {
-    *out = section_of(id);
+SealedError DartMonitor::restore(const CheckpointImage& image) {
+  CheckpointSections sections;
+  if (const SealedError err = index_checkpoint(image, &sections)) return err;
+  auto require = [&sections, &image](CheckpointSection id,
+                                     const SealedSection** out) {
+    *out = sections[id];
     if (*out == nullptr) {
-      return CheckpointError::at(CheckpointErrorCode::kMissingSection,
-                                 image.bytes.size());
+      return SealedError::at(SealedErrorCode::kMissingSection,
+                             image.bytes.size());
     }
-    return CheckpointError::ok();
+    return SealedError::ok();
   };
 
-  const CheckpointSectionInfo* config_section = nullptr;
-  const CheckpointSectionInfo* stats_section = nullptr;
-  const CheckpointSectionInfo* rt_section = nullptr;
-  const CheckpointSectionInfo* pt_section = nullptr;
+  const SealedSection* config_section = nullptr;
+  const SealedSection* stats_section = nullptr;
+  const SealedSection* rt_section = nullptr;
+  const SealedSection* pt_section = nullptr;
   if (const auto err = require(CheckpointSection::kConfig, &config_section))
     return err;
   if (const auto err = require(CheckpointSection::kStats, &stats_section))
@@ -461,17 +432,17 @@ CheckpointError DartMonitor::restore(const CheckpointImage& image) {
   // The config fingerprint gates everything else: the table payloads are
   // only decodable against the exact geometry they were cut from.
   {
-    CheckpointReader reader = reader_of(*config_section);
-    if (const CheckpointError err = verify_config(reader, config_)) return err;
+    SealedReader reader(image.bytes, *config_section);
+    if (const SealedError err = verify_config(reader, config_)) return err;
   }
 
   // Presence of the optional sections must agree with this monitor's shape.
-  const CheckpointSectionInfo* shadow_rt_section =
-      section_of(CheckpointSection::kShadowRt);
-  const CheckpointSectionInfo* backlog_section =
-      section_of(CheckpointSection::kShadowBacklog);
-  const CheckpointSectionInfo* filter_section =
-      section_of(CheckpointSection::kFlowFilter);
+  const SealedSection* shadow_rt_section =
+      sections[CheckpointSection::kShadowRt];
+  const SealedSection* backlog_section =
+      sections[CheckpointSection::kShadowBacklog];
+  const SealedSection* filter_section =
+      sections[CheckpointSection::kFlowFilter];
   if (config_.shadow_rt) {
     if (const auto err =
             require(CheckpointSection::kShadowRt, &shadow_rt_section))
@@ -482,43 +453,42 @@ CheckpointError DartMonitor::restore(const CheckpointImage& image) {
   } else if (shadow_rt_section != nullptr || backlog_section != nullptr) {
     const auto* extra =
         shadow_rt_section != nullptr ? shadow_rt_section : backlog_section;
-    return CheckpointError::at(CheckpointErrorCode::kGeometryMismatch,
-                               extra->offset);
+    return SealedError::at(SealedErrorCode::kGeometryMismatch, extra->offset);
   }
   if (flow_filter_ != nullptr) {
     if (filter_section == nullptr) {
-      return CheckpointError::at(CheckpointErrorCode::kMissingSection,
-                                 image.bytes.size());
+      return SealedError::at(SealedErrorCode::kMissingSection,
+                             image.bytes.size());
     }
   } else if (filter_section != nullptr) {
-    return CheckpointError::at(CheckpointErrorCode::kGeometryMismatch,
-                               filter_section->offset);
+    return SealedError::at(SealedErrorCode::kGeometryMismatch,
+                           filter_section->offset);
   }
 
   // Decode every section into staged state; the live monitor is untouched
   // until all of them have parsed cleanly.
   DartStats staged_stats;
   {
-    CheckpointReader reader = reader_of(*stats_section);
-    if (const CheckpointError err = staged_stats.restore(reader)) return err;
-    if (const CheckpointError err = reader.finish()) return err;
+    SealedReader reader(image.bytes, *stats_section);
+    if (const SealedError err = staged_stats.restore(reader)) return err;
+    if (const SealedError err = reader.finish()) return err;
   }
 
   RangeTracker staged_rt(config_.rt_size, config_.hash_seed,
                          config_.wraparound_reset, config_.rt_idle_timeout);
   {
-    CheckpointReader reader = reader_of(*rt_section);
-    if (const CheckpointError err = staged_rt.restore(reader)) return err;
-    if (const CheckpointError err = reader.finish()) return err;
+    SealedReader reader(image.bytes, *rt_section);
+    if (const SealedError err = staged_rt.restore(reader)) return err;
+    if (const SealedError err = reader.finish()) return err;
   }
 
   PacketTracker staged_pt(config_.pt_size, config_.pt_stages, config_.policy,
                           mix64(config_.hash_seed ^ 0x9e3779b97f4a7c15ULL));
   {
-    CheckpointReader reader = reader_of(*pt_section);
-    if (const CheckpointError err = staged_pt.restore(reader, config_.rt_size))
+    SealedReader reader(image.bytes, *pt_section);
+    if (const SealedError err = staged_pt.restore(reader, config_.rt_size))
       return err;
-    if (const CheckpointError err = reader.finish()) return err;
+    if (const SealedError err = reader.finish()) return err;
   }
 
   std::unique_ptr<RangeTracker> staged_shadow;
@@ -528,13 +498,13 @@ CheckpointError DartMonitor::restore(const CheckpointImage& image) {
         config_.rt_size, config_.hash_seed, config_.wraparound_reset,
         config_.rt_idle_timeout);
     {
-      CheckpointReader reader = reader_of(*shadow_rt_section);
-      if (const CheckpointError err = staged_shadow->restore(reader))
+      SealedReader reader(image.bytes, *shadow_rt_section);
+      if (const SealedError err = staged_shadow->restore(reader))
         return err;
-      if (const CheckpointError err = reader.finish()) return err;
+      if (const SealedError err = reader.finish()) return err;
     }
     {
-      CheckpointReader reader = reader_of(*backlog_section);
+      SealedReader reader(image.bytes, *backlog_section);
       const std::uint64_t count = reader.u64();
       if (!reader.error() && count > config_.shadow_sync_interval) {
         // The backlog is flushed whenever it reaches the sync interval; a
@@ -547,20 +517,20 @@ CheckpointError DartMonitor::restore(const CheckpointImage& image) {
         staged_backlog.push_back(read_packet(reader));
         if (reader.error()) return reader.error();
       }
-      if (const CheckpointError err = reader.finish()) return err;
+      if (const SealedError err = reader.finish()) return err;
     }
   }
 
   if (flow_filter_ != nullptr) {
     FlowFilter staged_filter;
-    CheckpointReader reader = reader_of(*filter_section);
-    if (const CheckpointError err = staged_filter.restore(reader)) return err;
-    if (const CheckpointError err = reader.finish()) return err;
+    SealedReader reader(image.bytes, *filter_section);
+    if (const SealedError err = staged_filter.restore(reader)) return err;
+    if (const SealedError err = reader.finish()) return err;
     if (!(staged_filter == *flow_filter_)) {
       // The filter pointer is operator-owned: restore cannot rewrite it, so
       // an image cut under different rules belongs to a different monitor.
-      return CheckpointError::at(CheckpointErrorCode::kGeometryMismatch,
-                                 filter_section->offset);
+      return SealedError::at(SealedErrorCode::kGeometryMismatch,
+                             filter_section->offset);
     }
   }
 
@@ -570,20 +540,14 @@ CheckpointError DartMonitor::restore(const CheckpointImage& image) {
   pt_ = std::move(staged_pt);
   shadow_rt_ = std::move(staged_shadow);
   shadow_backlog_ = std::move(staged_backlog);
-  return CheckpointError::ok();
+  return SealedError::ok();
 }
 
-CheckpointError read_config(const CheckpointImage& image,
-                            DartConfig* config) {
-  CheckpointInfo info;
-  if (const CheckpointError err = read_info(image, &info)) return err;
-  for (const CheckpointSectionInfo& section : info.sections) {
-    if (section.id != static_cast<std::uint32_t>(CheckpointSection::kConfig)) {
-      continue;
-    }
-    CheckpointReader reader(
-        std::span(image.bytes).subspan(section.offset, section.length),
-        section.offset);
+SealedError read_config(const CheckpointImage& image, DartConfig* config) {
+  CheckpointSections sections;
+  if (const SealedError err = index_checkpoint(image, &sections)) return err;
+  if (const SealedSection* section = sections[CheckpointSection::kConfig]) {
+    SealedReader reader(image.bytes, *section);
     DartConfig staged;
     staged.rt_size = reader.u64();
     staged.pt_size = reader.u64();
@@ -608,12 +572,12 @@ CheckpointError read_config(const CheckpointImage& image,
     if (reader.error()) return reader.error();
     staged.leg = static_cast<LegMode>(leg);
     staged.policy = static_cast<EvictionPolicy>(policy);
-    if (const CheckpointError err = reader.finish()) return err;
+    if (const SealedError err = reader.finish()) return err;
     *config = staged;
-    return CheckpointError::ok();
+    return SealedError::ok();
   }
-  return CheckpointError::at(CheckpointErrorCode::kMissingSection,
-                             image.bytes.size());
+  return SealedError::at(SealedErrorCode::kMissingSection,
+                         image.bytes.size());
 }
 
 }  // namespace dart::core

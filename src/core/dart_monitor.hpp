@@ -91,7 +91,7 @@ class DartMonitor {
   /// (same table geometry, seeds, leg/policy modes, and installed flow
   /// filter — anything else is a kGeometryMismatch). All-or-nothing: on any
   /// error the monitor's previous state is kept bit for bit.
-  CheckpointError restore(const CheckpointImage& image);
+  SealedError restore(const CheckpointImage& image);
 
  private:
   bool admit(const PacketRecord& packet);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/checkpoint.hpp"
 
 namespace dart::core {
 
@@ -10,7 +9,7 @@ namespace dart::core {
 // u32 dst_base, u8 dst_len, u16 sp_lo, u16 sp_hi, u16 dp_lo, u16 dp_hi,
 // u8 track}. Rule order is the match order, so it is preserved verbatim.
 
-void FlowFilter::snapshot(CheckpointWriter& writer) const {
+void FlowFilter::snapshot(SealedWriter& writer) const {
   writer.u64(rules_.size());
   for (const FlowRule& rule : rules_) {
     writer.u32(rule.src.base().value());
@@ -25,7 +24,7 @@ void FlowFilter::snapshot(CheckpointWriter& writer) const {
   }
 }
 
-CheckpointError FlowFilter::restore(CheckpointReader& reader) {
+SealedError FlowFilter::restore(SealedReader& reader) {
   const std::uint64_t count = reader.u64();
   std::vector<FlowRule> staged;
   auto read_prefix = [&reader](Ipv4Prefix* out) {
@@ -56,7 +55,7 @@ CheckpointError FlowFilter::restore(CheckpointReader& reader) {
     staged.push_back(rule);
   }
   rules_ = std::move(staged);
-  return CheckpointError::ok();
+  return SealedError::ok();
 }
 
 }  // namespace dart::core

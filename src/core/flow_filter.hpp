@@ -13,12 +13,9 @@
 
 #include "common/four_tuple.hpp"
 #include "common/ipv4.hpp"
+#include "common/sealed.hpp"
 
 namespace dart::core {
-
-class CheckpointWriter;
-class CheckpointReader;
-struct CheckpointError;
 
 struct PortRange {
   std::uint16_t lo = 0;
@@ -78,8 +75,8 @@ class FlowFilter {
 
   /// Serialize the rule list into an open checkpoint section; restore() is
   /// the all-or-nothing inverse. Quiesce-time only.
-  void snapshot(CheckpointWriter& writer) const;
-  CheckpointError restore(CheckpointReader& reader);
+  void snapshot(SealedWriter& writer) const;
+  SealedError restore(SealedReader& reader);
 
   /// True when the connection this tuple belongs to should be tracked.
   /// Rules are direction-insensitive: the first rule matching the tuple or

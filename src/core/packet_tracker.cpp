@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/hugepage.hpp"
-#include "core/checkpoint.hpp"
 
 namespace dart::core {
 
@@ -122,7 +121,7 @@ std::size_t PacketTracker::occupied() const { return occupied_; }
 // stage * stage_size + slot (bounded) or the record key (unbounded).
 // Strictly increasing ref order makes serialization canonical.
 
-void PacketTracker::snapshot(CheckpointWriter& writer) const {
+void PacketTracker::snapshot(SealedWriter& writer) const {
   writer.u8(bounded_ ? 1 : 0);
   writer.u64(stages_.size());
   writer.u64(stage_size_);
@@ -143,15 +142,16 @@ void PacketTracker::snapshot(CheckpointWriter& writer) const {
     }
     return;
   }
-  std::vector<std::uint64_t> keys;
-  keys.reserve(map_.size());
-  for (const auto& [key, record] : map_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) put(key, map_.at(key));
+  std::vector<std::pair<std::uint64_t, const Record*>> records;
+  records.reserve(map_.size());
+  for (const auto& [key, record] : map_) records.emplace_back(key, &record);
+  std::sort(records.begin(), records.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [key, record] : records) put(key, *record);
 }
 
-CheckpointError PacketTracker::restore(CheckpointReader& reader,
-                                       std::uint64_t rt_slots) {
+SealedError PacketTracker::restore(SealedReader& reader,
+                                   std::uint64_t rt_slots) {
   const bool bounded = reader.u8() != 0;
   const std::uint64_t stage_count = reader.u64();
   const std::uint64_t stage_size = reader.u64();
@@ -159,7 +159,7 @@ CheckpointError PacketTracker::restore(CheckpointReader& reader,
   if (reader.error()) return reader.error();
   if (bounded != bounded_ || stage_count != stages_.size() ||
       stage_size != stage_size_) {
-    return reader.error_here(CheckpointErrorCode::kGeometryMismatch);
+    return reader.error_here(SealedErrorCode::kGeometryMismatch);
   }
 
   std::vector<std::vector<Slot>> staged_stages;
@@ -208,7 +208,7 @@ CheckpointError PacketTracker::restore(CheckpointReader& reader,
   stages_ = std::move(staged_stages);
   map_ = std::move(staged_map);
   occupied_ = static_cast<std::size_t>(count);
-  return CheckpointError::ok();
+  return SealedError::ok();
 }
 
 }  // namespace dart::core

@@ -24,15 +24,12 @@
 #include <vector>
 
 #include "common/hashing.hpp"
+#include "common/sealed.hpp"
 #include "common/seqnum.hpp"
 #include "common/time.hpp"
 #include "core/config.hpp"
 
 namespace dart::core {
-
-class CheckpointWriter;
-class CheckpointReader;
-struct CheckpointError;
 
 class PacketTracker {
  public:
@@ -89,7 +86,7 @@ class PacketTracker {
   /// Serialize every live record into an open checkpoint section in
   /// canonical order ((stage, slot) when bounded, key order when unbounded)
   /// so equal table states produce identical bytes. Quiesce-time only.
-  void snapshot(CheckpointWriter& writer) const;
+  void snapshot(SealedWriter& writer) const;
 
   /// Inverse of snapshot() into a tracker of the same geometry (mode, stage
   /// count, and stage size must match). `rt_slots` is the slot count of the
@@ -97,7 +94,7 @@ class PacketTracker {
   /// unbounded and refs are full hashes): a record whose ref is not a slot
   /// there is rejected, so probes can index by ref unchecked. All-or-nothing:
   /// on any error the tracker's previous state is kept untouched.
-  CheckpointError restore(CheckpointReader& reader, std::uint64_t rt_slots);
+  SealedError restore(SealedReader& reader, std::uint64_t rt_slots);
 
  private:
   struct Slot {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/hugepage.hpp"
-#include "core/checkpoint.hpp"
 
 namespace dart::core {
 
@@ -201,7 +200,7 @@ std::size_t RangeTracker::occupied() const {
 // sorted, map keys are sorted explicitly — so equal table states always
 // serialize to identical bytes.
 
-void RangeTracker::snapshot(CheckpointWriter& writer) const {
+void RangeTracker::snapshot(SealedWriter& writer) const {
   writer.u8(bounded_ ? 1 : 0);
   writer.u64(bounded_ ? slots_.size() : 0);
   writer.u64(occupied());
@@ -218,21 +217,22 @@ void RangeTracker::snapshot(CheckpointWriter& writer) const {
     }
     return;
   }
-  std::vector<std::uint64_t> keys;
-  keys.reserve(map_.size());
-  for (const auto& [key, entry] : map_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) put(key, map_.at(key));
+  std::vector<std::pair<std::uint64_t, const Entry*>> entries;
+  entries.reserve(map_.size());
+  for (const auto& [key, entry] : map_) entries.emplace_back(key, &entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [key, entry] : entries) put(key, *entry);
 }
 
-CheckpointError RangeTracker::restore(CheckpointReader& reader) {
+SealedError RangeTracker::restore(SealedReader& reader) {
   const bool bounded = reader.u8() != 0;
   const std::uint64_t geometry = reader.u64();
   const std::uint64_t count = reader.u64();
   if (reader.error()) return reader.error();
   if (bounded != bounded_ ||
       geometry != (bounded_ ? slots_.size() : std::uint64_t{0})) {
-    return reader.error_here(CheckpointErrorCode::kGeometryMismatch);
+    return reader.error_here(SealedErrorCode::kGeometryMismatch);
   }
 
   // Stage everything locally; the live tables are untouched until the whole
@@ -273,7 +273,7 @@ CheckpointError RangeTracker::restore(CheckpointReader& reader) {
 
   slots_ = std::move(staged_slots);
   map_ = std::move(staged_map);
-  return CheckpointError::ok();
+  return SealedError::ok();
 }
 
 }  // namespace dart::core

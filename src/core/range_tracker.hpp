@@ -29,14 +29,11 @@
 
 #include "common/four_tuple.hpp"
 #include "common/hashing.hpp"
+#include "common/sealed.hpp"
 #include "common/seqnum.hpp"
 #include "common/time.hpp"
 
 namespace dart::core {
-
-class CheckpointWriter;
-class CheckpointReader;
-struct CheckpointError;
 
 enum class SeqDecision : std::uint8_t {
   kTrackNew,         ///< first packet of a (newly tracked) flow
@@ -119,13 +116,13 @@ class RangeTracker {
   /// Serialize every live entry into an open checkpoint section, in
   /// canonical order (slot index when bounded, key order when unbounded) so
   /// equal table states produce identical bytes. Quiesce-time only.
-  void snapshot(CheckpointWriter& writer) const;
+  void snapshot(SealedWriter& writer) const;
 
   /// Inverse of snapshot() into a tracker of the *same geometry* (size and
   /// mode must match — the monitor-level restore guarantees this via the
   /// config section). All-or-nothing: on any error the tracker's previous
   /// state is kept untouched.
-  CheckpointError restore(CheckpointReader& reader);
+  SealedError restore(SealedReader& reader);
 
  private:
   struct Entry {

@@ -1,7 +1,6 @@
 #include "core/stats.hpp"
 
 #include "common/strings.hpp"
-#include "core/checkpoint.hpp"
 
 namespace dart::core {
 
@@ -32,13 +31,13 @@ DartStats& DartStats::operator+=(const DartStats& other) {
   return *this;
 }
 
-void DartStats::snapshot(CheckpointWriter& writer) const {
+void DartStats::snapshot(SealedWriter& writer) const {
   writer.u32(kStatCounters);
   for (const auto field : kStatFields) writer.u64(this->*field);
   for (const auto field : kHealthFields) writer.u64(runtime.*field);
 }
 
-CheckpointError DartStats::restore(CheckpointReader& reader) {
+SealedError DartStats::restore(SealedReader& reader) {
   const std::uint32_t count = reader.u32();
   if (!reader.error() && count != kStatCounters) {
     reader.fail_field();
@@ -48,7 +47,7 @@ CheckpointError DartStats::restore(CheckpointReader& reader) {
   for (const auto field : kHealthFields) staged.runtime.*field = reader.u64();
   if (reader.error()) return reader.error();
   *this = staged;
-  return CheckpointError::ok();
+  return SealedError::ok();
 }
 
 std::string DartStats::summary() const {  // hotpath-ok: reporting only

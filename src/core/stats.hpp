@@ -8,11 +8,9 @@
 #include <iterator>
 #include <string>
 
-namespace dart::core {
+#include "common/sealed.hpp"
 
-class CheckpointWriter;
-class CheckpointReader;
-struct CheckpointError;
+namespace dart::core {
 
 /// Health counters of the replay *runtime* around a monitor: what the
 /// sharded router shed or abandoned when a worker fell behind, died, or
@@ -136,9 +134,10 @@ struct DartStats {
   }
 
   /// Serialize every counter (RuntimeHealth included) into an open
-  /// checkpoint section; restore() is the exact inverse. Quiesce-time only.
-  void snapshot(CheckpointWriter& writer) const;
-  CheckpointError restore(CheckpointReader& reader);
+  /// section, a checkpoint's or a fleet frame's stats section alike;
+  /// restore() is the exact inverse. Quiesce-time only.
+  void snapshot(SealedWriter& writer) const;
+  SealedError restore(SealedReader& reader);
 
   std::string summary() const;  // hotpath-ok: end-of-run reporting
 };

@@ -62,17 +62,17 @@ std::int64_t frame_epoch_skew(const FrameHeader& header,
   return skew;
 }
 
-QuarantineReason reason_for(FrameErrorCode code) {
+QuarantineReason reason_for(SealedErrorCode code) {
   switch (code) {
-    case FrameErrorCode::kTruncated:
+    case SealedErrorCode::kTruncated:
       return QuarantineReason::kTruncated;
-    case FrameErrorCode::kBadMagic:
+    case SealedErrorCode::kBadMagic:
       return QuarantineReason::kBadMagic;
-    case FrameErrorCode::kBadVersion:
+    case SealedErrorCode::kBadVersion:
       return QuarantineReason::kBadVersion;
-    case FrameErrorCode::kCrcMismatch:
+    case SealedErrorCode::kCrcMismatch:
       return QuarantineReason::kCrcMismatch;
-    case FrameErrorCode::kIoError:
+    case SealedErrorCode::kIoError:
       return QuarantineReason::kIoError;
     default:
       return QuarantineReason::kBadFrame;

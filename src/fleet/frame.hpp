@@ -1,30 +1,27 @@
 // Fleet snapshot frames: the cross-process wire format of the vantage
-// exporter (the checkpoint subsystem's envelope discipline, one level up).
+// exporter. A frame is a sealed envelope (common/sealed.hpp: magic,
+// version, CRC, section table, strict framing and the typed SealedError)
+// with magic "DFRM", version kFrameVersion and these header fields:
 //
-// A frame is one self-validating publication from one vantage process, of
-// one of three kinds (FrameKind) carrying up to three sections
-// (FrameSection):
-//
-//   offset  0  magic "DFRM"
-//   offset  4  u32 format version (kFrameVersion)
-//   offset  8  u32 CRC-32 (IEEE) over every byte from offset 12 to the end
 //   offset 12  u64 vantage id
 //   offset 20  u64 sequence   — per-vantage frame number (manifest is 0)
 //   offset 28  u64 epoch      — the barrier that cut the enclosed state
 //   offset 36  u64 cursor     — vantage packets covered at that barrier
 //   offset 44  u32 frame kind (FrameKind)
 //   offset 48  u32 section count
-//   then per section: u32 section id, u64 payload length, payload bytes.
 //
-// All integers are little-endian. State-bearing frames (kEpoch / kFinal)
-// carry *cumulative* counters: each one supersedes its predecessors, so a
-// collector that loses frame k and accepts frame k+1 has lost nothing.
-// Their stats section is the vantage's merged core::DartStats exactly as
-// the runtime holds it: a u32 field count, then one u64 per counter in
-// the order of core::kStatFields and core::kHealthFields, so the format
-// keeps no counter list of its own. The manifest (sequence 0) declares
-// what the vantage will route in total — the collector's denominator for
-// exact loss-window accounting when the vantage dies mid-run.
+// It is one self-validating publication from one vantage process, of one
+// of three kinds (FrameKind) carrying up to three sections (FrameSection).
+// State-bearing frames (kEpoch / kFinal) carry *cumulative* counters: each
+// one supersedes its predecessors, so a collector that loses frame k and
+// accepts frame k+1 has lost nothing. Their stats section is the
+// vantage's merged core::DartStats written by DartStats::snapshot, the
+// same bytes as a checkpoint's stats section (a u32 field count, then one
+// u64 per counter of core::kStatFields and core::kHealthFields), so the
+// format keeps no counter list of its own. The manifest (sequence 0)
+// declares what the vantage will route in total — the collector's
+// denominator for exact loss-window accounting when the vantage dies
+// mid-run.
 //
 // Like checkpoints, frames parse into staging state and are accepted whole
 // or quarantined whole: a damaged frame never half-updates the collector.
@@ -35,15 +32,15 @@
 #include <string>
 #include <vector>
 
+#include "common/sealed.hpp"
 #include "core/stats.hpp"
 
 namespace dart::fleet {
 
 inline constexpr std::uint32_t kFrameVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 52;
-inline constexpr std::size_t kFrameCrcOffset = 8;
-/// First byte covered by the CRC (everything before identifies the format).
-inline constexpr std::size_t kFrameCrcStart = 12;
+inline constexpr SealedFormat kFrameFormat{
+    {'D', 'F', 'R', 'M'}, kFrameVersion, kFrameHeaderBytes};
 
 /// Frame kinds. Kind 3 is unassigned and decodes as kBadKind.
 enum class FrameKind : std::uint32_t {
@@ -65,37 +62,6 @@ enum class FrameSection : std::uint32_t {
 /// for exotic layouts while keeping a hostile frame from forcing a huge
 /// allocation before the CRC has already vetoed random corruption.
 inline constexpr std::uint32_t kMaxHistogramBins = 4096;
-
-enum class FrameErrorCode : std::uint8_t {
-  kNone = 0,
-  kTruncated,         ///< fewer bytes than the header/frame promises
-  kBadMagic,          ///< not a fleet frame
-  kBadVersion,        ///< format version this reader does not speak
-  kCrcMismatch,       ///< integrity check failed (torn write or corruption)
-  kBadSectionHeader,  ///< section frame inconsistent with the byte count
-  kDuplicateSection,  ///< the same section id appears twice
-  kBadKind,           ///< frame kind outside the known set
-  kBadFieldValue,     ///< a field decodes to an impossible value
-  kTrailingBytes,     ///< bytes after the last declared section
-  kIoError,           ///< file read/write failed
-};
-
-const char* to_string(FrameErrorCode code);
-
-/// Typed frame diagnostic: what went wrong and the byte offset of the
-/// damage (0 when meaningless, e.g. kIoError).
-struct FrameError {
-  FrameErrorCode code = FrameErrorCode::kNone;
-  std::uint64_t offset = 0;
-
-  explicit operator bool() const { return code != FrameErrorCode::kNone; }
-  std::string to_string() const;
-
-  static FrameError ok() { return {}; }
-  static FrameError at(FrameErrorCode code, std::uint64_t offset) {
-    return FrameError{code, offset};
-  }
-};
 
 /// Fixed per-frame header fields (everything between the CRC and the
 /// section table).
@@ -165,15 +131,19 @@ std::vector<std::uint8_t> encode_frame(const SnapshotFrame& frame);
 
 /// Parse and validate one frame. Returns the first damage found; on any
 /// error `out` may be partially filled and must be discarded.
-FrameError decode_frame(std::span<const std::uint8_t> bytes,
-                        SnapshotFrame* out);
+SealedError decode_frame(std::span<const std::uint8_t> bytes,
+                         SnapshotFrame* out);
 
 /// Recompute and store the CRC (requires a complete header) — for tests
 /// and tools that deliberately edit frame bytes.
-void reseal_frame(std::vector<std::uint8_t>& bytes);
+inline void reseal_frame(std::vector<std::uint8_t>& bytes) {
+  reseal(bytes, kFrameFormat);
+}
 
 /// Read a whole spool file (kIoError on failure; no parsing).
-FrameError load_frame_file(const std::string& path,
-                           std::vector<std::uint8_t>* bytes);
+inline SealedError load_frame_file(const std::string& path,
+                                   std::vector<std::uint8_t>* bytes) {
+  return read_sealed_file(path, bytes);
+}
 
 }  // namespace dart::fleet

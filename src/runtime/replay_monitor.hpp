@@ -50,9 +50,8 @@ class ReplayMonitor {
   virtual core::CheckpointImage snapshot(const core::SnapshotMeta&) const {
     return {};
   }
-  virtual core::CheckpointError restore(const core::CheckpointImage&) {
-    return core::CheckpointError::at(core::CheckpointErrorCode::kUnsupported,
-                                     0);
+  virtual SealedError restore(const core::CheckpointImage&) {
+    return SealedError::at(SealedErrorCode::kUnsupported, 0);
   }
 };
 
@@ -80,7 +79,7 @@ class DartReplayMonitor : public ReplayMonitor {
   core::CheckpointImage snapshot(const core::SnapshotMeta& meta) const override {
     return monitor_.snapshot(meta);
   }
-  core::CheckpointError restore(const core::CheckpointImage& image) override {
+  SealedError restore(const core::CheckpointImage& image) override {
     return monitor_.restore(image);
   }
 

@@ -26,11 +26,11 @@
 
 namespace {
 
-using dart::core::CheckpointError;
+using dart::SealedError;
+using dart::SealedSection;
 using dart::core::CheckpointImage;
 using dart::core::CheckpointInfo;
 using dart::core::CheckpointSection;
-using dart::core::CheckpointSectionInfo;
 
 void print_usage(std::ostream& out) {
   out << "usage: dart-ckpt <command> [options]\n"
@@ -62,46 +62,39 @@ const char* section_name(std::uint32_t id) {
 
 /// Rebuild a monitor from the image's own config section and restore into
 /// it. Returns the first error anywhere in the chain.
-CheckpointError deep_verify(const CheckpointImage& image) {
+SealedError deep_verify(const CheckpointImage& image) {
   dart::core::DartConfig config;
-  if (const CheckpointError err = dart::core::read_config(image, &config)) {
+  if (const SealedError err = dart::core::read_config(image, &config)) {
     return err;
   }
   dart::core::DartMonitor monitor(config,
                                   [](const dart::core::RttSample&) {});
   // If the image carries a flow filter, install an identical one: filter
   // presence is part of the monitor shape restore() insists on.
-  CheckpointInfo info;
-  if (const CheckpointError err = dart::core::read_info(image, &info)) {
+  dart::core::CheckpointSections sections;
+  if (const SealedError err =
+          dart::core::index_checkpoint(image, &sections)) {
     return err;
   }
   dart::core::FlowFilter filter;
-  bool has_filter = false;
-  for (const CheckpointSectionInfo& section : info.sections) {
-    if (section.id !=
-        static_cast<std::uint32_t>(CheckpointSection::kFlowFilter)) {
-      continue;
-    }
-    dart::core::CheckpointReader reader(
-        std::span(image.bytes).subspan(section.offset, section.length),
-        section.offset);
-    if (const CheckpointError err = filter.restore(reader)) return err;
-    has_filter = true;
-    break;
+  const SealedSection* filter_section =
+      sections[CheckpointSection::kFlowFilter];
+  if (filter_section != nullptr) {
+    dart::SealedReader reader(image.bytes, *filter_section);
+    if (const SealedError err = filter.restore(reader)) return err;
+    monitor.set_flow_filter(&filter);
   }
-  if (has_filter) monitor.set_flow_filter(&filter);
   return monitor.restore(image);
 }
 
 int cmd_inspect(const std::string& path) {
   CheckpointImage image;
-  if (const CheckpointError err =
-          dart::core::load_checkpoint(path, &image)) {
+  if (const SealedError err = dart::core::load_checkpoint(path, &image)) {
     std::cerr << "dart-ckpt: " << path << ": " << err.to_string() << "\n";
     return 1;
   }
   CheckpointInfo info;
-  const CheckpointError err = dart::core::read_info(image, &info);
+  const SealedError err = dart::core::read_info(image, &info);
   std::cout << "file            " << path << "\n"
             << "size            " << image.bytes.size() << " bytes\n"
             << "version         " << info.version << "\n"
@@ -115,7 +108,7 @@ int cmd_inspect(const std::string& path) {
                                                      : " (MISMATCH)")
             << "\n";
   std::cout << "sections        " << info.sections.size() << "\n";
-  for (const CheckpointSectionInfo& section : info.sections) {
+  for (const SealedSection& section : info.sections) {
     std::cout << "  id " << section.id << "  " << section_name(section.id)
               << "  offset " << section.offset << "  length "
               << section.length << "\n";
@@ -133,7 +126,7 @@ int cmd_inspect(const std::string& path) {
 /// + u64 length) plus its payload; offsets below the image header fall in
 /// the envelope. Best-effort: an unreadable section map prints nothing.
 void describe_failure_site(const CheckpointImage& image,
-                           const CheckpointError& err, std::ostream& out) {
+                           const SealedError& err, std::ostream& out) {
   if (err.offset == 0) return;  // offsetless errors, e.g. I/O
   if (err.offset < dart::core::kCheckpointHeaderBytes) {
     out << " [image header, byte " << err.offset << "]";
@@ -141,9 +134,8 @@ void describe_failure_site(const CheckpointImage& image,
   }
   CheckpointInfo info;
   if (dart::core::read_info(image, &info)) return;
-  constexpr std::uint64_t kSectionFraming = 12;  // u32 id + u64 length
-  for (const CheckpointSectionInfo& section : info.sections) {
-    const std::uint64_t begin = section.offset - kSectionFraming;
+  for (const SealedSection& section : info.sections) {
+    const std::uint64_t begin = section.offset - dart::kSectionHeaderBytes;
     const std::uint64_t end = section.offset + section.length;
     if (err.offset >= begin && err.offset < end) {
       out << " [section " << section.id << " (" << section_name(section.id)
@@ -157,12 +149,11 @@ void describe_failure_site(const CheckpointImage& image,
 
 int cmd_verify(const std::string& path) {
   CheckpointImage image;
-  if (const CheckpointError err =
-          dart::core::load_checkpoint(path, &image)) {
+  if (const SealedError err = dart::core::load_checkpoint(path, &image)) {
     std::cerr << "dart-ckpt: " << path << ": " << err.to_string() << "\n";
     return 1;
   }
-  if (const CheckpointError err = deep_verify(image)) {
+  if (const SealedError err = deep_verify(image)) {
     std::cerr << "dart-ckpt: " << path << ": " << err.to_string();
     describe_failure_site(image, err, std::cerr);
     std::cerr << "\n";
@@ -240,7 +231,7 @@ int cmd_make_demo(const std::string& path,
       std::cerr << "error: demo image unexpectedly damaged\n";
       return 1;
     }
-    for (const CheckpointSectionInfo& section : info.sections) {
+    for (const SealedSection& section : info.sections) {
       if (section.id == static_cast<std::uint32_t>(CheckpointSection::kStats)) {
         image.bytes[section.offset] ^= 0xFF;
         break;
@@ -250,14 +241,11 @@ int cmd_make_demo(const std::string& path,
   if (truncate_to != ~std::size_t{0} && truncate_to < image.bytes.size()) {
     image.bytes.resize(truncate_to);
   }
-  if (reseal && image.bytes.size() >= dart::core::kCheckpointHeaderBytes) {
-    dart::core::reseal_checkpoint(image);
+  if (reseal) dart::core::reseal_checkpoint(image);
+  if (flip_crc && image.bytes.size() > dart::kSealedCrcOffset) {
+    image.bytes[dart::kSealedCrcOffset] ^= 0xFF;
   }
-  if (flip_crc && image.bytes.size() > dart::core::kCheckpointCrcOffset) {
-    image.bytes[dart::core::kCheckpointCrcOffset] ^= 0xFF;
-  }
-  if (const CheckpointError err =
-          dart::core::save_checkpoint(image, path)) {
+  if (const SealedError err = dart::core::save_checkpoint(image, path)) {
     std::cerr << "dart-ckpt: " << path << ": " << err.to_string() << "\n";
     return 1;
   }

@@ -18,6 +18,10 @@
 namespace dart::core {
 namespace {
 
+using CheckpointError = SealedError;
+using CheckpointErrorCode = SealedErrorCode;
+constexpr std::size_t kCheckpointCrcStart = kSealedCrcStart;
+
 // Tiny geometry so the corpus image stays small enough to truncate at
 // every byte offset in well under a second.
 DartConfig tiny_config() {

@@ -23,6 +23,9 @@
 namespace dart::core {
 namespace {
 
+using CheckpointError = SealedError;
+using CheckpointErrorCode = SealedErrorCode;
+
 trace::Trace workload(std::uint64_t seed, std::uint32_t connections = 128) {
   gen::CampusConfig config;
   config.seed = seed;

@@ -12,6 +12,9 @@
 namespace dart::core {
 namespace {
 
+using CheckpointError = SealedError;
+using CheckpointReader = SealedReader;
+
 PacketTracker::Record record(std::uint32_t sig, SeqNum eack, Timestamp ts) {
   PacketTracker::Record r;
   r.flow_sig = sig;

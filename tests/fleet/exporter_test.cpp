@@ -16,6 +16,9 @@
 namespace dart::fleet {
 namespace {
 
+using FrameError = SealedError;
+using FrameErrorCode = SealedErrorCode;
+
 VantageExporterConfig small_config() {
   VantageExporterConfig config;
   config.vantage = 3;

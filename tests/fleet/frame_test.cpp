@@ -12,6 +12,10 @@
 namespace dart::fleet {
 namespace {
 
+using FrameError = SealedError;
+using FrameErrorCode = SealedErrorCode;
+constexpr std::size_t kFrameCrcStart = kSealedCrcStart;
+
 /// Every counter distinct, so a field the codec drops, repeats or swaps
 /// shows up in the round trip.
 core::DartStats sample_stats() {
