@@ -18,6 +18,8 @@
 #include "baseline/tcptrace.hpp"
 #include "baseline/tcptrace_const.hpp"
 #include "bench_util.hpp"
+#include "common/hashing.hpp"
+#include "common/random.hpp"
 #include "daemon/epoch_runner.hpp"
 #include "daemon/net.hpp"
 #include "daemon/socket_source.hpp"
@@ -265,6 +267,25 @@ void BM_SocketIngest(benchmark::State& state) {
                           static_cast<std::int64_t>(packets.size()));
 }
 BENCHMARK(BM_SocketIngest)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// Seal cost: every checkpoint image and fleet frame is CRC-32 sealed, and
+// restore checks the seal again. 0.69 MB is the size of a checkpoint image
+// at the paper's geometry (RT 2^16, PT 2^14).
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> image(static_cast<std::size_t>(state.range(0)));
+  Rng rng(0xC3C3);
+  for (std::uint8_t& byte : image) {
+    byte = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(image));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(690'000)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Scalar-vs-batched trajectory rows (DESIGN.md §11).

@@ -8,12 +8,14 @@
 //
 // The policy escalates in three phases:
 //
-//   1. spin    — up to `spin_budget` yield-and-retry attempts (covers the
+//   1. spin    — up to `spin_budget` pause-and-retry attempts (covers the
 //                common case: the worker is healthy and frees a slot within
 //                microseconds; no clock is read in this phase);
 //   2. backoff — exponential sleeps from `backoff_initial_ns` doubling to
 //                `backoff_max_ns`, releasing the core while the worker
-//                catches up;
+//                catches up. The runtime sleeps by parking on the ring,
+//                and the worker ends a park early once half the ring is
+//                free, so a healthy worker never waits out a sleep;
 //   3. shed    — once the accumulated backoff reaches `shed_deadline_ns`,
 //                give up on this batch. The runtime drops it and accounts
 //                it in RuntimeHealth (shed_batches / shed_packets).
@@ -29,7 +31,7 @@
 namespace dart::runtime {
 
 struct OverloadPolicy {
-  /// Yield-and-retry attempts before the first sleep.
+  /// Pause-and-retry attempts before the first sleep.
   std::uint32_t spin_budget = 256;
 
   /// First backoff sleep; doubles each subsequent sleep.

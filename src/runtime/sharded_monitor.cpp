@@ -21,20 +21,6 @@ std::uint64_t now_ns() {
           .count());
 }
 
-// Poll a worker's exited flag until it is set or `deadline` passes. The
-// final re-check sides with a worker that exits right at the deadline:
-// without it, a worker that finishes its last batch as the deadline fires
-// would be detached and its fully-merged results discarded.
-bool wait_exited(const std::atomic<bool>& exited, Clock::time_point deadline) {
-  while (!exited.load(std::memory_order_acquire)) {
-    if (Clock::now() >= deadline) {
-      return exited.load(std::memory_order_acquire);
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return true;
-}
-
 }  // namespace
 
 ShardedMonitor::ShardedMonitor(const ShardedConfig& config,
@@ -144,8 +130,16 @@ void ShardedMonitor::commit_barrier(Incarnation& inc, const Work& marker) {
 void ShardedMonitor::worker_loop(Incarnation& inc) {
   Work work;
   bool done_seen = false;
+  const std::size_t half = inc.queue.capacity() / 2;
+  const auto ready = [&inc] {
+    return inc.queue.size_approx() != 0 ||
+           inc.input_done.load(std::memory_order_acquire);
+  };
   for (;;) {
     if (inc.queue.try_pop(work)) {
+      // Hysteresis: a router parked on the full ring is woken once half of
+      // it is free, so it refills in one run instead of a wake per pop.
+      if (inc.queue.size_approx() <= half) inc.room.notify();
       if (work.epoch != 0) {
         commit_barrier(inc, work);
         continue;
@@ -189,10 +183,16 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
       done_seen = true;
       continue;  // one more pass drains anything pushed before the flag
     }
-    std::this_thread::yield();
+    inc.waiting.store(true, std::memory_order_release);
+    inc.work_ready.wait_until(ready, kWorkerSpin,
+                              Parker::Clock::time_point::max());
+    inc.waiting.store(false, std::memory_order_release);
   }
   inc.final_stats = inc.monitor->stats();
   inc.exited.store(true, std::memory_order_release);
+  // A router parked on the ring or on this exit learns of it now; the
+  // keepalive reference keeps the parker alive through the call.
+  inc.room.notify();
 }
 
 // ---------------------------------------------------------------------------
@@ -324,6 +324,7 @@ void ShardedMonitor::deliver(Shard& shard, Work& work) {
       continue;
     }
     if (inc.queue.try_push(work)) {
+      inc.work_ready.notify();
       shard.delivered += packets;
       if (tm != nullptr) {
         tm->ring_occupancy->at(shard.index)
@@ -336,12 +337,15 @@ void ShardedMonitor::deliver(Shard& shard, Work& work) {
       ++shard.health.backpressure_events;
     }
     // Hang detection: the heartbeat only matters while we are backpressured
-    // — an idle worker's frozen counter just means an empty ring.
+    // — an idle worker's frozen counter just means an empty ring. A worker
+    // still in its wait has been woken by the pushes that filled the ring
+    // but not yet run: the clock starts once it has.
     if (config_.hang_detection_ns != 0) {
       const std::uint64_t done =
           inc.packets_done.load(std::memory_order_acquire);
       const std::uint64_t now = now_ns();
-      if (!shard.hb_armed || shard.hb_done != done) {
+      if (!shard.hb_armed || shard.hb_done != done ||
+          inc.waiting.load(std::memory_order_acquire)) {
         shard.hb_armed = true;
         shard.hb_done = done;
         shard.hb_since_ns = now;
@@ -365,12 +369,40 @@ void ShardedMonitor::deliver(Shard& shard, Work& work) {
           tm->governor_backoffs->at(shard.index).inc();
         }
       }
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(decision.sleep_ns));
+      // The governor's sleep, as a park the worker ends early once it
+      // frees half the ring; the deadline keeps the shed clock unchanged.
+      await_room(inc,
+                 Clock::now() + std::chrono::nanoseconds(decision.sleep_ns));
     } else {
-      std::this_thread::yield();
+      Parker::relax();
     }
   }
+}
+
+void ShardedMonitor::await_room(Incarnation& inc,
+                                Parker::Clock::time_point deadline) {
+  const std::size_t half = inc.queue.capacity() / 2;
+  inc.room.wait_until(
+      [&inc, half] {
+        return inc.queue.size_approx() <= half ||
+               inc.exited.load(std::memory_order_acquire);
+      },
+      Parker::Clock::duration::zero(), deadline);
+}
+
+bool ShardedMonitor::await_exit(Incarnation& inc,
+                                Parker::Clock::time_point deadline) {
+  // wait_until's final test sides with a worker that exits right at the
+  // deadline: without it, a worker that finishes its last batch as the
+  // deadline fires would be detached and its merged results discarded.
+  return inc.room.wait_until(
+      [&inc] { return inc.exited.load(std::memory_order_acquire); },
+      Parker::Clock::duration::zero(), deadline);
+}
+
+void ShardedMonitor::end_input(Incarnation& inc) {
+  inc.input_done.store(true, std::memory_order_release);
+  inc.work_ready.notify();
 }
 
 void ShardedMonitor::requeue(Shard& shard, std::vector<Work>&& carryover) {
@@ -392,10 +424,13 @@ void ShardedMonitor::requeue(Shard& shard, std::vector<Work>&& carryover) {
         continue;
       }
       if (inc.queue.try_push(work)) {
+        inc.work_ready.notify();
         shard.health.replayed_after_restore += packets;
         break;
       }
-      std::this_thread::yield();
+      // No deadline: a requeue never sheds. The successor drains its ring
+      // or dies, and either wakes the router.
+      await_room(inc, Parker::Clock::time_point::max());
     }
   }
 }
@@ -465,7 +500,7 @@ bool ShardedMonitor::detach(Shard& shard, core::CheckpointImage* image) {
   shard.health.abandoned_packets += shard.delivered - floor;
   // Hand the zombie its exit condition for a later wake-up, then abandon
   // it; the keepalive reference keeps its world alive indefinitely.
-  hung->input_done.store(true, std::memory_order_release);
+  end_input(*hung);
   hung->thread.detach();
   shard.detached.push_back(std::move(hung));
   return has_image;
@@ -490,11 +525,11 @@ void ShardedMonitor::recover_hung(Shard& shard) {
 void ShardedMonitor::reap(Shard& shard) {
   while (!shard.retired) {
     Incarnation& inc = *shard.inc;
-    inc.input_done.store(true, std::memory_order_release);
-    if (config_.join_timeout_ns != 0 &&
-        !wait_exited(inc.exited,
-                     Clock::now() +
-                         std::chrono::nanoseconds(config_.join_timeout_ns))) {
+    end_input(inc);
+    if (!await_exit(inc, config_.join_timeout_ns == 0
+                             ? Clock::time_point::max()
+                             : Clock::now() + std::chrono::nanoseconds(
+                                                  config_.join_timeout_ns))) {
       // Wedged past the shutdown budget: detach it, but start no
       // successor — there is no further input to feed one.
       core::CheckpointImage image;
@@ -535,9 +570,7 @@ void ShardedMonitor::shutdown() noexcept {
   finished_ = true;
   for (auto& shard : shards_) {
     flush_shard(*shard);
-    if (!shard->retired) {
-      shard->inc->input_done.store(true, std::memory_order_release);
-    }
+    if (!shard->retired) end_input(*shard->inc);
   }
   // Reap only after every worker got its done flag, so workers drain in
   // parallel rather than serially behind the first join.
@@ -641,7 +674,7 @@ bool ShardedMonitor::await_detached(std::uint64_t timeout_ns) const {
   const auto deadline = Clock::now() + std::chrono::nanoseconds(timeout_ns);
   for (const auto& shard : shards_) {
     for (const auto& zombie : shard->detached) {
-      if (!wait_exited(zombie->exited, deadline)) return false;
+      if (!await_exit(*zombie, deadline)) return false;
     }
   }
   return true;

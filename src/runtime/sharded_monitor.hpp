@@ -17,7 +17,10 @@
 // trickles. A push exchanges the batch for the buffer the worker emptied
 // into that slot, so a warmed-up ring hands off without allocating. A full
 // ring backpressures the router, bounding memory at O(shards * queue depth
-// * batch).
+// * batch). Neither side waits on the other without bound: a worker with
+// an empty ring spins up to kWorkerSpin and a router with a full one for
+// its OverloadPolicy's spin budget, then each parks (parker.hpp) until the
+// other side's push or pop wakes it, so an idle shard costs no CPU.
 //
 // Each worker's sample sink bins the RTT into its LogHistogram ("hist"),
 // so the RTT distribution is aggregated as it is measured:
@@ -83,6 +86,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -100,6 +104,7 @@
 #include "runtime/checkpoint_coordinator.hpp"
 #include "runtime/lifecycle.hpp"
 #include "runtime/overload_policy.hpp"
+#include "runtime/parker.hpp"
 #include "runtime/replay_monitor.hpp"
 #include "runtime/shard_router.hpp"
 #include "runtime/spsc_ring.hpp"
@@ -111,6 +116,16 @@ struct RuntimeMetrics;
 namespace dart::runtime {
 
 class FaultPlan;
+
+/// How long a worker spins on an empty ring before it parks. A stream whose
+/// batches come less than this apart keeps its worker spinning; a shard
+/// idle for longer gives its core back. Parking between the batches of a
+/// live stream does not pay on a shared VM: on a 4-vCPU Xeon VM at
+/// `paced_campus`'s 0.67 Mpps, workers that parked after ~6 µs cut process
+/// CPU from ~3,100 to ~440 ns/pkt, but each wake-up cost the router ~3 µs
+/// of syscall and the packets ~25 µs of host scheduling, so the median
+/// sample latency and the work CPU both rose ~20 % (CHANGES.md).
+inline constexpr std::chrono::milliseconds kWorkerSpin{1};
 
 /// Most shards the command-line tools accept for --shards. Every shard is
 /// a worker thread, so a mistyped count is refused rather than started.
@@ -127,8 +142,12 @@ struct ShardedConfig {
   std::size_t batch_size = 256;
 
   /// Bounded ring capacity per shard, in batches. A full ring stalls the
-  /// router (backpressure) rather than growing without bound.
-  std::size_t queue_batches = 64;
+  /// router (backpressure) rather than growing without bound. The router
+  /// parks on a full ring and the worker wakes it once half the ring is
+  /// free, so the ring only has to cover the router's wake latency (tens
+  /// of microseconds) plus half a ring of refill; every batch beyond that
+  /// is backlog each packet waits behind and finish() must drain.
+  std::size_t queue_batches = 16;
 
   /// Routing hash seed; independent of the monitors' table hash seeds.
   std::uint64_t route_seed = 0xDA27'0002;
@@ -177,8 +196,8 @@ struct ShardedConfig {
   std::uint32_t restart_budget = 0;
 
   /// A worker whose heartbeat makes no progress for this long while the
-  /// router is backpressured on its full ring is declared hung and
-  /// force-detached. 0 (the default) disables live hang detection; a hang
+  /// router is backpressured on its full ring, and which is not still
+  /// waking from a park, is declared hung and force-detached. 0 (the default) disables live hang detection; a hang
   /// then surfaces at finish() via join_timeout_ns.
   std::uint64_t hang_detection_ns = 0;
 
@@ -334,8 +353,8 @@ class ShardedMonitor {
   // Lock-free protocol, in DART_PUBLISHED_BY terms: the router publishes
   // the monitor to the worker via thread creation; the worker publishes its
   // samples/rtt/final_stats/limbo back with its exited release-store, which
-  // the router acquires via join (or an exited load). The atomics are the
-  // only fields both sides touch while the worker runs.
+  // the router acquires via join (or an exited load). The atomics and the
+  // two parkers are the only fields both sides touch while the worker runs.
   struct Incarnation {
     explicit Incarnation(std::size_t queue_batches) : queue(queue_batches) {}
 
@@ -360,6 +379,16 @@ class ShardedMonitor {
     std::atomic<bool> input_done{false};
     std::atomic<bool> dead{false};    ///< exited early (kill fault)
     std::atomic<bool> exited{false};  ///< worker loop finished (all paths)
+    /// The worker is in its empty-ring wait: hang detection does not count
+    /// the time it takes a parked worker to be scheduled again.
+    std::atomic<bool> waiting{false};
+    /// The worker parks here on an empty ring; the router notifies it
+    /// after every push and whenever it sets input_done.
+    alignas(kCacheLine) Parker work_ready;
+    /// The router parks here on a full ring and while waiting for the
+    /// worker to exit; the worker notifies it when a pop leaves the ring at
+    /// most half full, and when it exits.
+    alignas(kCacheLine) Parker room;
     FaultPlan* faults = nullptr;     ///< worker-read, may be null
     std::uint64_t batches_done = 0;  ///< hook clock, incarnation-local
     telemetry::RuntimeMetrics* metrics = nullptr;  ///< worker-read, may be null
@@ -412,6 +441,14 @@ class ShardedMonitor {
   /// held before.
   void deliver(Shard& shard, Work& work);
   void requeue(Shard& shard, std::vector<Work>&& carryover);
+  /// Park the router on `inc`'s full ring until a pop leaves it at most
+  /// half full, the worker exits, or `deadline` passes.
+  static void await_room(Incarnation& inc, Parker::Clock::time_point deadline);
+  /// Wait for `inc`'s worker to exit until `deadline` (max(): forever);
+  /// true once it has.
+  static bool await_exit(Incarnation& inc, Parker::Clock::time_point deadline);
+  /// Set `inc`'s end-of-input flag and wake its worker if it is parked.
+  static void end_input(Incarnation& inc);
   static void shed(Shard& shard, const Work& work);
   void recover_dead(Shard& shard);
   void recover_hung(Shard& shard);

@@ -63,8 +63,8 @@ class SpscRing {
   /// Producer side: swaps `value` into the next slot, so on success
   /// `value` holds what the consumer left there (a default T until the slot
   /// was popped once). Returns false, `value` untouched, when the ring is
-  /// full (the caller applies backpressure — in this runtime, by yielding
-  /// and retrying).
+  /// full (the caller applies backpressure — in this runtime, by spinning,
+  /// then parking until the consumer frees room).
   bool try_push(T& value) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     if (head - cached_tail_ > mask_) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <span>
 #include <unordered_set>
+#include <vector>
+
+#include "common/random.hpp"
 
 namespace dart {
 namespace {
@@ -35,6 +40,38 @@ TEST(Crc32, MatchesKnownVector) {
 
 TEST(Crc32, EmptyInputIsZero) {
   EXPECT_EQ(crc32({}), 0U);
+}
+
+// The bytewise CRC-32 (one table step per byte) that crc32's slicing-by-8
+// loop replaced, kept as the oracle: every seal ever written must verify.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1U) ? 0xEDB88320U : 0U);
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseOnRandomBuffers) {
+  // Random buffers of 0-4,096 bytes at start offsets 0-7: every tail
+  // length of the 8-byte loop and every alignment of its loads.
+  Rng rng(0xC3C);
+  std::vector<std::uint8_t> buffer(4096 + 8);
+  for (int trial = 0; trial < 512; ++trial) {
+    for (std::uint8_t& byte : buffer) {
+      byte = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    const std::size_t offset = static_cast<std::size_t>(trial % 8);
+    const std::size_t length = trial < 64
+                                   ? static_cast<std::size_t>(trial / 2)
+                                   : rng.uniform_int(0, 4096);
+    const std::span<const std::uint8_t> data(buffer.data() + offset, length);
+    ASSERT_EQ(crc32(data), bytewise_crc32(data))
+        << "offset " << offset << ", length " << length;
+  }
 }
 
 TEST(Crc32U32, ConsistentWithBytewiseCrc) {
