@@ -15,7 +15,8 @@
 // pipeline).
 // And two recovery sweeps for the runtime's recovery policy (DESIGN.md §9):
 //   * checkpoint overhead — barrier cadence vs replay throughput and image
-//     size, the cost side of the recovery trade;
+//     size, the cost side of the recovery trade, plus an off/on pair at the
+//     paper geometry and dartd's default epoch;
 //   * crash recovery — kill a worker at
 //     several points for each cadence and map checkpoint interval to the
 //     loss window, replay-to-recover (MTTR in packets), and residual
@@ -206,6 +207,72 @@ runtime::ShardedConfig recovery_base_config() {
   return config;
 }
 
+/// One replay of `trace` through a supervised ShardedMonitor, repeated
+/// kCutReps times after one warmup: the best repetition as a trajectory
+/// row, and the sorted repetition times for the median and spread.
+struct CutRun {
+  bench::BenchRow row;
+  std::vector<double> rep_ms;
+  std::uint64_t cuts = 0;
+  std::size_t image_bytes = 0;  ///< shard 0's latest image; 0 if none
+};
+
+constexpr std::uint32_t kCutReps = 7;
+
+CutRun replay_with_cuts(const std::string& name,
+                        const runtime::ShardedConfig& config,
+                        const core::DartConfig& monitor,
+                        const trace::Trace& trace) {
+  CutRun run;
+  std::unique_ptr<runtime::ShardedMonitor> supervisor;
+  run.row = bench::measure_row_timed(
+      name, "supervised", config.shards, trace.packets().size(),
+      /*warmup=*/1, kCutReps, [&] {
+        const double ns = bench::timed_section_ns([&] {
+          supervisor =
+              std::make_unique<runtime::ShardedMonitor>(config, monitor);
+          supervisor->process_all(trace.packets());
+          supervisor->finish();
+        });
+        run.rep_ms.push_back(ns / 1e6);
+        return ns;
+      });
+  run.rep_ms.erase(run.rep_ms.begin());  // the warmup run
+  std::sort(run.rep_ms.begin(), run.rep_ms.end());
+  run.cuts = supervisor->checkpoints_cut();
+  core::CheckpointImage image;
+  core::SnapshotMeta meta;
+  if (supervisor->coordinator().latest(0, &image, &meta)) {
+    run.image_bytes = image.bytes.size();
+  }
+  return run;
+}
+
+double median_ms(const CutRun& run) {
+  return run.rep_ms[run.rep_ms.size() / 2];
+}
+
+TextTable cut_table(const char* first_column) {
+  return TextTable({first_column, "checkpoints cut", "image bytes",
+                    "replay time (median)", "spread (min-max)",
+                    "vs no checkpoints"});
+}
+
+void add_cut_row(TextTable* table, const std::string& label,
+                 const CutRun& run, double base_ms) {
+  char time_buf[32];
+  std::snprintf(time_buf, sizeof(time_buf), "%.1f ms", median_ms(run));
+  char spread_buf[48];
+  std::snprintf(spread_buf, sizeof(spread_buf), "%.1f-%.1f ms",
+                run.rep_ms.front(), run.rep_ms.back());
+  char rel_buf[32];
+  std::snprintf(rel_buf, sizeof(rel_buf), "%.2fx",
+                base_ms > 0 ? median_ms(run) / base_ms : 1.0);
+  table->add_row({label, format_count(run.cuts),
+                  run.image_bytes > 0 ? format_count(run.image_bytes) : "-",
+                  time_buf, spread_buf, rel_buf});
+}
+
 /// Checkpoint-overhead sweep: the same replay at tighter and tighter
 /// barrier cadences. The costs of a cut are serializing the full monitor
 /// state at each barrier and the in-band quiesce itself. Barriers ride the
@@ -215,60 +282,27 @@ runtime::ShardedConfig recovery_base_config() {
 /// keep the per-shard figure. Each cadence is
 /// measured through the shared bench harness so the sweep
 /// lands in the persisted trajectory alongside bench_throughput's rows
-/// (best of kReps); the table prints the median and the min–max spread
+/// (best of kCutReps); the table prints the median and the min–max spread
 /// of the same repetitions, and compares medians.
 void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
   std::printf("\n-- checkpoint overhead: barrier cadence vs throughput --\n");
-  constexpr std::uint32_t kReps = 7;
   const trace::Trace trace = recovery_trace();
-  const std::uint64_t packets = trace.packets().size();
 
-  TextTable table({"cadence (per-shard equivalent)", "checkpoints cut",
-                   "image bytes", "replay time (median)", "spread (min-max)",
-                   "vs no checkpoints"});
+  TextTable table = cut_table("cadence (per-shard equivalent)");
   double base_ms = 0;
   // Cadences chosen to span a couple of cuts per shard up to one per few
   // batches.
   for (std::uint64_t interval : {0ULL, 8192ULL, 2048ULL, 1024ULL, 512ULL}) {
     runtime::ShardedConfig config = recovery_base_config();
     config.epoch_interval_packets = config.shards * interval;
-
-    std::unique_ptr<runtime::ShardedMonitor> supervisor;
-    std::vector<double> rep_ms;
-    const bench::BenchRow row = bench::measure_row_timed(
+    const CutRun run = replay_with_cuts(
         "ckpt_cadence_" +
             (interval == 0 ? std::string("off") : std::to_string(interval)),
-        "supervised", config.shards, packets, /*warmup=*/1, kReps, [&] {
-          const double ns = bench::timed_section_ns([&] {
-            supervisor = std::make_unique<runtime::ShardedMonitor>(
-                config, monitor_config_hw());
-            supervisor->process_all(trace.packets());
-            supervisor->finish();
-          });
-          rep_ms.push_back(ns / 1e6);
-          return ns;
-        });
-    rep_ms.erase(rep_ms.begin());  // the warmup run
-    std::sort(rep_ms.begin(), rep_ms.end());
-    const double ms = rep_ms[rep_ms.size() / 2];
-    if (interval == 0) base_ms = ms;
-    rows->push_back(row);
-
-    core::CheckpointImage image;
-    core::SnapshotMeta meta;
-    const bool has_image = supervisor->coordinator().latest(0, &image, &meta);
-    char time_buf[32];
-    std::snprintf(time_buf, sizeof(time_buf), "%.1f ms", ms);
-    char spread_buf[48];
-    std::snprintf(spread_buf, sizeof(spread_buf), "%.1f-%.1f ms",
-                  rep_ms.front(), rep_ms.back());
-    char rel_buf[32];
-    std::snprintf(rel_buf, sizeof(rel_buf), "%.2fx",
-                  base_ms > 0 ? ms / base_ms : 1.0);
-    table.add_row({interval == 0 ? "off" : format_count(interval),
-                   format_count(supervisor->checkpoints_cut()),
-                   has_image ? format_count(image.bytes.size()) : "-",
-                   time_buf, spread_buf, rel_buf});
+        config, monitor_config_hw(), trace);
+    if (interval == 0) base_ms = median_ms(run);
+    rows->push_back(run.row);
+    add_cut_row(&table, interval == 0 ? "off" : format_count(interval), run,
+                base_ms);
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
@@ -276,6 +310,42 @@ void checkpoint_overhead_sweep(std::vector<bench::BenchRow>* rows) {
       "size tracks live monitor state, while replay time stays within a "
       "small factor of the checkpoint-free run until the cadence gets "
       "aggressive.\n");
+}
+
+/// The cadence sweep's replays last a few milliseconds with small tables,
+/// too short to tell a cut's cost from noise. This off/on pair is the
+/// baseline for cutting at line rate: the paper's bounded geometry (RT
+/// 2^16, PT 2^14 in four stages), dartd's 2 shards and default
+/// 65,536-packet epoch, a ~1M-packet campus trace, kCutReps repetitions.
+void checkpoint_paper_pair(std::vector<bench::BenchRow>* rows) {
+  std::printf(
+      "\n-- checkpoint overhead at the paper geometry, default epoch --\n");
+  const trace::Trace trace = gen::build_campus(bench::standard_campus());
+  core::DartConfig monitor;
+  monitor.rt_size = 1 << 16;
+  monitor.pt_size = 1 << 14;
+  monitor.pt_stages = 4;
+
+  TextTable table = cut_table("epoch (routed packets)");
+  double base_ms = 0;
+  for (const std::uint64_t epoch : {0ULL, 65536ULL}) {
+    runtime::ShardedConfig config;
+    config.shards = 2;
+    config.keep_samples = false;
+    config.overload.shed_deadline_ns = sec(10);  // time every packet
+    config.restart_budget = 3;
+    config.epoch_interval_packets = epoch;
+    const CutRun run = replay_with_cuts(
+        epoch == 0 ? "ckpt_paper_off" : "ckpt_paper_epoch_65536", config,
+        monitor, trace);
+    if (epoch == 0) base_ms = median_ms(run);
+    rows->push_back(run.row);
+    add_cut_row(&table, epoch == 0 ? "off" : format_count(epoch), run,
+                base_ms);
+  }
+  std::printf("%s packets per replay\n%s\n",
+              format_count(trace.packets().size()).c_str(),
+              table.render().c_str());
 }
 
 /// Crash-recovery sweep: for each checkpoint cadence, kill shard 0's worker
@@ -397,6 +467,7 @@ int main(int argc, char** argv) {
   overload_sweep();
   std::vector<bench::BenchRow> rows;
   checkpoint_overhead_sweep(&rows);
+  checkpoint_paper_pair(&rows);
   recovery_sweep();
   if (!json_path.empty()) {
     if (!bench::write_rows_json(json_path, "bench_robustness", rows)) {

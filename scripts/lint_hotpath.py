@@ -53,9 +53,11 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # exempt — the snapshot()/restore() members living in hot files stay linted.
 # The daemon's socket source decodes every live record in its block loop, so
 # it is a per-packet path too, and so is hashing.hpp: its SlotHash computes
-# the table index of every RT and PT probe.
+# the table index of every RT and PT probe. four_tuple.hpp defines the
+# hash_tuple() the monitor's span loop inlines into those probes.
 HOT_GLOBS = [
     "src/common/hashing.hpp",
+    "src/common/four_tuple.hpp",
     "src/core/*.hpp",
     "src/core/*.cpp",
     "src/runtime/spsc_ring.hpp",

@@ -1,7 +1,5 @@
 #include "common/four_tuple.hpp"
 
-#include "common/hashing.hpp"
-
 namespace dart {
 
 FourTuple FourTuple::canonical() const {
@@ -12,18 +10,6 @@ FourTuple FourTuple::canonical() const {
 std::string FourTuple::to_string() const {
   return src_ip.to_string() + ":" + std::to_string(src_port) + " -> " +
          dst_ip.to_string() + ":" + std::to_string(dst_port);
-}
-
-std::uint64_t hash_tuple(const FourTuple& tuple) noexcept {
-  std::uint64_t ips = (std::uint64_t{tuple.src_ip.value()} << 32) |
-                      tuple.dst_ip.value();
-  std::uint64_t ports = (std::uint64_t{tuple.src_port} << 16) |
-                        tuple.dst_port;
-  return mix64(ips ^ mix64(ports ^ 0x9e3779b97f4a7c15ULL));
-}
-
-std::uint32_t flow_signature(const FourTuple& tuple) noexcept {
-  return fold_signature(hash_tuple(tuple));
 }
 
 }  // namespace dart

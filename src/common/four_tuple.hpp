@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/hashing.hpp"
 #include "common/ipv4.hpp"
 
 namespace dart {
@@ -29,6 +30,7 @@ struct FourTuple {
   /// and its reverse. Both directions of a connection canonicalize equally.
   FourTuple canonical() const;
 
+  // hotpath-ok: diagnostics and reports only, never on the packet path
   std::string to_string() const;
 
   friend constexpr bool operator==(const FourTuple&, const FourTuple&) =
@@ -44,8 +46,15 @@ constexpr bool operator<(const FourTuple& lhs, const FourTuple& rhs) {
 }
 
 /// 64-bit mix of the full tuple, suitable as an unordered_map hash and as the
-/// base for the data plane's per-stage index hashes.
-std::uint64_t hash_tuple(const FourTuple& tuple) noexcept;
+/// base for the data plane's per-stage index hashes. Defined here so the
+/// monitor's per-packet path compiles it into its probes (DESIGN.md §11).
+inline std::uint64_t hash_tuple(const FourTuple& tuple) noexcept {
+  const std::uint64_t ips = (std::uint64_t{tuple.src_ip.value()} << 32) |
+                            tuple.dst_ip.value();
+  const std::uint64_t ports = (std::uint64_t{tuple.src_port} << 16) |
+                              tuple.dst_port;
+  return mix64(ips ^ mix64(ports ^ 0x9e3779b97f4a7c15ULL));
+}
 
 /// Fold a hash_tuple() value down to the 4-byte signature the hardware
 /// stores: flow_signature(t) == fold_signature(hash_tuple(t)) by definition.
@@ -57,7 +66,9 @@ constexpr std::uint32_t fold_signature(std::uint64_t tuple_hash) noexcept {
 
 /// The 4-byte flow signature stored in RT/PT records in place of the 12-byte
 /// tuple (paper Section 4). Collisions are possible by design.
-std::uint32_t flow_signature(const FourTuple& tuple) noexcept;
+inline std::uint32_t flow_signature(const FourTuple& tuple) noexcept {
+  return fold_signature(hash_tuple(tuple));
+}
 
 struct FourTupleHash {
   std::size_t operator()(const FourTuple& tuple) const noexcept {

@@ -85,7 +85,7 @@ bool DartMonitor::admit(const PacketRecord& packet) {
 // Dispatch one packet's role bits. The order is fixed — external SEQ,
 // external ACK, internal SEQ, internal ACK — and sync_shadow() replays the
 // shadow RT in the same order.
-void DartMonitor::process(const PacketRecord& packet) {
+void DartMonitor::step(const PacketRecord& packet) {
   if (!admit(packet)) return;
 
   const bool external = config_.leg == LegMode::kExternal ||
@@ -133,8 +133,16 @@ void DartMonitor::process(const PacketRecord& packet) {
   }
 }
 
-void DartMonitor::process_all(std::span<const PacketRecord> packets) {
-  for (const PacketRecord& packet : packets) process(packet);
+void DartMonitor::process(const PacketRecord& packet) { step(packet); }
+
+// Flattened: every call step() reaches — admission, the tuple hash, the RT
+// and PT probes, the eviction chain — is inlined into this loop, so a
+// packet's hash, slot and stage computations schedule as one body. Only
+// what is marked noinline (sync_shadow) or cannot be seen (callbacks, the
+// usefulness filter) stays a call.
+[[gnu::flatten]] void DartMonitor::process_all(
+    std::span<const PacketRecord> packets) {
+  for (const PacketRecord& packet : packets) step(packet);
 }
 
 void DartMonitor::handle_seq(const FourTuple& tuple, SeqNum seq, SeqNum eack,

@@ -67,9 +67,10 @@ class DartMonitor {
   /// Process one packet in monitor-arrival order.
   void process(const PacketRecord& packet);
 
-  /// Process a contiguous run of packets in order, one process() call
-  /// each: the span entry point the sharded runtime's workers call once
-  /// per ring batch (DESIGN.md §11).
+  /// Process a contiguous run of packets in order, exactly as one
+  /// process() call each: the span entry point the sharded runtime's
+  /// workers call once per ring batch. Its loop is compiled as one body
+  /// with every per-packet probe it reaches (DESIGN.md §11).
   void process_all(std::span<const PacketRecord> packets);
 
   const DartStats& stats() const { return stats_; }
@@ -94,6 +95,8 @@ class DartMonitor {
   SealedError restore(const CheckpointImage& image);
 
  private:
+  /// The one per-packet body process() and process_all() share.
+  void step(const PacketRecord& packet);
   bool admit(const PacketRecord& packet);
   void handle_seq(const FourTuple& tuple, SeqNum seq, SeqNum eack,
                   Timestamp now, LegMode leg, std::uint64_t tuple_hash);
@@ -101,7 +104,9 @@ class DartMonitor {
                   bool pure_ack, LegMode leg, std::uint64_t tuple_hash);
   void place(PacketTracker::Record record, Timestamp now);
   void buffer_for_shadow(const PacketRecord& packet);
-  void sync_shadow();
+  // Cold: runs once per shadow_sync_interval packets, so the span loop
+  // calls it rather than carrying a second copy of the RT probes.
+  [[gnu::noinline]] void sync_shadow();
 
   DartConfig config_;
   SampleCallback on_sample_;

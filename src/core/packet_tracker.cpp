@@ -26,90 +26,6 @@ PacketTracker::PacketTracker(std::size_t total_slots, std::uint32_t stages,
   }
 }
 
-PacketTracker::InsertResult PacketTracker::insert(const Record& record,
-                                                  std::uint64_t exclude_key) {
-  if (!bounded_) {
-    auto [it, inserted] = map_.insert_or_assign(record.key(), record);
-    (void)it;
-    if (inserted) ++occupied_;
-    return InsertResult{InsertStatus::kStored, {}};
-  }
-
-  const std::uint64_t key = record.key();
-
-  // First pass: take an empty slot or refresh a same-key slot; otherwise
-  // remember the policy-preferred victim, avoiding `exclude_key` unless it
-  // occupies every candidate slot.
-  //
-  // Like the hardware pipeline this models, the walk commits to the first
-  // viable slot per pass: if a key once landed in a later stage (its earlier
-  // slots were full) and is re-inserted when an earlier slot has freed, a
-  // stale duplicate can briefly exist in the later stage. It is unreachable
-  // for sampling (the RT admits each eACK once per validity interval) and
-  // is reclaimed by lazy eviction like any stale record.
-  Slot* victim = nullptr;
-  Slot* excluded_fallback = nullptr;
-  auto prefer = [this](const Slot& challenger, const Slot& incumbent) {
-    const bool younger = challenger.record.ts > incumbent.record.ts;
-    return (policy_ == EvictionPolicy::kEvictYoungest && younger) ||
-           (policy_ == EvictionPolicy::kEvictOldest && !younger);
-  };
-  for (std::uint32_t s = 0; s < stages_.size(); ++s) {
-    Slot& slot = stages_[s][index(key, s)];
-    if (!slot.valid) {
-      slot.valid = true;
-      slot.record = record;
-      ++occupied_;
-      return InsertResult{InsertStatus::kStored, {}};
-    }
-    if (slot.record.key() == key) {
-      slot.record = record;
-      return InsertResult{InsertStatus::kStored, {}};
-    }
-    if (exclude_key != 0 && slot.record.key() == exclude_key) {
-      if (excluded_fallback == nullptr) excluded_fallback = &slot;
-      continue;
-    }
-    if (victim == nullptr || prefer(slot, *victim)) victim = &slot;
-  }
-
-  if (policy_ == EvictionPolicy::kNeverEvict) {
-    return InsertResult{InsertStatus::kDroppedPolicy, {}};
-  }
-  if (victim == nullptr) victim = excluded_fallback;
-
-  InsertResult result;
-  result.status = InsertStatus::kEvicted;
-  result.evicted = victim->record;
-  victim->record = record;
-  victim->record.victim_key = result.evicted.key();
-  return result;
-}
-
-std::optional<PacketTracker::Record> PacketTracker::lookup_erase(
-    std::uint32_t flow_sig, SeqNum eack) {
-  const std::uint64_t key = (std::uint64_t{flow_sig} << 32) | eack;
-
-  if (!bounded_) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return std::nullopt;
-    Record record = it->second;
-    map_.erase(it);
-    --occupied_;
-    return record;
-  }
-
-  for (std::uint32_t s = 0; s < stages_.size(); ++s) {
-    Slot& slot = stages_[s][index(key, s)];
-    if (slot.valid && slot.record.key() == key) {
-      slot.valid = false;
-      --occupied_;
-      return slot.record;
-    }
-  }
-  return std::nullopt;
-}
-
 std::size_t PacketTracker::occupied() const { return occupied_; }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@
 // Each stored record remembers the key of the record it displaced
 // (`victim_key`) so the monitor can detect eviction ping-pong cycles before
 // recirculating (Section 3.2, "Preventing infinite eviction loops").
+//
+// Layout rule: the per-packet probes (insert, lookup_erase) are defined in
+// this header so DartMonitor's span loop compiles them into one body with
+// the tuple hash and the Range Tracker probes, and returns their records in
+// registers instead of through memory (DESIGN.md §11). Construction,
+// checkpointing and occupied() are cold and stay in the .cpp.
 #pragma once
 
 #include <cstdint>
@@ -114,5 +120,92 @@ class PacketTracker {
   std::unordered_map<std::uint64_t, Record> map_;  // unbounded mode
   std::size_t occupied_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Per-packet probes.
+
+inline PacketTracker::InsertResult PacketTracker::insert(
+    const Record& record, std::uint64_t exclude_key) {
+  if (!bounded_) {
+    auto [it, inserted] = map_.insert_or_assign(record.key(), record);
+    (void)it;
+    if (inserted) ++occupied_;
+    return InsertResult{InsertStatus::kStored, {}};
+  }
+
+  const std::uint64_t key = record.key();
+
+  // First pass: take an empty slot or refresh a same-key slot; otherwise
+  // remember the policy-preferred victim, avoiding `exclude_key` unless it
+  // occupies every candidate slot.
+  //
+  // Like the hardware pipeline this models, the walk commits to the first
+  // viable slot per pass: if a key once landed in a later stage (its earlier
+  // slots were full) and is re-inserted when an earlier slot has freed, a
+  // stale duplicate can briefly exist in the later stage. It is unreachable
+  // for sampling (the RT admits each eACK once per validity interval) and
+  // is reclaimed by lazy eviction like any stale record.
+  Slot* victim = nullptr;
+  Slot* excluded_fallback = nullptr;
+  auto prefer = [this](const Slot& challenger, const Slot& incumbent) {
+    const bool younger = challenger.record.ts > incumbent.record.ts;
+    return (policy_ == EvictionPolicy::kEvictYoungest && younger) ||
+           (policy_ == EvictionPolicy::kEvictOldest && !younger);
+  };
+  for (std::uint32_t s = 0; s < stages_.size(); ++s) {
+    Slot& slot = stages_[s][index(key, s)];
+    if (!slot.valid) {
+      slot.valid = true;
+      slot.record = record;
+      ++occupied_;
+      return InsertResult{InsertStatus::kStored, {}};
+    }
+    if (slot.record.key() == key) {
+      slot.record = record;
+      return InsertResult{InsertStatus::kStored, {}};
+    }
+    if (exclude_key != 0 && slot.record.key() == exclude_key) {
+      if (excluded_fallback == nullptr) excluded_fallback = &slot;
+      continue;
+    }
+    if (victim == nullptr || prefer(slot, *victim)) victim = &slot;
+  }
+
+  if (policy_ == EvictionPolicy::kNeverEvict) {
+    return InsertResult{InsertStatus::kDroppedPolicy, {}};
+  }
+  if (victim == nullptr) victim = excluded_fallback;
+
+  InsertResult result;
+  result.status = InsertStatus::kEvicted;
+  result.evicted = victim->record;
+  victim->record = record;
+  victim->record.victim_key = result.evicted.key();
+  return result;
+}
+
+inline std::optional<PacketTracker::Record> PacketTracker::lookup_erase(
+    std::uint32_t flow_sig, SeqNum eack) {
+  const std::uint64_t key = (std::uint64_t{flow_sig} << 32) | eack;
+
+  if (!bounded_) {
+    auto it = map_.find(key);
+    if (it == map_.end()) return std::nullopt;
+    Record record = it->second;
+    map_.erase(it);
+    --occupied_;
+    return record;
+  }
+
+  for (std::uint32_t s = 0; s < stages_.size(); ++s) {
+    Slot& slot = stages_[s][index(key, s)];
+    if (slot.valid && slot.record.key() == key) {
+      slot.valid = false;
+      --occupied_;
+      return slot.record;
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace dart::core

@@ -369,8 +369,9 @@ void ShardedMonitor::deliver(Shard& shard, Work& work) {
           tm->governor_backoffs->at(shard.index).inc();
         }
       }
-      // The governor's sleep, as a park the worker ends early once it
-      // frees half the ring; the deadline keeps the shed clock unchanged.
+      // The governor's sleep, as a park that ends at its deadline, or
+      // earlier if the worker frees half the ring first (rare at capacity,
+      // DESIGN.md §6); the deadline keeps the shed clock unchanged.
       await_room(inc,
                  Clock::now() + std::chrono::nanoseconds(decision.sleep_ns));
     } else {

@@ -143,10 +143,12 @@ struct ShardedConfig {
 
   /// Bounded ring capacity per shard, in batches. A full ring stalls the
   /// router (backpressure) rather than growing without bound. The router
-  /// parks on a full ring and the worker wakes it once half the ring is
-  /// free, so the ring only has to cover the router's wake latency (tens
-  /// of microseconds) plus half a ring of refill; every batch beyond that
-  /// is backlog each packet waits behind and finish() must drain.
+  /// parks on a full ring until the governor's sleep times out or the
+  /// worker has freed half the ring. At capacity the timeout ends nearly
+  /// every park (a "2 µs" timed wait lasts ~60 µs, a few batches of
+  /// worker time), and that timed refill is what keeps the ring full
+  /// (DESIGN.md §6). Every batch beyond what covers one park is backlog
+  /// each packet waits behind and finish() must drain.
   std::size_t queue_batches = 16;
 
   /// Routing hash seed; independent of the monitors' table hash seeds.

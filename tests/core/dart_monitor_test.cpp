@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <span>
+#include <vector>
+
 #include "baseline/tcptrace_const.hpp"
+#include "gen/workload.hpp"
 
 namespace dart::core {
 namespace {
@@ -295,6 +301,114 @@ TEST(DartMonitor, RstAndPureAckAreNotSeqCandidates) {
   dart.process(pure_ack(usec(5), 1, true));
   EXPECT_EQ(dart.stats().seq_candidates, 0U);
   EXPECT_EQ(dart.packet_tracker().occupied(), 0U);
+}
+
+// process_all() compiles its span loop as one body with everything the
+// per-packet path reaches: the flow filter, the usefulness filter, the
+// shadow RT's backlog and sync, and the collapse, optimistic-ACK and sample
+// callbacks. With every one of them installed, random span splits must
+// leave exactly what a per-packet process() replay leaves.
+class YoungRecordsOnly final : public UsefulnessFilter {
+ public:
+  bool useful(Timestamp seq_ts, Timestamp now) const override {
+    return now - seq_ts < msec(30);
+  }
+};
+
+struct HookedRun {
+  std::vector<RttSample> samples;
+  std::vector<CollapseEvent> collapses;
+  std::vector<OptimisticAckEvent> optimistics;
+  CheckpointImage image;
+  DartStats stats;
+};
+
+std::vector<PacketRecord> hooked_workload() {
+  gen::CampusConfig campus;
+  campus.seed = 2828;
+  campus.connections = 1200;
+  campus.duration = sec(3);
+  campus.loss_rate = 0.02;
+  campus.reorder_prob = 0.02;
+  std::vector<PacketRecord> packets = gen::build_campus(campus).packets();
+  // Push every 53rd ACK past its flow's right edge so the optimistic-ACK
+  // path fires too.
+  std::size_t acks = 0;
+  for (PacketRecord& packet : packets) {
+    if (packet.is_ack() && ++acks % 53 == 0) packet.ack += 1U << 20;
+  }
+  return packets;
+}
+
+// `split_seed` 0 replays one process() call per packet; any other value
+// cuts the stream into random spans (empty ones included) for
+// process_all().
+HookedRun run_hooked(std::span<const PacketRecord> packets,
+                     std::uint64_t split_seed) {
+  DartConfig config;
+  config.leg = LegMode::kBoth;
+  config.rt_size = 1 << 10;
+  config.pt_size = 1 << 8;
+  config.pt_stages = 2;
+  config.max_recirculations = 3;
+  config.rt_idle_timeout = msec(400);
+  config.shadow_rt = true;
+  config.shadow_sync_interval = 48;
+
+  HookedRun run;
+  DartMonitor monitor(config,
+                      [&run](const RttSample& s) { run.samples.push_back(s); });
+  monitor.set_collapse_callback(
+      [&run](const CollapseEvent& e) { run.collapses.push_back(e); });
+  monitor.set_optimistic_ack_callback(
+      [&run](const OptimisticAckEvent& e) { run.optimistics.push_back(e); });
+  FlowFilter flows;
+  FlowRule skip_half_of_wireless;
+  skip_half_of_wireless.src = Ipv4Prefix{Ipv4Addr{10, 9, 0, 0}, 17};
+  skip_half_of_wireless.track = false;
+  flows.add_rule(skip_half_of_wireless);
+  flows.add_rule(FlowRule{});
+  monitor.set_flow_filter(&flows);
+  const YoungRecordsOnly useful;
+  monitor.set_usefulness_filter(&useful);
+
+  if (split_seed == 0) {
+    for (const PacketRecord& packet : packets) monitor.process(packet);
+  } else {
+    std::mt19937_64 rng(split_seed);
+    std::uniform_int_distribution<std::size_t> width(0, 300);
+    for (std::size_t at = 0; at < packets.size();) {
+      const std::size_t n = std::min(width(rng), packets.size() - at);
+      monitor.process_all(packets.subspan(at, n));
+      at += n;
+    }
+  }
+  run.image = monitor.snapshot(SnapshotMeta{});
+  run.stats = monitor.stats();
+  return run;
+}
+
+TEST(DartMonitor, SpanLoopEqualsPerPacketWithEveryHookInstalled) {
+  const std::vector<PacketRecord> packets = hooked_workload();
+  const HookedRun want = run_hooked(packets, 0);
+  // Every hook must actually fire, or the comparison proves nothing.
+  EXPECT_GT(want.samples.size(), 0U);
+  EXPECT_GT(want.collapses.size(), 0U);
+  EXPECT_GT(want.optimistics.size(), 0U);
+  EXPECT_GT(want.stats.filtered_packets, 0U);
+  EXPECT_GT(want.stats.drops_useless, 0U);
+  EXPECT_GT(want.stats.drops_shadow, 0U);
+  EXPECT_GT(want.stats.dual_role_recirculations, 0U);
+  EXPECT_GT(want.stats.rt_idle_timeouts, 0U);
+
+  for (const std::uint64_t split_seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE(split_seed);
+    const HookedRun got = run_hooked(packets, split_seed);
+    EXPECT_EQ(want.image.bytes, got.image.bytes);
+    EXPECT_EQ(want.samples, got.samples);
+    EXPECT_EQ(want.collapses, got.collapses);
+    EXPECT_EQ(want.optimistics, got.optimistics);
+  }
 }
 
 }  // namespace

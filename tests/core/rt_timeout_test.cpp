@@ -2,6 +2,7 @@
 // leave data forever unacknowledged.
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.hpp"
 #include "core/dart_monitor.hpp"
 #include "core/range_tracker.hpp"
 #include "gen/workload.hpp"
@@ -70,6 +71,57 @@ TEST(RtIdleTimeout, DisabledByDefault) {
   EXPECT_TRUE(rt.still_valid(rt.ref_of(kFlow), flow_signature(kFlow), 2000,
                              sec(100000)));
 }
+
+// Snapshot `source` into a one-section image and restore it into `target`.
+SealedError round_trip(const RangeTracker& source, RangeTracker* target) {
+  CheckpointWriter writer(SnapshotMeta{});
+  writer.begin_section(CheckpointSection::kRangeTracker);
+  source.snapshot(writer);
+  writer.end_section();
+  const CheckpointImage image = writer.seal();
+  CheckpointInfo info;
+  if (const SealedError err = read_info(image, &info)) return err;
+  SealedReader reader(
+      std::span<const std::uint8_t>(image.bytes)
+          .subspan(static_cast<std::size_t>(info.sections.at(0).offset),
+                   static_cast<std::size_t>(info.sections.at(0).length)),
+      info.sections.at(0).offset);
+  if (const SealedError err = target->restore(reader)) return err;
+  return reader.finish();
+}
+
+// An entry the idle timeout killed on an ACK is dead for good: a checkpoint
+// cut after the kill must not bring it back, or the restored tracker counts
+// an idle timeout the original never does. Unbounded mode used to keep the
+// dead key in its map, and restore marked every written entry live.
+class RtIdleTimeoutCheckpoint : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RtIdleTimeoutCheckpoint, ExpiredEntryStaysDeadAcrossRestore) {
+  const std::size_t size = GetParam();
+  RangeTracker original{size, 1, true, sec(2)};
+  original.on_seq(kFlow, 1000, 2000, /*now=*/0);
+  EXPECT_EQ(original.on_ack(kFlow, 2000, true, sec(6)), AckDecision::kNoEntry);
+  EXPECT_EQ(original.occupied(), 0U);
+
+  RangeTracker restored{size, 1, true, sec(2)};
+  ASSERT_FALSE(round_trip(original, &restored));
+  EXPECT_EQ(restored.occupied(), 0U);
+
+  const SeqOutcome want = original.on_seq(kFlow, 1000, 2000, sec(8));
+  const SeqOutcome got = restored.on_seq(kFlow, 1000, 2000, sec(8));
+  EXPECT_TRUE(want.new_flow);
+  EXPECT_FALSE(want.timed_out);
+  EXPECT_EQ(got.new_flow, want.new_flow);
+  EXPECT_EQ(got.timed_out, want.timed_out);
+  EXPECT_EQ(got.decision, want.decision);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RtIdleTimeoutCheckpoint,
+                         ::testing::Values(std::size_t{0}, std::size_t{1024}),
+                         [](const auto& info) {
+                           return info.param == 0 ? std::string("Unbounded")
+                                                  : std::string("Bounded");
+                         });
 
 // End-to-end: the stranded-data attack of Section 7 against a small Dart
 // instance, with and without the timeout.
