@@ -7,7 +7,10 @@
 // how long the figure benches take.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <span>
 #include <sstream>
 #include <string_view>
@@ -208,10 +211,13 @@ BENCHMARK(BM_WorkloadGeneration)
 
 // ---------------------------------------------------------------------------
 // Ingest rows: the two ways records enter dartd. Both go through the shared
-// block codec (trace_io.hpp): BM_TraceRead reads each block of 32-byte .dtrc
-// records straight into the trace's storage and checks it with one validity
-// scan; BM_SocketIngest appends each run of buffered wire records to the
-// poll batch at once and checks it there.
+// block codec (trace_io.hpp): BM_TraceRead reads 32-byte .dtrc records from
+// an in-memory stream straight into the trace's storage, 256 KiB per read,
+// and checks each read with one validity scan (the reader's one-slice
+// case); BM_TraceReadFile reads the same trace from a file, each section
+// in parallel slices by position, as `dartd replay` does; BM_SocketIngest
+// appends each run of buffered wire records to the poll batch at once and
+// checks it there.
 
 const std::string& serialized_trace() {
   static const std::string bytes = [] {
@@ -235,6 +241,27 @@ void BM_TraceRead(benchmark::State& state) {
                           static_cast<std::int64_t>(shared_trace().size()));
 }
 BENCHMARK(BM_TraceRead)->Unit(benchmark::kMillisecond);
+
+void BM_TraceReadFile(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_trace_read_" + std::to_string(::getpid()) + ".dtrc"))
+          .string();
+  if (!trace::write_binary_file(shared_trace(), path)) {
+    state.SkipWithError("cannot write the trace file");
+    return;
+  }
+  for (auto _ : state) {
+    const trace::TraceReadResult result =
+        trace::read_binary_checked_file(path);
+    benchmark::DoNotOptimize(result.packets_read);
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(shared_trace().size()));
+}
+// Real time: the slices run on threads of their own.
+BENCHMARK(BM_TraceReadFile)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SocketIngest(benchmark::State& state) {
   const std::vector<PacketRecord>& packets = shared_trace().packets();

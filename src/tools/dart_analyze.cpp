@@ -10,8 +10,9 @@
 //   CON001  hot-path atomics must spell out their memory_order (an
 //           implicit or explicit seq_cst on the packet path is either a
 //           perf bug or an unstated algorithm assumption)
-//   CON002  no raw std::thread / detach() outside the sharded runtime's
-//           worker management (thread lifetime is ShardedMonitor's job)
+//   CON002  no raw std::thread / std::jthread / detach() outside the
+//           sharded runtime's worker management (thread lifetime is
+//           ShardedMonitor's job)
 //   CON003  no wall-clock reads in deterministic (replay) code — virtual
 //           time only, or two runs of one trace stop being comparable
 //   CON004  no unordered-container iteration feeding exported or merged
@@ -108,7 +109,8 @@ struct RuleInfo {
 
 constexpr RuleInfo kRules[] = {
     {"CON001", "hot-path atomic without explicit memory_order"},
-    {"CON002", "raw std::thread / detach outside the shard runtime"},
+    {"CON002",
+     "raw std::thread / std::jthread / detach outside the shard runtime"},
     {"CON003", "wall-clock source in deterministic code"},
     {"CON004", "unordered-container iteration feeding exported output"},
     {"CON005", "mutex-guarded field missing DART_GUARDED_BY"},
@@ -388,7 +390,8 @@ void check_con001(const std::string& code,
 void check_con002(const std::string& code,
                   const std::vector<std::size_t>& lines,
                   const std::string& file, std::vector<Finding>& findings) {
-  static const std::regex kThread(R"(std\s*::\s*thread\b|\bpthread_create\b)");
+  static const std::regex kThread(
+      R"(std\s*::\s*j?thread\b|\bpthread_create\b)");
   static const std::regex kDetach(R"((\.|->)\s*detach\s*\(\s*\))");
   for (std::sregex_iterator it(code.begin(), code.end(), kThread), end;
        it != end; ++it) {

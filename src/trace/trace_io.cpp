@@ -3,13 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstddef>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <system_error>
+#include <thread>
 #include <type_traits>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 namespace dart::trace {
 namespace {
@@ -169,54 +176,265 @@ std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
   return static_cast<std::uint64_t>(end - pos);
 }
 
+/// Records moved per read: 256 KiB, so a one-slice read's chunk is still
+/// in L2 from its zero-fill when its records land on it and when its
+/// validity scan runs. (1 MiB chunks read an in-memory stream ~15 % slower,
+/// 64 KiB ones a file ~20 % slower, both in BM_TraceRead*.)
+constexpr std::size_t kChunkRecords = (std::size_t{1} << 18) / kRecordBytes;
+
+/// A file is read in at most kMaxSlices parallel slices of at least
+/// kMinSliceBytes each: a thread costs tens of microseconds to start, a
+/// slice about half a millisecond to copy.
+constexpr std::uint64_t kMinSliceBytes = std::uint64_t{2} << 20;
+constexpr std::uint64_t kMaxSlices = 4;
+
+/// Reservation for a section whose stream cannot tell its size: a hostile
+/// header cannot demand more before its records arrive.
+constexpr std::uint64_t kUnsizedReserveRecords = std::uint64_t{1} << 20;
+
+/// Where the reader's bytes come from: a stream, read front to back, or a
+/// file descriptor, read by position when the file can seek, so that
+/// several slices of a section can read at once.
+class ByteSource {
+ public:
+  explicit ByteSource(std::istream& in) : in_(&in) {}
+  explicit ByteSource(int fd) : fd_(fd) {
+    const off_t end = ::lseek(fd, 0, SEEK_END);
+    if (end >= 0) size_ = static_cast<std::uint64_t>(end);
+  }
+
+  /// Reads may come at any offset, in any order, from several threads.
+  bool positional() const { return in_ == nullptr && size_.has_value(); }
+
+  /// Bytes from `offset` to the end of the input, when it can tell. A
+  /// stream must stand at `offset`.
+  std::optional<std::uint64_t> remaining(std::uint64_t offset) const {
+    if (in_ != nullptr) return remaining_bytes(*in_);
+    if (!size_.has_value()) return std::nullopt;
+    return *size_ > offset ? *size_ - offset : 0;
+  }
+
+  /// Reads up to `bytes` bytes at input offset `offset` into `out` and
+  /// returns how many it got: fewer only where the input ends or fails. A
+  /// sequential source stands at `offset` already (its one reader reads in
+  /// order).
+  std::size_t read(std::uint64_t offset, void* out, std::size_t bytes) const {
+    auto* dst = static_cast<char*>(out);
+    if (in_ != nullptr) {
+      in_->read(dst, static_cast<std::streamsize>(bytes));
+      return static_cast<std::size_t>(in_->gcount());
+    }
+    std::size_t got = 0;
+    while (got < bytes) {
+      const ssize_t n =
+          positional()
+              ? ::pread(fd_, dst + got, bytes - got,
+                        static_cast<off_t>(offset + got))
+              : ::read(fd_, dst + got, bytes - got);
+      if (n > 0) {
+        got += static_cast<std::size_t>(n);
+      } else if (n == 0 || errno != EINTR) {
+        break;
+      }
+    }
+    return got;
+  }
+
+ private:
+  std::istream* in_ = nullptr;
+  int fd_ = -1;
+  std::optional<std::uint64_t> size_;  ///< nullopt when the file cannot seek
+};
+
+/// One slice of a section: records [first, first + size) of it.
+struct SliceRead {
+  std::uint64_t first = 0;
+  std::size_t size = 0;
+  std::size_t got = 0;   ///< records the input held: `size` unless it ended
+  std::size_t kept = 0;  ///< valid records, packed at the slice's front
+  std::optional<std::uint64_t> first_bad;  ///< section index, if any
+};
+
+/// Reads a slice into `storage`, its span of the section's records, a chunk
+/// at a time. Each chunk lands right after the slice's valid records so far
+/// (over the gap its skipped records left) and is checked there by
+/// decode_block, so the slice's valid records end packed at its front. With
+/// `stop_at_bad` (strict mode) the slice ends at its first bad record.
+template <typename Record>
+void read_slice(const ByteSource& source, std::uint64_t offset,
+                Record* storage, bool stop_at_bad, SliceRead& slice) {
+  while (slice.got < slice.size) {
+    const std::size_t want = std::min(slice.size - slice.got, kChunkRecords);
+    Record* chunk = storage + slice.kept;
+    const std::size_t got =
+        source.read(offset + (slice.first + slice.got) * kRecordBytes, chunk,
+                    want * kRecordBytes) /
+        kRecordBytes;
+    const BlockDecode block = decode_block(std::span<Record>(chunk, got));
+    if (block.kept < got && !slice.first_bad.has_value()) {
+      slice.first_bad = slice.first + slice.got + block.first_bad;
+    }
+    slice.kept += block.kept;
+    slice.got += got;
+    if (got < want || (stop_at_bad && slice.first_bad.has_value())) return;
+  }
+}
+
+/// Threads that run jobs beside the calling thread, all joined when the
+/// group goes out of scope.
+class Helpers {
+ public:
+  Helpers() = default;
+  Helpers(const Helpers&) = delete;
+  Helpers& operator=(const Helpers&) = delete;
+  ~Helpers() = default;  // joins every thread
+
+  /// Starts `job` on a thread of its own, or runs it here when no thread
+  /// can be started.
+  template <typename Job>
+  void run(const Job& job) {
+    try {
+      threads_.emplace_back(job);
+    } catch (const std::system_error&) {
+      job();
+    }
+  }
+
+ private:
+  // con-ok(CON002): the reader's one thread site. Every group is a local
+  // of the call that needs its jobs' results, and a jthread joins on
+  // destruction, so no reader thread outlives the read; the jobs fill
+  // disjoint spans of the trace's storage.
+  std::vector<std::jthread> threads_;
+};
+
+/// Runs every slice of `slices`, whose records start at `storage`: the
+/// first on this thread, the others beside it, all joined before return.
+template <typename Record>
+void read_slices(const ByteSource& source, std::uint64_t offset,
+                 Record* storage, bool stop_at_bad,
+                 std::vector<SliceRead>& slices) {
+  const std::uint64_t base = slices.front().first;
+  const auto run = [&](SliceRead& slice) {
+    read_slice(source, offset, storage + (slice.first - base), stop_at_bad,
+               slice);
+  };
+  Helpers helpers;
+  for (std::size_t i = 1; i < slices.size(); ++i) {
+    helpers.run([&run, &slice = slices[i]] { run(slice); });
+  }
+  run(slices.front());
+}
+
+/// How a positional source's sections are read: in how many slices each,
+/// and whether the truth section is read beside the packet section rather
+/// than after it.
+struct Slicing {
+  std::uint64_t packets = 1;
+  std::uint64_t truth = 1;
+  bool side_by_side = false;
+};
+
+/// Up to min(kMaxSlices, cores) slices of at least kMinSliceBytes over the
+/// `packets` + `truth` records the input holds of a whole packet section
+/// (`truth` is 0 when that section is cut short, since then the truth is
+/// not read). Both sections present and more than one slice: the truth
+/// takes its share of the slices, at least one, and is read side by side
+/// with the packets, so their two vectors are sized and filled at once.
+Slicing default_slicing(std::uint64_t packets, std::uint64_t truth) {
+  // con-ok(CON002): reads the core count; starts no thread.
+  const std::uint64_t cores = std::jthread::hardware_concurrency();
+  const std::uint64_t total = std::clamp<std::uint64_t>(
+      (packets + truth) * kRecordBytes / kMinSliceBytes, 1,
+      std::clamp<std::uint64_t>(cores, 1, kMaxSlices));
+  if (total == 1 || truth == 0 || packets == 0) return {total, total, false};
+  const std::uint64_t truth_slices = std::clamp<std::uint64_t>(
+      (2 * total * truth + packets + truth) / (2 * (packets + truth)), 1,
+      total - 1);
+  return {total - truth_slices, truth_slices, true};
+}
+
 /// What reading one section left behind.
 struct SectionRead {
   std::uint64_t kept = 0;     ///< valid records appended
   std::uint64_t skipped = 0;  ///< invalid records dropped
-  std::uint64_t missing = 0;  ///< declared records the stream ended before
+  std::uint64_t missing = 0;  ///< declared records the input ended before
   TraceError damage;          ///< the first bad record or the truncation
 };
 
-/// Reads a section of `count` declared records, starting at stream offset
-/// `offset`, onto the end of `records`. Each block of up to kBlockRecords
-/// records lands in the vector's storage by one istream::read, never past
-/// the section's last record, and is decoded there. With `stop_at_bad`
-/// (strict mode) the read ends at the first block holding a bad record.
+/// Reads a section of `count` declared records, starting at input offset
+/// `offset`, onto the end of `records`. When the input can tell how many of
+/// them it holds (`held`) and `slices` > 1, the vector is sized for all of
+/// those at once and they are read as `slices` slices side by side (slice i
+/// of n records covers [i*n/slices, (i+1)*n/slices)); otherwise one slice
+/// of up to kChunkRecords is sized and read at a time until the input ends
+/// or holds no more. Slices merge in record order: each slice's valid
+/// records move down by one memmove to close the gaps before them, the
+/// first damage is the lowest-offset one, and a slice the input ended
+/// inside ends the section. With `stop_at_bad` (strict mode) a bad record
+/// ends it too; only its damage is used then.
 template <typename Record>
-SectionRead read_section(std::istream& in, std::uint64_t offset,
-                         std::uint64_t count, bool stop_at_bad,
+SectionRead read_section(const ByteSource& source, std::uint64_t offset,
+                         std::uint64_t count,
+                         std::optional<std::uint64_t> held,
+                         std::uint64_t slices, bool stop_at_bad,
                          TraceErrorCode truncated,
                          std::vector<Record>& records) {
   SectionRead section;
-  std::uint64_t done = 0;
-  while (done < count) {
-    const auto want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(count - done, kBlockRecords));
+  const std::uint64_t limit = held.has_value() ? std::min(count, *held) : count;
+  const bool sliced = held.has_value() && slices > 1;
+  records.reserve(records.size() +
+                  (held.has_value() ? limit
+                                    : std::min(count, kUnsizedReserveRecords)));
+  std::uint64_t done = 0;  // section records the input has delivered
+  bool ended = false;
+  while (!ended && done < limit) {
+    // One slice sizes and fills a chunk at a time, so each chunk's
+    // zero-fill is still in cache when its records land on it.
+    const std::uint64_t window =
+        sliced ? limit - done
+               : std::min<std::uint64_t>(limit - done, kChunkRecords);
+    const std::uint64_t parts =
+        sliced ? std::clamp<std::uint64_t>(slices, 1, window) : 1;
+    std::vector<SliceRead> cut(parts);
+    for (std::uint64_t i = 0; i < parts; ++i) {
+      cut[i].first = done + window * i / parts;
+      cut[i].size =
+          static_cast<std::size_t>(done + window * (i + 1) / parts -
+                                   cut[i].first);
+    }
     const std::size_t base = records.size();
-    records.resize(base + want);
-    in.read(reinterpret_cast<char*>(records.data() + base),
-            static_cast<std::streamsize>(want * kRecordBytes));
-    const auto got = static_cast<std::size_t>(in.gcount()) / kRecordBytes;
-    const BlockDecode block =
-        decode_block(std::span<Record>(records).subspan(base, got));
-    records.resize(base + block.kept);
-    section.kept += block.kept;
-    if (block.kept < got) {
-      if (!section.damage) {
+    records.resize(base + window);
+    read_slices(source, offset, records.data() + base, stop_at_bad, cut);
+
+    std::size_t kept = base;
+    for (const SliceRead& slice : cut) {
+      Record* from = records.data() + base + (slice.first - done);
+      if (from != records.data() + kept) {
+        std::memmove(records.data() + kept, from, slice.kept * kRecordBytes);
+      }
+      kept += slice.kept;
+      section.kept += slice.kept;
+      section.skipped += slice.got - slice.kept;
+      if (slice.first_bad.has_value() && !section.damage) {
         section.damage = {TraceErrorCode::kBadFieldValue,
-                          offset + (done + block.first_bad) * kRecordBytes};
+                          offset + *slice.first_bad * kRecordBytes};
       }
-      section.skipped += got - block.kept;
-      if (stop_at_bad) return section;
-    }
-    done += got;
-    if (got < want) {
-      if (!section.damage) {
-        section.damage = {truncated, offset + done * kRecordBytes};
+      ended = slice.got < slice.size;
+      if (ended) {
+        done = slice.first + slice.got;
+        break;
       }
-      section.missing = count - done;
-      return section;
     }
+    records.resize(kept);
+    if (stop_at_bad && section.damage) return section;
+    if (!ended) done += window;
+  }
+  if (done < count) {
+    if (!section.damage) {
+      section.damage = {truncated, offset + done * kRecordBytes};
+    }
+    section.missing = count - done;
   }
   return section;
 }
@@ -241,6 +459,153 @@ TraceReadResult fail(TraceErrorCode code, std::uint64_t offset) {
   result.error = {code, offset};
   return result;
 }
+
+/// The one checked reader, over a stream or a file: the header, then each
+/// section by read_section. On a positional source each section is read
+/// in `slices` slices, the two sections side by side when `slices` > 1
+/// (0: default_slicing); otherwise both are one slice, one after the other.
+TraceReadResult read_checked(const ByteSource& source,
+                             const TraceReadOptions& options,
+                             std::uint64_t slices) {
+  // --- Header: damage here is fatal in every mode. Read in one piece;
+  // the byte count reached says which field the input ended inside.
+  std::array<std::uint8_t, kHeaderBytes> header{};
+  const std::uint64_t got = source.read(0, header.data(), header.size());
+  if (got < 4) return fail(TraceErrorCode::kTruncatedHeader, 0);
+  if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0) {
+    return fail(TraceErrorCode::kBadMagic, 0);
+  }
+  if (got < 8) return fail(TraceErrorCode::kTruncatedHeader, 4);
+  if (load_le<std::uint32_t>(header.data() + 4) != kTraceFormatVersion) {
+    return fail(TraceErrorCode::kBadVersion, 4);
+  }
+  if (got < 16) return fail(TraceErrorCode::kTruncatedHeader, 8);
+  if (got < kHeaderBytes) return fail(TraceErrorCode::kTruncatedHeader, 16);
+  const std::uint64_t packet_count = load_le<std::uint64_t>(header.data() + 8);
+  const std::uint64_t truth_count = load_le<std::uint64_t>(header.data() + 16);
+
+  // --- Count sanity: never trust a header enough to allocate for it. A
+  // corrupt count either provably exceeds the input (sized: reject, or
+  // tolerate as truncation, and size each section by what the input
+  // holds) or, on an input that cannot tell its size, is read a chunk at a
+  // time, so a hostile header cannot demand terabytes before the first
+  // record fails.
+  const std::optional<std::uint64_t> remaining = source.remaining(kHeaderBytes);
+  bool counts_impossible = false;
+  if (remaining.has_value()) {
+    const std::uint64_t max_packets = *remaining / kPacketRecordBytes;
+    const std::uint64_t max_truth = *remaining / kTruthRecordBytes;
+    if (packet_count > max_packets || truth_count > max_truth ||
+        (packet_count * kPacketRecordBytes +
+             truth_count * kTruthRecordBytes >
+         *remaining)) {
+      counts_impossible = true;
+    }
+  }
+  if (counts_impossible && !options.tolerant) {
+    return fail(TraceErrorCode::kImpossibleCount, kHeaderBytes - 16);
+  }
+
+  TraceReadResult result;
+  if (counts_impossible) {
+    result.error = {TraceErrorCode::kImpossibleCount, kHeaderBytes - 16};
+  }
+  // How many records of a section starting `before` bytes after the header
+  // the input holds.
+  const auto held = [&remaining](std::uint64_t before)
+      -> std::optional<std::uint64_t> {
+    if (!remaining.has_value()) return std::nullopt;
+    return (*remaining - std::min(*remaining, before)) / kRecordBytes;
+  };
+  const std::optional<std::uint64_t> packets_held = held(0);
+  // The truth is read only behind a whole packet section, whose size then
+  // fits the input.
+  const bool packets_whole =
+      !packets_held.has_value() || *packets_held >= packet_count;
+  const std::optional<std::uint64_t> truth_held =
+      packets_whole ? held(packet_count * kRecordBytes) : 0;
+  Slicing slicing;
+  if (source.positional()) {
+    const std::uint64_t truth_records = std::min(truth_count, *truth_held);
+    slicing = slices != 0
+                  ? Slicing{slices, slices, slices > 1 && truth_records > 0}
+                  : default_slicing(std::min(packet_count, *packets_held),
+                                    truth_records);
+  }
+  const bool strict = !options.tolerant;
+  Trace trace;
+
+  // --- Packet records, then truth records; side by side, the truth is
+  // read whether or not the packets were damaged, and used only if they
+  // were not fatally so. A strict read fails at the first damage; a
+  // tolerant one keeps what was valid and counts the rest.
+  SectionRead truth;
+  const auto read_truth = [&] {
+    truth = read_section(source, kHeaderBytes + packet_count * kRecordBytes,
+                         truth_count, truth_held, slicing.truth, strict,
+                         TraceErrorCode::kTruncatedTruth, trace.truth());
+  };
+  SectionRead packets;
+  std::exception_ptr truth_failure;  // leaves the truth's thread this way
+  {
+    Helpers beside;
+    if (slicing.side_by_side) {
+      // Both vectors are allocated here, packets first as in a one-slice
+      // read. Memory a thread allocates stays in that thread's malloc
+      // arena, out of reach of the caller's later allocations (+2.4 MB
+      // peak RSS in perfbench); and with truth allocated first, a quarter
+      // of the repeated reads in one process faulted in fresh pages for
+      // both vectors (~9 ms instead of ~4, glibc 2.36).
+      trace.packets().reserve(std::min(packet_count, *packets_held));
+      trace.truth().reserve(std::min(truth_count, *truth_held));
+      beside.run([&] {
+        try {
+          read_truth();
+        } catch (...) {
+          truth_failure = std::current_exception();
+        }
+      });
+    }
+    packets = read_section(source, kHeaderBytes, packet_count, packets_held,
+                           slicing.packets, strict,
+                           TraceErrorCode::kTruncatedPacket, trace.packets());
+  }
+  if (truth_failure) std::rethrow_exception(truth_failure);
+  if (strict && packets.damage) {
+    return fail(packets.damage.code, packets.damage.offset);
+  }
+  if (!result.error) result.error = packets.damage;
+  result.packets_read = packets.kept;
+  result.skipped_records = packets.skipped;
+  if (packets.missing != 0) {
+    result.lost_records = packets.missing + truth_count;
+    result.trace = std::move(trace);
+    return result;
+  }
+
+  if (!slicing.side_by_side) read_truth();
+  if (strict && truth.damage) {
+    return fail(truth.damage.code, truth.damage.offset);
+  }
+  if (!result.error) result.error = truth.damage;
+  result.truth_read = truth.kept;
+  result.skipped_records += truth.skipped;
+  result.lost_records = truth.missing;
+  result.trace = std::move(trace);
+  return result;
+}
+
+/// Closes a file descriptor on every way out of the reader.
+class FileCloser {
+ public:
+  explicit FileCloser(int fd) : fd_(fd) {}
+  FileCloser(const FileCloser&) = delete;
+  FileCloser& operator=(const FileCloser&) = delete;
+  ~FileCloser() { ::close(fd_); }
+
+ private:
+  int fd_;
+};
 
 }  // namespace
 
@@ -315,99 +680,26 @@ bool write_binary_file(const Trace& trace, const std::string& path) {
 TraceReadResult read_binary_checked(std::istream& in,
                                     const TraceReadOptions& options) {
   if (!in.good()) return fail(TraceErrorCode::kIoError, 0);
-
-  // --- Header: damage here is fatal in every mode. Read in one piece;
-  // the byte count reached says which field the stream ended inside.
-  std::array<std::uint8_t, kHeaderBytes> header{};
-  in.read(reinterpret_cast<char*>(header.data()),
-          static_cast<std::streamsize>(header.size()));
-  const auto got = static_cast<std::uint64_t>(in.gcount());
-  if (got < 4) return fail(TraceErrorCode::kTruncatedHeader, 0);
-  if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0) {
-    return fail(TraceErrorCode::kBadMagic, 0);
-  }
-  if (got < 8) return fail(TraceErrorCode::kTruncatedHeader, 4);
-  if (load_le<std::uint32_t>(header.data() + 4) != kTraceFormatVersion) {
-    return fail(TraceErrorCode::kBadVersion, 4);
-  }
-  if (got < 16) return fail(TraceErrorCode::kTruncatedHeader, 8);
-  if (got < kHeaderBytes) return fail(TraceErrorCode::kTruncatedHeader, 16);
-  const std::uint64_t packet_count = load_le<std::uint64_t>(header.data() + 8);
-  const std::uint64_t truth_count = load_le<std::uint64_t>(header.data() + 16);
-
-  // --- Count sanity: never trust a header enough to allocate for it. A
-  // corrupt count either provably exceeds the stream (seekable: reject or
-  // tolerate as full-stream truncation) or is capped for reservation so a
-  // hostile header cannot demand terabytes before the first record fails.
-  const std::optional<std::uint64_t> remaining = remaining_bytes(in);
-  bool counts_impossible = false;
-  if (remaining.has_value()) {
-    const std::uint64_t max_packets = *remaining / kPacketRecordBytes;
-    const std::uint64_t max_truth = *remaining / kTruthRecordBytes;
-    if (packet_count > max_packets || truth_count > max_truth ||
-        (packet_count * kPacketRecordBytes +
-             truth_count * kTruthRecordBytes >
-         *remaining)) {
-      counts_impossible = true;
-    }
-  }
-  if (counts_impossible && !options.tolerant) {
-    return fail(TraceErrorCode::kImpossibleCount, kHeaderBytes - 16);
-  }
-
-  TraceReadResult result;
-  if (counts_impossible) {
-    result.error = {TraceErrorCode::kImpossibleCount, kHeaderBytes - 16};
-  }
-  // Reservations are capped by the stream size, or at 2^20 records on a
-  // stream that cannot tell its size.
-  const auto reservation = [&remaining](std::uint64_t count) {
-    return static_cast<std::size_t>(std::min(
-        count, remaining.has_value() ? *remaining / kRecordBytes
-                                     : std::uint64_t{1} << 20));
-  };
-  const bool strict = !options.tolerant;
-  Trace trace;
-
-  // --- Packet records, then truth records. A strict read fails at the
-  // first damage; a tolerant one keeps what was valid and counts the rest.
-  trace.packets().reserve(reservation(packet_count));
-  const SectionRead packets =
-      read_section(in, kHeaderBytes, packet_count, strict,
-                   TraceErrorCode::kTruncatedPacket, trace.packets());
-  if (strict && packets.damage) {
-    return fail(packets.damage.code, packets.damage.offset);
-  }
-  if (!result.error) result.error = packets.damage;
-  result.packets_read = packets.kept;
-  result.skipped_records = packets.skipped;
-  if (packets.missing != 0) {
-    result.lost_records = packets.missing + truth_count;
-    result.trace = std::move(trace);
-    return result;
-  }
-
-  trace.truth().reserve(reservation(truth_count));
-  const SectionRead truth =
-      read_section(in, kHeaderBytes + packet_count * kRecordBytes, truth_count,
-                   strict, TraceErrorCode::kTruncatedTruth, trace.truth());
-  if (strict && truth.damage) {
-    return fail(truth.damage.code, truth.damage.offset);
-  }
-  if (!result.error) result.error = truth.damage;
-  result.truth_read = truth.kept;
-  result.skipped_records += truth.skipped;
-  result.lost_records = truth.missing;
-  result.trace = std::move(trace);
-  return result;
+  return read_checked(ByteSource(in), options, 1);
 }
 
 TraceReadResult read_binary_checked_file(const std::string& path,
                                          const TraceReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return fail(TraceErrorCode::kIoError, 0);
-  return read_binary_checked(in, options);
+  return detail::read_binary_checked_file(path, options, 0);
 }
+
+namespace detail {
+
+TraceReadResult read_binary_checked_file(const std::string& path,
+                                         const TraceReadOptions& options,
+                                         std::uint64_t slices) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return fail(TraceErrorCode::kIoError, 0);
+  const FileCloser closer(fd);
+  return read_checked(ByteSource(fd), options, slices);
+}
+
+}  // namespace detail
 
 std::optional<Trace> read_binary(std::istream& in) {
   TraceReadResult result = read_binary_checked(in);
@@ -416,9 +708,9 @@ std::optional<Trace> read_binary(std::istream& in) {
 }
 
 std::optional<Trace> read_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  return read_binary(in);
+  TraceReadResult result = read_binary_checked_file(path);
+  if (!result.ok()) return std::nullopt;
+  return std::move(result.trace);
 }
 
 bool write_csv(const Trace& trace, std::ostream& out) {

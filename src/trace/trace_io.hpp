@@ -13,10 +13,14 @@
 // PacketRecord / TruthSample, so the codec below works on whole blocks:
 // on a little-endian host a block of records *is* its wire bytes (the
 // layout is pinned by static_asserts next to the codec), and a big-endian
-// host byte-swaps each field. The file reader lands each block of up to
-// kBlockRecords records straight in the trace's storage with one
-// istream::read and checks it in place with one validity scan; the writer
-// encodes a block per ostream::write; the daemon's socket source appends
+// host byte-swaps each field. The reader sizes each section's storage for
+// the records the input holds and cuts it into slices; each slice reads its
+// records straight into its span of that storage, 256 KiB per read, and
+// checks each read in place with one validity scan. A file is read by
+// position (pread), up to four slices at once, the truth section beside
+// the packet section, on threads joined before the read returns; a stream
+// is the one-slice case, read front to back. The writer encodes a block of
+// kBlockRecords per ostream::write; the daemon's socket source appends
 // whole buffered runs. No record is decoded on its own.
 //
 // Reading is hardened: a damaged capture is a *diagnosed* condition, never
@@ -48,8 +52,8 @@ inline constexpr std::uint64_t kPacketRecordBytes = 32;
 inline constexpr std::uint64_t kTruthRecordBytes = 32;
 inline constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8 + 8;
 
-/// Records moved per stream call by the block reader and writer (and per
-/// read(2) by the daemon's socket source): 64 KiB of records.
+/// Records moved per stream call by the block writer (and per read(2) by
+/// the daemon's socket source): 64 KiB of records.
 inline constexpr std::size_t kBlockRecords = 2048;
 
 /// Serialize to a stream; returns false on I/O error.
@@ -148,6 +152,16 @@ TraceReadResult read_binary_checked(std::istream& in,
                                     const TraceReadOptions& options = {});
 TraceReadResult read_binary_checked_file(const std::string& path,
                                          const TraceReadOptions& options = {});
+
+namespace detail {
+/// read_binary_checked_file in exactly `slices` slices per section (0: the
+/// reader's own choice, one slice below a few MiB). Slice i of a section
+/// whose input holds n of its records covers records [i*n/slices,
+/// (i+1)*n/slices), so tests can put slice edges on chosen records.
+TraceReadResult read_binary_checked_file(const std::string& path,
+                                         const TraceReadOptions& options,
+                                         std::uint64_t slices);
+}  // namespace detail
 
 /// Strict convenience wrappers; nullopt on any damage (bad magic, version,
 /// truncated input, out-of-range fields).

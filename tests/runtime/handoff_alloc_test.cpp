@@ -23,20 +23,31 @@ namespace {
 thread_local std::uint64_t t_allocations = 0;
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement stays out of line, so GCC's -Wmismatched-new-delete
+// only ever pairs operator new with operator delete. Where it inlines one
+// side but not the other (-Os inlined free() into the delete of a gtest
+// test object), it sees malloc() or free() against an opaque operator and
+// reports a mismatch this binary does not have.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++t_allocations;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   ++t_allocations;
   return std::malloc(size == 0 ? 1 : size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace dart {
 namespace {

@@ -5,13 +5,20 @@
 // block boundary, seeded random cuts, and corrupt records at block edges —
 // must produce the oracle's TraceReadResult field for field, in strict and
 // tolerant mode, on a seekable stream and on a non-seekable one that
-// returns short reads.
+// returns short reads. The file reader cuts each section into slices read
+// side by side; with the slice count forced, damage and cuts at and around
+// every slice edge must come back as the oracle's result too, and any
+// slice count must equal one slice.
 #include "trace/trace_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <streambuf>
@@ -569,6 +576,305 @@ TEST(TraceBlock, ValiditySweepMatchesOracle) {
   EXPECT_EQ(tolerant.error.offset, packet_offset(2));
   EXPECT_TRUE(tolerant.trace->packets() == want.trace->packets());
   EXPECT_TRUE(tolerant.trace->truth() == want.trace->truth());
+}
+
+
+// ---------------------------------------------------------------------------
+// Slices: the file reader with a forced slice count.
+
+/// A temporary .dtrc file, removed when the test is done with it.
+class TempTrace {
+ public:
+  explicit TempTrace(const std::string& bytes)
+      : path_(::testing::TempDir() + "trace_block_" +
+              std::to_string(::getpid()) + ".dtrc") {
+    std::ofstream out(path_, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    EXPECT_TRUE(out.flush());
+  }
+  ~TempTrace() { std::remove(path_.c_str()); }
+  TempTrace(const TempTrace&) = delete;
+  TempTrace& operator=(const TempTrace&) = delete;
+
+  const std::string& path() const { return path_; }
+
+  TraceReadResult read(const TraceReadOptions& options,
+                       std::uint64_t slices) const {
+    return detail::read_binary_checked_file(path_, options, slices);
+  }
+
+ private:
+  std::string path_;
+};
+
+/// Section index of the first record of slice `i` of `k` over `n` records.
+std::size_t slice_edge(std::size_t n, std::size_t k, std::size_t i) {
+  return n * i / k;
+}
+
+constexpr std::array<std::uint64_t, 5> kSliceCounts = {1, 2, 3, 4, 7};
+
+/// Reads `bytes` from a file in every slice count of kSliceCounts, strict
+/// and tolerant, and compares each result with the oracle's; the default
+/// choice and the public entry point must agree with one slice too.
+void expect_slices_match_oracle(const std::string& bytes,
+                                const std::string& label) {
+  const TempTrace file(bytes);
+  for (const bool tolerant : {false, true}) {
+    const TraceReadOptions options{.tolerant = tolerant};
+    const std::string mode = tolerant ? " tolerant" : " strict";
+    std::stringstream in(bytes);
+    const TraceReadResult want = oracle_read(in, options);
+    for (const std::uint64_t slices : kSliceCounts) {
+      expect_same(file.read(options, slices), want,
+                  label + mode + " in " + std::to_string(slices) +
+                      " slices");
+    }
+    expect_same(file.read(options, 0), want, label + mode + " default");
+  }
+}
+
+/// Marks packet record `index` bad (outbound byte 5).
+void corrupt_packet(std::string& bytes, std::size_t index) {
+  bytes[packet_offset(index) + 31] = 0x05;
+}
+
+/// Marks truth record `index` bad (ack_ts bits 40..47 cleared: below
+/// seq_ts, which has bit 40 set).
+void corrupt_truth(std::string& bytes, std::size_t index) {
+  bytes[truth_offset(index) + 24 + 5] = 0;
+}
+
+/// Every slice edge of `n` records in 2, 3 and 4 slices, and the records
+/// one either side of it, clipped to [0, n).
+std::vector<std::size_t> around_slice_edges(std::size_t n) {
+  std::vector<std::size_t> records;
+  for (std::size_t k = 2; k <= 4; ++k) {
+    for (std::size_t i = 1; i < k; ++i) {
+      const std::size_t edge = slice_edge(n, k, i);
+      for (const std::size_t r : {edge - 1, edge, edge + 1}) {
+        if (r < n) records.push_back(r);
+      }
+    }
+  }
+  records.push_back(0);
+  records.push_back(n - 1);
+  std::sort(records.begin(), records.end());
+  records.erase(std::unique(records.begin(), records.end()), records.end());
+  return records;
+}
+
+TEST(TraceSlices, DamageAroundSliceEdgesMatchesOracle) {
+  for (const std::size_t index : around_slice_edges(kPackets)) {
+    std::string bytes = multi_block_bytes();
+    corrupt_packet(bytes, index);
+    const std::string label = "bad packet " + std::to_string(index);
+    expect_slices_match_oracle(bytes, label);
+
+    // Stated outright, not only through the oracle.
+    const TempTrace file(bytes);
+    for (const std::uint64_t slices : {2U, 3U, 4U}) {
+      SCOPED_TRACE(label + " in " + std::to_string(slices) + " slices");
+      const TraceReadResult strict = file.read({}, slices);
+      EXPECT_FALSE(strict.trace.has_value());
+      EXPECT_EQ(strict.error.code, TraceErrorCode::kBadFieldValue);
+      EXPECT_EQ(strict.error.offset, packet_offset(index));
+      const TraceReadResult tolerant = file.read({.tolerant = true}, slices);
+      ASSERT_TRUE(tolerant.trace.has_value());
+      EXPECT_EQ(tolerant.error.offset, packet_offset(index));
+      EXPECT_EQ(tolerant.skipped_records, 1U);
+      EXPECT_EQ(tolerant.lost_records, 0U);
+      EXPECT_EQ(tolerant.packets_read, kPackets - 1);
+      std::vector<PacketRecord> kept = multi_block_trace().packets();
+      kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(index));
+      EXPECT_TRUE(tolerant.trace->packets() == kept);
+      EXPECT_TRUE(tolerant.trace->truth() == multi_block_trace().truth());
+    }
+  }
+  for (const std::size_t index : around_slice_edges(kTruth)) {
+    std::string bytes = multi_block_bytes();
+    corrupt_truth(bytes, index);
+    const std::string label = "bad truth " + std::to_string(index);
+    expect_slices_match_oracle(bytes, label);
+
+    const TempTrace file(bytes);
+    for (const std::uint64_t slices : {2U, 3U, 4U}) {
+      SCOPED_TRACE(label + " in " + std::to_string(slices) + " slices");
+      const TraceReadResult strict = file.read({}, slices);
+      EXPECT_EQ(strict.error.code, TraceErrorCode::kBadFieldValue);
+      EXPECT_EQ(strict.error.offset, truth_offset(index));
+      const TraceReadResult tolerant = file.read({.tolerant = true}, slices);
+      ASSERT_TRUE(tolerant.trace.has_value());
+      EXPECT_EQ(tolerant.skipped_records, 1U);
+      EXPECT_EQ(tolerant.truth_read, kTruth - 1);
+      std::vector<TruthSample> kept = multi_block_trace().truth();
+      kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(index));
+      EXPECT_TRUE(tolerant.trace->truth() == kept);
+      EXPECT_TRUE(tolerant.trace->packets() == multi_block_trace().packets());
+    }
+  }
+}
+
+TEST(TraceSlices, DamageInEverySliceReportsTheLowestAndSumsTheRest) {
+  // Two bad records per slice, in both sections, for 4 slices: strict
+  // mode names the lowest-offset one, tolerant mode skips all of them.
+  std::string bytes = multi_block_bytes();
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t packet = slice_edge(kPackets, 4, i);
+    corrupt_packet(bytes, packet + 1);
+    corrupt_packet(bytes, packet + 17);
+    const std::size_t truth = slice_edge(kTruth, 4, i);
+    corrupt_truth(bytes, truth + 2);
+    corrupt_truth(bytes, truth + 3);
+    bad += 4;
+  }
+  expect_slices_match_oracle(bytes, "damage in every slice");
+  const TempTrace file(bytes);
+  const TraceReadResult strict = file.read({}, 4);
+  EXPECT_EQ(strict.error.offset, packet_offset(1));
+  const TraceReadResult tolerant = file.read({.tolerant = true}, 4);
+  EXPECT_EQ(tolerant.skipped_records, bad);
+  EXPECT_EQ(tolerant.packets_read + tolerant.truth_read,
+            kPackets + kTruth - bad);
+  EXPECT_EQ(tolerant.error.offset, packet_offset(1));
+}
+
+TEST(TraceSlices, FilesShorterThanTheirHeaderMatchOracle) {
+  // Cut the file at every 2-, 3- and 4-slice edge of either section ±1
+  // record, and 1 byte short of each (inside the record before); each cut
+  // is also a fresh slicing of the records the file still holds.
+  const std::string& bytes = multi_block_bytes();
+  std::vector<std::uint64_t> cuts;
+  for (const std::size_t edge : around_slice_edges(kPackets)) {
+    cuts.push_back(packet_offset(edge));
+  }
+  for (const std::size_t edge : around_slice_edges(kTruth)) {
+    cuts.push_back(truth_offset(edge));
+  }
+  cuts.push_back(packet_offset(kPackets));
+  cuts.push_back(truth_offset(kTruth) - 1);
+  for (const std::uint64_t cut : cuts) {
+    for (const std::int64_t delta : {-1, 0}) {
+      const auto at = static_cast<std::size_t>(static_cast<std::int64_t>(cut) +
+                                               delta);
+      expect_slices_match_oracle(bytes.substr(0, at),
+                                 "cut at " + std::to_string(at));
+    }
+  }
+  // A truncated file whose kept part is damaged near a slice edge: the
+  // bad record comes before the truncation, so it is the first damage.
+  std::string damaged = bytes;
+  corrupt_packet(damaged, slice_edge(kPackets / 2, 3, 1));
+  expect_slices_match_oracle(damaged.substr(0, packet_offset(kPackets / 2)),
+                             "damaged, cut inside the packets");
+}
+
+TEST(TraceSlices, FilesLongerThanTheirHeaderMatchOracle) {
+  const std::string& bytes = multi_block_bytes();
+  expect_slices_match_oracle(bytes + "x", "one trailing byte");
+  expect_slices_match_oracle(bytes + bytes.substr(kHeaderBytes, 7 * 32 + 5),
+                             "seven trailing records and a piece");
+  // A header declaring fewer packets than the file holds: the surplus
+  // packets are read as truth records, and the real truth is trailing.
+  std::string fewer = bytes;
+  const std::uint64_t declared = kPackets - 101;
+  for (std::size_t i = 0; i < 8; ++i) {
+    fewer[8 + i] = static_cast<char>((declared >> (8 * i)) & 0xFF);
+  }
+  expect_slices_match_oracle(fewer, "101 packets fewer declared");
+}
+
+TEST(TraceSlices, AnySliceCountEqualsOneSliceAndTheStreamReaders) {
+  std::string sweep = multi_block_bytes();
+  for (std::size_t i = 0; i < kPackets; i += 97) corrupt_packet(sweep, i);
+  for (std::size_t i = 5; i < kTruth; i += 89) corrupt_truth(sweep, i);
+  // A cut file is diagnosed up front (kImpossibleCount) only where the
+  // input can tell its size, so there the pipe is held to the oracle.
+  struct Input {
+    std::string label;
+    std::string bytes;
+    bool whole;
+  };
+  const std::vector<Input> corpus = {
+      {"clean", multi_block_bytes(), true},
+      {"sweep", sweep, true},
+      {"sweep cut in the truth", sweep.substr(0, truth_offset(kTruth / 3)),
+       false},
+      {"empty trace", oracle_write(Trace{}), true},
+  };
+  for (const auto& [label, bytes, whole] : corpus) {
+    const TempTrace file(bytes);
+    for (const bool tolerant : {false, true}) {
+      const TraceReadOptions options{.tolerant = tolerant};
+      const std::string mode = tolerant ? " tolerant" : " strict";
+      const TraceReadResult one = file.read(options, 1);
+      for (std::uint64_t slices = 2; slices <= 9; ++slices) {
+        expect_same(file.read(options, slices), one,
+                    label + mode + " " + std::to_string(slices) + " slices");
+      }
+      expect_same(read_binary_checked_file(file.path(), options), one,
+                  label + mode + " default slices");
+      std::stringstream seekable(bytes);
+      expect_same(read_binary_checked(seekable, options), one,
+                  label + mode + " seekable stream");
+      TrickleBuf buf(bytes);
+      std::istream piped(&buf);
+      TrickleBuf oracle_buf(bytes);
+      std::istream oracle_piped(&oracle_buf);
+      expect_same(read_binary_checked(piped, options),
+                  whole ? one : oracle_read(oracle_piped, options),
+                  label + mode + " non-seekable stream");
+    }
+  }
+}
+
+TEST(TraceSlices, DefaultSlicingOfALargeFileEqualsOneSlice) {
+  // ~9.5 MB: past the size below which a file is read as one slice, so
+  // where the host has the cores its sections are sliced and read side by
+  // side.
+  const Trace base = multi_block_trace();
+  Trace large;
+  for (int copy = 0; copy < 36; ++copy) {
+    large.packets().insert(large.packets().end(), base.packets().begin(),
+                           base.packets().end());
+    large.truth().insert(large.truth().end(), base.truth().begin(),
+                         base.truth().end());
+  }
+  std::stringstream out;
+  ASSERT_TRUE(write_binary(large, out));
+  std::string bytes = out.str();
+  ASSERT_GT(bytes.size(), std::size_t{6} << 20);
+  const std::size_t packets = large.packets().size();
+  for (const std::size_t index : {std::size_t{7}, packets / 2, packets - 3}) {
+    bytes[kHeaderBytes + index * kPacketRecordBytes + 31] = 0x09;
+  }
+  bytes[kHeaderBytes + packets * kPacketRecordBytes + 100 * 32 + 24 + 5] = 0;
+  for (const auto& [label, input] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"clean", out.str()},
+           {"damaged", bytes},
+           {"cut in the truth", bytes.substr(0, bytes.size() - 4000)}}) {
+    const TempTrace file(input);
+    for (const bool tolerant : {false, true}) {
+      const TraceReadOptions options{.tolerant = tolerant};
+      expect_same(read_binary_checked_file(file.path(), options),
+                  file.read(options, 1),
+                  label + (tolerant ? " tolerant" : " strict"));
+    }
+  }
+  const TempTrace clean(out.str());
+  const TraceReadResult read = read_binary_checked_file(clean.path());
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read.trace->packets() == large.packets());
+  EXPECT_TRUE(read.trace->truth() == large.truth());
+}
+
+TEST(TraceSlices, MissingFileIsAnIoError) {
+  const TraceReadResult result = read_binary_checked_file(
+      ::testing::TempDir() + "no_such_trace.dtrc");
+  EXPECT_EQ(result.error.code, TraceErrorCode::kIoError);
+  EXPECT_FALSE(result.trace.has_value());
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -195,6 +199,66 @@ TEST(TraceHardening, RandomSingleByteCorruptionNeverCrashes) {
       // is the body's total record budget.
       EXPECT_LE(tolerant_result.trace->packets().size(), 5U);
     }
+  }
+}
+
+/// Reads `bytes` as a file, in the reader's own slicing and in 3 slices,
+/// and as a seekable stream; all three must agree field for field.
+void expect_file_equals_stream(const std::string& bytes,
+                               const std::string& label) {
+  const std::string path = ::testing::TempDir() + "trace_hardening_" +
+                           std::to_string(::getpid()) + ".dtrc";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.flush());
+  }
+  for (const bool tolerant : {false, true}) {
+    const TraceReadOptions options{.tolerant = tolerant};
+    std::stringstream in(bytes);
+    const TraceReadResult want = read_binary_checked(in, options);
+    for (const TraceReadResult& got :
+         {read_binary_checked_file(path, options),
+          detail::read_binary_checked_file(path, options, 3)}) {
+      SCOPED_TRACE(label + (tolerant ? " tolerant" : " strict"));
+      EXPECT_EQ(got.error.code, want.error.code);
+      EXPECT_EQ(got.error.offset, want.error.offset);
+      EXPECT_EQ(got.packets_read, want.packets_read);
+      EXPECT_EQ(got.truth_read, want.truth_read);
+      EXPECT_EQ(got.skipped_records, want.skipped_records);
+      EXPECT_EQ(got.lost_records, want.lost_records);
+      ASSERT_EQ(got.trace.has_value(), want.trace.has_value());
+      if (want.trace.has_value()) {
+        EXPECT_TRUE(got.trace->packets() == want.trace->packets());
+        EXPECT_TRUE(got.trace->truth() == want.trace->truth());
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceHardening, FileReaderEqualsStreamReaderOverTheCorpus) {
+  // The corpus above (every cut, the field damage, a hostile count and the
+  // shotgun flips), read from a file by position in slices instead of
+  // from a stream.
+  const std::string clean = serialized(small_trace());
+  for (std::size_t cut = 0; cut <= clean.size(); ++cut) {
+    expect_file_equals_stream(clean.substr(0, cut),
+                              "cut at " + std::to_string(cut));
+  }
+  std::string hostile = clean;
+  hostile[14] = 0x01;  // packet_count = 2^48
+  expect_file_equals_stream(hostile, "hostile count");
+  Trace negative = small_trace();
+  negative.truth()[1].ack_ts = negative.truth()[1].seq_ts - 1;
+  expect_file_equals_stream(serialized(negative), "negative truth RTT");
+  Rng rng(0xF11E5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string corrupt = clean;
+    const std::size_t pos = static_cast<std::size_t>(
+        rng.uniform_int(0, corrupt.size() - 1));
+    corrupt[pos] = static_cast<char>(rng.uniform_int(0, 255));
+    expect_file_equals_stream(corrupt, "flip at " + std::to_string(pos));
   }
 }
 
