@@ -156,6 +156,9 @@ void overload_sweep() {
   // a batch's service time crosses the deadline (~16 us/pkt of slowdown,
   // higher once the host oversubscribes cores): below it the slow shard
   // frees a ring slot in time, above it the router sheds the overflow.
+  // Past the knee the router waits out one deadline per full-ring
+  // episode, not per batch, so the shed rate climbs to nearly the slow
+  // shard's whole share of the trace.
   TextTable table({"shard-0 slowdown", "shed packets", "shed rate",
                    "backpressure", "samples", "coverage vs clean"});
   for (std::uint64_t burn_ns : {0ULL, 10'000ULL, 50'000ULL, 200'000ULL,

@@ -28,58 +28,6 @@ TargetProfile tofino2_profile() {
   return p;
 }
 
-ResourceUsage estimate_usage(const DartLayout& layout) {
-  ResourceUsage usage;
-
-  // SRAM: register arrays for RT and PT plus the payload-size lookup table
-  // (2-byte result per entry).
-  usage.sram_bytes =
-      static_cast<std::uint64_t>(layout.rt_slots) * layout.rt_entry_bytes +
-      static_cast<std::uint64_t>(layout.pt_slots) * layout.pt_entry_bytes +
-      static_cast<std::uint64_t>(layout.payload_lut_entries) * 2;
-
-  // TCAM: operator flow-selection rules (12-byte 4-tuple key + mask).
-  usage.tcam_bytes =
-      static_cast<std::uint64_t>(layout.flow_filter_rules) * 24;
-
-  // Hash units: one for the RT index, one for the 4-byte flow signature,
-  // one per PT stage index, one for the PT record key fold. Dual-leg
-  // monitoring re-hashes the role classification on the dual-role
-  // recirculation pass, so its extra unit is accounted *before* the
-  // crossbar estimate that derives from the hash count.
-  usage.hash_units = 2 + layout.pt_stages + 1;
-  if (layout.both_legs) usage.hash_units += 1;
-
-  // Logical tables: RT and PT each split into component tables so values
-  // can be acted on sequentially (Section 4), plus the payload LUT, the
-  // flow filter, and role-classification tables. Dual-leg monitoring
-  // deliberately adds no tables: the recirculated pass revisits the same
-  // memory (Section 5), which is the whole point of recirculating.
-  const std::uint32_t rt_tables = layout.component_tables_per_logical;
-  const std::uint32_t pt_tables =
-      layout.component_tables_per_logical * layout.pt_stages;
-  const std::uint32_t fixed_tables = 6;  // parser glue, filter, LUT, report
-  usage.logical_tables = rt_tables + pt_tables + fixed_tables;
-
-  // Input crossbars: roughly one per logical table plus hash inputs.
-  usage.input_crossbars = usage.logical_tables + usage.hash_units;
-
-  // Pipeline stages. Each PT stage is its own logical register spread over
-  // `component_tables_per_logical` sequentially-dependent component
-  // tables, and consecutive PT stages are themselves sequential (stage
-  // k+1 is consulted only after stage k), so PT consumes components *
-  // pt_stages physical stages — there is no sharing of a component group
-  // across PT stages. (The previous accounting divided the PT stage count
-  // by the component split, under-counting multi-stage PTs.) Dual-leg
-  // processing reuses the same stages via recirculation and adds none.
-  usage.stages_used = 2  // classification/filter + reporting
-                      + layout.component_tables_per_logical
-                      + layout.component_tables_per_logical *
-                            layout.pt_stages;
-
-  return usage;
-}
-
 std::vector<UtilizationRow> utilization(const ResourceUsage& usage,
                                         const TargetProfile& target) {
   auto pct = [](double used, double budget) {

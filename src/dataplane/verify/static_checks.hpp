@@ -1,8 +1,7 @@
 // Compile-time slice of the pipeline checker: the layout constants that
 // are known at build time are verified by static_assert, so an infeasible
-// default configuration cannot even compile. The constexpr mirrors of
-// estimate_usage() here are pinned against the runtime implementation by
-// tests/dataplane/resource_golden_test.cpp, so they cannot drift silently.
+// default configuration cannot even compile. The asserts evaluate the one
+// constexpr estimate_usage(), so they cannot drift from the runtime model.
 #pragma once
 
 #include <cstdint>
@@ -12,25 +11,6 @@
 #include "dataplane/resource_model.hpp"
 
 namespace dart::dataplane::verify {
-
-/// SRAM bytes a layout's register arrays and LUT consume (mirror of
-/// estimate_usage().sram_bytes).
-constexpr std::uint64_t static_sram_bytes(const DartLayout& layout) {
-  return static_cast<std::uint64_t>(layout.rt_slots) * layout.rt_entry_bytes +
-         static_cast<std::uint64_t>(layout.pt_slots) * layout.pt_entry_bytes +
-         static_cast<std::uint64_t>(layout.payload_lut_entries) * 2;
-}
-
-/// Pipeline stages a layout needs (mirror of estimate_usage().stages_used).
-constexpr std::uint32_t static_stages_used(const DartLayout& layout) {
-  return 2 + layout.component_tables_per_logical +
-         layout.component_tables_per_logical * layout.pt_stages;
-}
-
-/// Hash units a layout needs (mirror of estimate_usage().hash_units).
-constexpr std::uint32_t static_hash_units(const DartLayout& layout) {
-  return 2 + layout.pt_stages + 1 + (layout.both_legs ? 1 : 0);
-}
 
 // Chip constants the asserts below check against; these mirror
 // tofino1_profile() and are pinned to it by the golden test.
@@ -69,11 +49,11 @@ static_assert(PayloadLut::kMinTcpWords == 5,
 // --- Default layout feasibility -------------------------------------------
 // The defaults are the paper's deployed configuration; they must fit a
 // single Tofino1 pipeline without the ingress+egress split.
-static_assert(static_sram_bytes(DartLayout{}) < kTofino1SramBytes,
+static_assert(estimate_usage(DartLayout{}).sram_bytes < kTofino1SramBytes,
               "default layout must fit Tofino1 SRAM");
-static_assert(static_stages_used(DartLayout{}) <= kTofino1Stages,
+static_assert(estimate_usage(DartLayout{}).stages_used <= kTofino1Stages,
               "default layout must fit Tofino1's stage count");
-static_assert(static_hash_units(DartLayout{}) <=
+static_assert(estimate_usage(DartLayout{}).hash_units <=
                   kTofino1Stages * kTofino1HashUnitsPerStage,
               "default layout must fit Tofino1's hash units");
 

@@ -189,11 +189,6 @@ void FaultPlan::release_hangs() {
   hang_cv_.notify_all();
 }
 
-bool FaultPlan::hangs_released() const {
-  const common::MutexLock lock(hang_mutex_);
-  return hangs_released_;
-}
-
 void inject_timestamp_skew(std::vector<PacketRecord>& packets,
                            std::uint64_t seed, std::uint64_t max_skew_ns) {
   if (max_skew_ns == 0) return;

@@ -145,8 +145,6 @@ class FaultPlan {
   /// Wake every worker blocked in a hang fault (idempotent).
   void release_hangs();
 
-  bool hangs_released() const;
-
  private:
   struct ShardFaults {
     // Stall window.
@@ -198,7 +196,7 @@ class FaultPlan {
   // The hang release flag is the only cross-thread channel in the plan:
   // a blocked zombie and the test thread calling release_hangs() meet here.
   // condition_variable_any waits on the annotated UniqueLock directly.
-  mutable common::Mutex hang_mutex_;
+  common::Mutex hang_mutex_;
   std::condition_variable_any hang_cv_;
   bool hangs_released_ DART_GUARDED_BY(hang_mutex_) = false;
 };

@@ -1,7 +1,7 @@
 // Parker: the spin-then-park wait of the sharded runtime's ring handoff.
 //
 // Each side of a shard's SpscRing waits on the other: the worker on an
-// empty ring, the router on a full one (and on a worker's exit). A wait
+// empty ring, the router on a full one (and on a commit or exit). A wait
 // re-tests its condition for a bounded time, then sleeps on a condition
 // variable until the other side calls notify() or a deadline passes. A
 // parked thread costs no CPU, so an idle shard costs none either. A router

@@ -14,11 +14,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t now_ns() {
+/// Nanoseconds since `start`; since the clock's epoch by default.
+std::uint64_t ns_since(Clock::time_point start = {}) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
           .count());
+}
+
+/// The deadline `ns` from now; 0 never comes.
+Clock::time_point deadline_in(std::uint64_t ns) {
+  return ns == 0 ? Clock::time_point::max()
+                 : Clock::now() + std::chrono::nanoseconds(ns);
 }
 
 }  // namespace
@@ -34,8 +40,7 @@ ShardedMonitor::ShardedMonitor(const ShardedConfig& config,
   if (config_.queue_batches == 0) config_.queue_batches = 1;
   shards_.reserve(config_.shards);
   for (std::uint32_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = i;
+    auto shard = std::make_unique<Shard>(i, config_.overload);
     shard->pending.reserve(config_.batch_size);
     shards_.push_back(std::move(shard));
   }
@@ -81,7 +86,7 @@ bool ShardedMonitor::incarnate(Shard& shard, std::uint64_t base_cursor,
     restored = !inc->monitor->restore(*image);
   }
   shard.inc = std::move(inc);
-  shard.hb_armed = false;
+  shard.stall.end_episode();
   return restored;
 }
 
@@ -114,16 +119,16 @@ void ShardedMonitor::commit_barrier(Incarnation& inc, const Work& marker) {
                               std::move(inc.samples), std::move(inc.rtt));
   inc.samples.clear();
   inc.rtt = analytics::LogHistogram{};
+  if (accepted) {
+    inc.committed_epoch.store(marker.epoch, std::memory_order_release);
+    inc.room.notify();  // a router in await_epoch waits for this
+  }
   if (inc.metrics != nullptr) {
-    const auto elapsed = Clock::now() - commit_start;
-    inc.metrics->commit_latency->at(0).observe(static_cast<Timestamp>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
-    if (accepted) {
-      inc.metrics->checkpoint_commits->at(inc.shard).inc();
-    } else {
-      inc.metrics->checkpoint_rejected->at(inc.shard).inc();
-    }
+    inc.metrics->commit_latency->at(0).observe(ns_since(commit_start));
+    (accepted ? inc.metrics->checkpoint_commits
+              : inc.metrics->checkpoint_rejected)
+        ->at(inc.shard)
+        .inc();
   }
 }
 
@@ -162,11 +167,8 @@ void ShardedMonitor::worker_loop(Incarnation& inc) {
       inc.packets_done.fetch_add(work.batch.size(),
                                  std::memory_order_release);
       if (inc.metrics != nullptr) {
-        const auto elapsed = Clock::now() - batch_start;
         inc.metrics->batch_latency->at(inc.shard).observe(
-            static_cast<Timestamp>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                    .count()));
+            ns_since(batch_start));
         inc.metrics->batch_fill->at(inc.shard).observe(
             static_cast<Timestamp>(work.batch.size()));
         inc.metrics->worker_batches->at(inc.shard).inc();
@@ -309,10 +311,8 @@ void ShardedMonitor::shed(Shard& shard, const Work& work) {
 
 void ShardedMonitor::deliver(Shard& shard, Work& work) {
   const std::uint64_t packets = work.batch.size();
-  OverloadGovernor governor(config_.overload);
   bool contended = false;
   telemetry::RuntimeMetrics* const tm = config_.telemetry;
-  bool backoff_counted = false;
   for (;;) {
     if (shard.retired) {
       shed(shard, work);
@@ -326,6 +326,7 @@ void ShardedMonitor::deliver(Shard& shard, Work& work) {
     if (inc.queue.try_push(work)) {
       inc.work_ready.notify();
       shard.delivered += packets;
+      shard.stall.end_episode();
       if (tm != nullptr) {
         tm->ring_occupancy->at(shard.index)
             .set(static_cast<std::int64_t>(inc.queue.size_approx()));
@@ -335,26 +336,20 @@ void ShardedMonitor::deliver(Shard& shard, Work& work) {
     if (!contended) {
       contended = true;
       ++shard.health.backpressure_events;
+      shard.stall.next_batch();
     }
     // Hang detection: the heartbeat only matters while we are backpressured
     // — an idle worker's frozen counter just means an empty ring. A worker
     // still in its wait has been woken by the pushes that filled the ring
     // but not yet run: the clock starts once it has.
-    if (config_.hang_detection_ns != 0) {
-      const std::uint64_t done =
-          inc.packets_done.load(std::memory_order_acquire);
-      const std::uint64_t now = now_ns();
-      if (!shard.hb_armed || shard.hb_done != done ||
-          inc.waiting.load(std::memory_order_acquire)) {
-        shard.hb_armed = true;
-        shard.hb_done = done;
-        shard.hb_since_ns = now;
-      } else if (now - shard.hb_since_ns >= config_.hang_detection_ns) {
-        recover_hung(shard);
-        continue;
-      }
+    if (config_.hang_detection_ns != 0 &&
+        shard.stall.hung(inc.packets_done.load(std::memory_order_acquire),
+                         inc.waiting.load(std::memory_order_acquire),
+                         ns_since(), config_.hang_detection_ns)) {
+      recover_hung(shard);
+      continue;
     }
-    const OverloadDecision decision = governor.next();
+    const OverloadDecision decision = shard.stall.next();
     if (decision.action == OverloadAction::kShed) {
       if (tm != nullptr) tm->governor_sheds->at(shard.index).inc();
       shed(shard, work);
@@ -364,8 +359,8 @@ void ShardedMonitor::deliver(Shard& shard, Work& work) {
       ++shard.health.backoff_sleeps;
       if (tm != nullptr) {
         tm->backpressure_sleeps->at(shard.index).inc();
-        if (!backoff_counted) {
-          backoff_counted = true;  // ladder transition, not per-sleep
+        // The episode's first sleep is its one transition into backoff.
+        if (shard.stall.waited_ns() == decision.sleep_ns) {
           tm->governor_backoffs->at(shard.index).inc();
         }
       }
@@ -527,10 +522,7 @@ void ShardedMonitor::reap(Shard& shard) {
   while (!shard.retired) {
     Incarnation& inc = *shard.inc;
     end_input(inc);
-    if (!await_exit(inc, config_.join_timeout_ns == 0
-                             ? Clock::time_point::max()
-                             : Clock::now() + std::chrono::nanoseconds(
-                                                  config_.join_timeout_ns))) {
+    if (!await_exit(inc, deadline_in(config_.join_timeout_ns))) {
       // Wedged past the shutdown budget: detach it, but start no
       // successor — there is no further input to feed one.
       core::CheckpointImage image;
@@ -637,8 +629,7 @@ analytics::LogHistogram ShardedMonitor::rtt_histogram() const {
 
 bool ShardedMonitor::await_epoch(std::uint64_t epoch, EpochCut* cut) {
   if (config_.restart_budget == 0) return false;  // no markers, no cuts
-  const auto deadline =
-      Clock::now() + std::chrono::nanoseconds(config_.join_timeout_ns);
+  const auto deadline = deadline_in(config_.join_timeout_ns);
   *cut = EpochCut{};
   for (auto& shard : shards_) {
     // Nothing is routed while the router waits, so no later cut can
@@ -647,13 +638,14 @@ bool ShardedMonitor::await_epoch(std::uint64_t epoch, EpochCut* cut) {
     while (!shard->retired &&
            (!coordinator_->latest(shard->index, nullptr, &meta) ||
             meta.epoch < epoch)) {
-      if (shard->inc->dead.load(std::memory_order_acquire)) {
-        recover_dead(*shard);  // the successor replays the marker
-      } else if (config_.join_timeout_ns != 0 && Clock::now() >= deadline) {
-        return false;
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      Incarnation& inc = *shard->inc;
+      const auto ready = [&inc, epoch] {
+        return inc.committed_epoch.load(std::memory_order_acquire) >= epoch ||
+               inc.dead.load(std::memory_order_acquire);
+      };
+      if (!inc.room.wait_until(ready, {}, deadline)) return false;
+      // A dead worker's successor replays the marker.
+      if (inc.dead.load(std::memory_order_acquire)) recover_dead(*shard);
     }
     if (meta.epoch > epoch) return false;  // routed past the awaited cut
     core::CheckpointImage image;

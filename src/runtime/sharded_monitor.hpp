@@ -51,7 +51,9 @@
 // stays full past the OverloadPolicy's deadline (spin -> exponential
 // backoff -> shed), the router drops that batch and accounts it in the
 // shard's RuntimeHealth instead of freezing the whole pipeline behind one
-// sick worker. The invariant, per shard and merged, is
+// sick worker. The shard's stall record keeps the episode across batches
+// until a push lands, so a wedged worker costs the router one deadline,
+// not one per batch. The invariant, per shard and merged, is
 //
 //     processed + shed + abandoned + lost_to_crash == routed
 //
@@ -199,8 +201,9 @@ struct ShardedConfig {
 
   /// A worker whose heartbeat makes no progress for this long while the
   /// router is backpressured on its full ring, and which is not still
-  /// waking from a park, is declared hung and force-detached. 0 (the default) disables live hang detection; a hang
-  /// then surfaces at finish() via join_timeout_ns.
+  /// waking from a park, is declared hung and force-detached. 0 (the
+  /// default) disables live hang detection; a hang then surfaces at
+  /// finish() via join_timeout_ns.
   std::uint64_t hang_detection_ns = 0;
 
   /// Fault-injection hooks for the chaos suites; must outlive every worker.
@@ -378,6 +381,8 @@ class ShardedMonitor {
     /// Heartbeat: shard-stream packets processed by *this* incarnation.
     /// base_cursor + packets_done is the incarnation's absolute frontier.
     std::atomic<std::uint64_t> packets_done{0};
+    /// Epoch of this incarnation's last accepted barrier commit.
+    std::atomic<std::uint64_t> committed_epoch{0};
     std::atomic<bool> input_done{false};
     std::atomic<bool> dead{false};    ///< exited early (kill fault)
     std::atomic<bool> exited{false};  ///< worker loop finished (all paths)
@@ -387,9 +392,10 @@ class ShardedMonitor {
     /// The worker parks here on an empty ring; the router notifies it
     /// after every push and whenever it sets input_done.
     alignas(kCacheLine) Parker work_ready;
-    /// The router parks here on a full ring and while waiting for the
-    /// worker to exit; the worker notifies it when a pop leaves the ring at
-    /// most half full, and when it exits.
+    /// The router parks here on a full ring, on an epoch commit and while
+    /// waiting for the worker to exit; the worker notifies it when a pop
+    /// leaves the ring at most half full, after an accepted commit, and
+    /// when it exits.
     alignas(kCacheLine) Parker room;
     FaultPlan* faults = nullptr;     ///< worker-read, may be null
     std::uint64_t batches_done = 0;  ///< hook clock, incarnation-local
@@ -398,6 +404,8 @@ class ShardedMonitor {
 
   // Router-side state; the router thread is its only writer.
   struct Shard {
+    Shard(std::uint32_t i, const OverloadPolicy& p) : index(i), stall(p) {}
+
     std::uint32_t index = 0;
     /// Current (or retired) worker; null once a hung one was detached and
     /// not replaced.
@@ -410,15 +418,13 @@ class ShardedMonitor {
     bool retired = false;         ///< no worker left: route to shed
     core::DartStats salvaged;     ///< last image's stats, for a lost worker
     core::RuntimeHealth health;   ///< router-side accounting
+    /// The current full-ring episode's ladder and hang clock; a landed
+    /// push or a new incarnation ends it.
+    OverloadGovernor stall;
     // Settled by finish().
     core::DartStats result;
     analytics::SampleLog samples;
     analytics::LogHistogram rtt;
-
-    // Heartbeat tracking for hang detection; a new incarnation disarms it.
-    std::uint64_t hb_done = 0;
-    std::uint64_t hb_since_ns = 0;
-    bool hb_armed = false;
   };
 
   /// Install a fresh incarnation (claiming coordinator ownership) without

@@ -63,19 +63,8 @@ TEST(ResourceGolden, BothLegsCountsHashBeforeCrossbars) {
 }
 
 TEST(ResourceGolden, ConstexprMirrorsMatchRuntimeModel) {
-  // static_checks.hpp mirrors estimate_usage for compile-time assertions;
-  // any drift between the two is a bug.
-  for (const std::uint32_t pt_stages : {1U, 2U, 4U, 8U}) {
-    for (const bool both : {false, true}) {
-      DartLayout layout;
-      layout.pt_stages = pt_stages;
-      layout.both_legs = both;
-      const ResourceUsage usage = estimate_usage(layout);
-      EXPECT_EQ(verify::static_sram_bytes(layout), usage.sram_bytes);
-      EXPECT_EQ(verify::static_stages_used(layout), usage.stages_used);
-      EXPECT_EQ(verify::static_hash_units(layout), usage.hash_units);
-    }
-  }
+  // static_checks.hpp mirrors tofino1_profile()'s budgets as constexpr
+  // constants for its compile-time assertions; any drift is a bug.
   const TargetProfile t1 = tofino1_profile();
   EXPECT_EQ(verify::kTofino1Stages, t1.stages);
   EXPECT_EQ(verify::kTofino1SramBytes, t1.sram_bytes);

@@ -12,16 +12,25 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dart_monitor.hpp"
 #include "gen/workload.hpp"
 #include "runtime/fault_injection.hpp"
+#include "runtime/overload_policy.hpp"
+#include "runtime/replay_monitor.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "runtime_check.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/runtime_metrics.hpp"
 
 namespace dart {
 namespace {
@@ -356,6 +365,158 @@ TEST(Chaos, CombinedStallAndKillAcrossShards) {
   EXPECT_EQ(faulty.health.forced_detaches, 0U);
   EXPECT_EQ(faulty.merged.packets_processed + faulty.health.shed_packets,
             trace.packets().size());
+}
+
+// Holds its shard's worker inside the first batch it pops until released,
+// as a FaultPlan hang at batch 0 does, and tells the test when the worker
+// got there: the ring then fills at a known batch, whatever the host's
+// scheduling, so the shed counts below are exact.
+class Gate {
+ public:
+  void hold() {
+    std::unique_lock lock(mutex_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  void await_entered() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void release() {
+    const std::lock_guard lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+class GatedMonitor : public runtime::ReplayMonitor {
+ public:
+  GatedMonitor(core::SampleCallback on_sample, Gate* gate)
+      : inner_(monitor_config(), std::move(on_sample)), gate_(gate) {}
+  void process(const PacketRecord& packet) override { inner_.process(packet); }
+  void process_batch(std::span<const PacketRecord> packets) override {
+    if (gate_ != nullptr) std::exchange(gate_, nullptr)->hold();
+    inner_.process_batch(packets);
+  }
+  core::DartStats stats() const override { return inner_.stats(); }
+
+ private:
+  runtime::DartReplayMonitor inner_;
+  Gate* gate_;
+};
+
+// A wedged shard costs the router one shed deadline, not one per batch: its
+// full-ring episode outlives the batch that shed, so every later batch that
+// meets the still-full ring is shed after the spin budget, with no sleep.
+// Two shards under the default OverloadPolicy (a 2 s deadline); shard 0 is
+// held in batch 0 through three process_all() calls: one that hands it
+// batch 0, one that fills its ring and sheds for the first time, and one
+// routed wholly after that first shed.
+TEST(Chaos, WedgedShardPaysOneDeadlinePerEpisode) {
+  gen::CampusConfig campus;
+  campus.seed = 2026;
+  campus.connections = 3000;
+  campus.duration = sec(5);
+  const trace::Trace trace = gen::build_campus(campus);
+  const std::span<const PacketRecord> packets(trace.packets());
+  constexpr std::size_t kFirst = 64;
+  constexpr std::size_t kSecond = 12'000;
+  ASSERT_GT(packets.size(), kFirst + kSecond + 20'000);
+
+  runtime::ShardedConfig config;
+  config.shards = 2;
+  const std::uint64_t batch = config.batch_size;
+  const std::uint64_t ring = config.queue_batches;
+  const auto ceil_div = [](std::uint64_t a, std::uint64_t b) {
+    return (a + b - 1) / b;
+  };
+
+  // Wall time of the third call; the same calls without the gate give
+  // the fault-free reference.
+  const auto run = [&](Gate* gate, telemetry::RuntimeMetrics* metrics,
+                       std::vector<std::uint64_t>* cursors) {
+    runtime::ShardedConfig c = config;
+    c.telemetry = metrics;
+    auto sharded = std::make_unique<runtime::ShardedMonitor>(
+        c, [gate](std::uint32_t shard, core::SampleCallback on_sample) {
+          return std::make_unique<GatedMonitor>(std::move(on_sample),
+                                                shard == 0 ? gate : nullptr);
+        });
+    sharded->process_all(packets.first(kFirst));
+    cursors->push_back(sharded->shard_routed_cursor(0));
+    if (gate != nullptr) gate->await_entered();
+    sharded->process_all(packets.subspan(kFirst, kSecond));
+    cursors->push_back(sharded->shard_routed_cursor(0));
+    const auto start = std::chrono::steady_clock::now();
+    sharded->process_all(packets.subspan(kFirst + kSecond));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    cursors->push_back(sharded->shard_routed_cursor(0));
+    if (gate != nullptr) gate->release();
+    sharded->finish();
+    return std::make_pair(std::move(sharded), elapsed);
+  };
+
+  std::vector<std::uint64_t> clean_cursors;
+  const auto clean = run(nullptr, nullptr, &clean_cursors);
+  Gate gate;
+  telemetry::Registry registry(config.shards);
+  telemetry::RuntimeMetrics metrics(registry);
+  std::vector<std::uint64_t> cursors;
+  const auto wedged = run(&gate, &metrics, &cursors);
+  const runtime::ShardedMonitor& sharded = *wedged.first;
+  std::printf("[ timing   ] third call (%zu packets): wedged %.2f ms, "
+              "fault-free %.2f ms\n",
+              packets.size() - kFirst - kSecond,
+              std::chrono::duration<double, std::milli>(wedged.second).count(),
+              std::chrono::duration<double, std::milli>(clean.second).count());
+
+  // Shard 0 holds batch 0 (the first call's share) and a ring of full
+  // second-call batches; every batch after those is shed.
+  const std::uint64_t first = cursors[0];
+  const std::uint64_t second = cursors[1] - cursors[0];
+  const std::uint64_t third = cursors[2] - cursors[1];
+  ASSERT_GT(first, 0U);
+  ASSERT_GT(second, ring * batch);
+  ASSERT_GT(third, 0U);
+  const core::DartStats shard0 = sharded.shard_stats(0);
+  EXPECT_EQ(shard0.packets_processed, first + ring * batch);
+  EXPECT_EQ(shard0.runtime.shed_packets, second - ring * batch + third);
+  EXPECT_EQ(shard0.runtime.shed_batches,
+            ceil_div(second, batch) - ring + ceil_div(third, batch));
+
+  // One episode's sleeps: the first shed waited out the deadline, and no
+  // later batch slept.
+  runtime::OverloadGovernor governor(config.overload);
+  std::uint64_t episode_sleeps = 0;
+  for (runtime::OverloadDecision d = governor.next();
+       d.action != runtime::OverloadAction::kShed; d = governor.next()) {
+    if (d.action == runtime::OverloadAction::kSleep) ++episode_sleeps;
+  }
+  EXPECT_EQ(shard0.runtime.backoff_sleeps, episode_sleeps);
+  EXPECT_EQ(metrics.governor_backoffs->at(0).value(), 1U);
+  EXPECT_EQ(metrics.governor_sheds->at(0).value(),
+            shard0.runtime.shed_batches);
+
+  // The healthy shard lost nothing.
+  const core::DartStats shard1 = sharded.shard_stats(1);
+  EXPECT_EQ(shard1.packets_processed, sharded.shard_routed_cursor(1));
+  EXPECT_EQ(shard1.runtime.shed_packets, 0U);
+
+  for (std::uint32_t i = 0; i < config.shards; ++i) {
+    const core::DartStats stats = sharded.shard_stats(i);
+    EXPECT_EQ(stats.packets_processed + stats.runtime.shed_packets +
+                  stats.runtime.abandoned_packets +
+                  stats.runtime.lost_to_crash,
+              sharded.shard_routed_cursor(i))
+        << "shard " << i;
+  }
 }
 
 TEST(Chaos, FaultFreePlanIsANoOp) {
