@@ -106,11 +106,24 @@ struct OverloadOutcome {
   std::size_t samples = 0;
 };
 
+/// The sweep's impatient ladder: a short shed deadline puts a slow shard
+/// into the overload regime quickly.
+runtime::OverloadPolicy sweep_policy() {
+  runtime::OverloadPolicy policy;
+  // Skip the spin phase: with a busy-waiting neighbor each yield() costs
+  // tens of microseconds, so a big spin budget would absorb the whole
+  // wait and hide the timed backoff ladder this sweep exercises.
+  policy.spin_budget = 8;
+  policy.backoff_initial_ns = 10'000;   // 10 us
+  policy.shed_deadline_ns = 1'000'000;  // 1 ms, then shed
+  return policy;
+}
+
 /// Replay the campus mix through the sharded runtime with shard 0 burning
-/// `burn_ns` per packet; a small ring and a short shed deadline put the
-/// sweep into the overload regime quickly.
+/// `burn_ns` per packet, on a small ring under `overload`.
 OverloadOutcome run_overloaded(const trace::Trace& trace,
-                               std::uint64_t burn_ns) {
+                               std::uint64_t burn_ns,
+                               const runtime::OverloadPolicy& overload) {
   core::DartConfig dart_config;
   dart_config.rt_size = 1 << 14;
   dart_config.pt_size = 1 << 12;
@@ -119,12 +132,7 @@ OverloadOutcome run_overloaded(const trace::Trace& trace,
   config.shards = 4;
   config.batch_size = 64;
   config.queue_batches = 4;
-  // Skip the spin phase: with a busy-waiting neighbor each yield() costs
-  // tens of microseconds, so a big spin budget would absorb the whole
-  // wait and hide the timed backoff ladder this sweep exercises.
-  config.overload.spin_budget = 8;
-  config.overload.backoff_initial_ns = 10'000;   // 10 us
-  config.overload.shed_deadline_ns = 1'000'000;  // 1 ms, then shed
+  config.overload = overload;
 
   runtime::ShardedMonitor sharded(
       config, [&dart_config, burn_ns](std::uint32_t shard,
@@ -151,7 +159,11 @@ void overload_sweep() {
   campus.seed = 3003;
   const trace::Trace trace = gen::build_campus(campus);
 
-  const OverloadOutcome clean = run_overloaded(trace, 0);
+  // The coverage baseline runs unslowed under the default policy, whose
+  // 2 s deadline a healthy worker never reaches, so it sheds nothing even
+  // on a busy host; the sweep's own 1 ms deadline can shed unslowed.
+  const OverloadOutcome clean =
+      run_overloaded(trace, 0, runtime::OverloadPolicy{});
   // With 64-packet batches and a 1 ms shed deadline the knee sits where
   // a batch's service time crosses the deadline (~16 us/pkt of slowdown,
   // higher once the host oversubscribes cores): below it the slow shard
@@ -163,7 +175,8 @@ void overload_sweep() {
                    "backpressure", "samples", "coverage vs clean"});
   for (std::uint64_t burn_ns : {0ULL, 10'000ULL, 50'000ULL, 200'000ULL,
                                 1'000'000ULL}) {
-    const OverloadOutcome outcome = run_overloaded(trace, burn_ns);
+    const OverloadOutcome outcome =
+        run_overloaded(trace, burn_ns, sweep_policy());
     table.add_row(
         {burn_ns == 0 ? "none" : format_count(burn_ns) + " ns/pkt",
          format_count(outcome.shed),
@@ -175,6 +188,10 @@ void overload_sweep() {
                         static_cast<double>(clean.samples))});
   }
   std::printf("%s\n", table.render().c_str());
+  std::printf("clean baseline (unslowed, default policy): %s shed packets, "
+              "%s samples\n",
+              format_count(clean.shed).c_str(),
+              format_count(clean.samples).c_str());
   std::printf(
       "expectation: load shedding engages only once the slow shard falls "
       "past the shed deadline (mostly on that shard; a starved single-core "

@@ -5,7 +5,7 @@
 namespace dart::core {
 
 RuntimeHealth& RuntimeHealth::operator+=(const RuntimeHealth& other) {
-  for (const auto field : kHealthFields) this->*field += other.*field;
+  for (const auto& f : kHealthFields) this->*f.member += other.*f.member;
   return *this;
 }
 
@@ -26,15 +26,15 @@ std::string RuntimeHealth::summary() const {  // hotpath-ok: reporting only
 }
 
 DartStats& DartStats::operator+=(const DartStats& other) {
-  for (const auto field : kStatFields) this->*field += other.*field;
+  for (const auto& f : kStatFields) this->*f.member += other.*f.member;
   runtime += other.runtime;
   return *this;
 }
 
 void DartStats::snapshot(SealedWriter& writer) const {
   writer.u32(kStatCounters);
-  for (const auto field : kStatFields) writer.u64(this->*field);
-  for (const auto field : kHealthFields) writer.u64(runtime.*field);
+  for (const auto& f : kStatFields) writer.u64(this->*f.member);
+  for (const auto& f : kHealthFields) writer.u64(runtime.*f.member);
 }
 
 SealedError DartStats::restore(SealedReader& reader) {
@@ -43,8 +43,8 @@ SealedError DartStats::restore(SealedReader& reader) {
     reader.fail_field();
   }
   DartStats staged;
-  for (const auto field : kStatFields) staged.*field = reader.u64();
-  for (const auto field : kHealthFields) staged.runtime.*field = reader.u64();
+  for (const auto& f : kStatFields) staged.*f.member = reader.u64();
+  for (const auto& f : kHealthFields) staged.runtime.*f.member = reader.u64();
   if (reader.error()) return reader.error();
   *this = staged;
   return SealedError::ok();

@@ -4,13 +4,27 @@
 // "recirculations incurred per packet" metric (Figures 11c/12c/13c).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/sealed.hpp"
 
 namespace dart::core {
+
+/// True when `parts` add up to exactly `total`. Summed by subtraction, so
+/// no wrap-around can balance a hostile set of counters.
+inline bool sums_to(std::span<const std::uint64_t> parts,
+                    std::uint64_t total) {
+  for (const std::uint64_t part : parts) {
+    if (part > total) return false;
+    total -= part;
+  }
+  return total == 0;
+}
 
 /// Health counters of the replay *runtime* around a monitor: what the
 /// sharded router shed or abandoned when a worker fell behind, died, or
@@ -126,6 +140,15 @@ struct DartStats {
     return lhs;
   }
 
+  /// The routed identity,
+  ///     processed + shed + abandoned + lost_to_crash == routed,
+  /// for `routed` packets handed to the monitor(s) these stats settle.
+  bool accounts_for(std::uint64_t routed) const {
+    return sums_to(std::array{packets_processed, runtime.shed_packets,
+                              runtime.abandoned_packets, runtime.lost_to_crash},
+                   routed);
+  }
+
   double recirculations_per_packet() const {
     return packets_processed == 0
                ? 0.0
@@ -142,56 +165,69 @@ struct DartStats {
   std::string summary() const;  // hotpath-ok: end-of-run reporting
 };
 
-// Every counter, listed once in one fixed order. The sums, the checkpoint
-// writer and the reader all walk these tables, so a counter added here is
-// summed, serialized and restored exactly once; the static_asserts refuse
-// a struct field that no table names.
-inline constexpr std::uint64_t RuntimeHealth::* kHealthFields[] = {
-    &RuntimeHealth::shed_batches,
-    &RuntimeHealth::shed_packets,
-    &RuntimeHealth::backpressure_events,
-    &RuntimeHealth::backoff_sleeps,
-    &RuntimeHealth::workers_killed,
-    &RuntimeHealth::forced_detaches,
-    &RuntimeHealth::abandoned_packets,
-    &RuntimeHealth::recovered,
-    &RuntimeHealth::replayed_after_restore,
-    &RuntimeHealth::lost_to_crash,
+// Every counter, listed once in one fixed order, with the name it is
+// exported under. The sums, the checkpoint writer and reader, the fleet
+// frame's stats section and RuntimeMetrics' dart_<name>_total families all
+// walk these tables, so a counter added here is summed, serialized,
+// restored and exported exactly once; the static_asserts refuse a struct
+// field that no table names. Renaming an entry renames a metric on
+// /metrics, and reordering entries changes the byte layout of every sealed
+// stats section (checkpoints and fleet frames alike).
+template <class Owner>
+struct StatField {
+  std::uint64_t Owner::* member;
+  std::string_view name;  ///< exported as dart_<name>_total
+  /// False for counters of waits rather than packets: their values follow
+  /// thread timing, so deterministic exports leave them out.
+  bool deterministic = true;
+};
+
+inline constexpr StatField<RuntimeHealth> kHealthFields[] = {
+    {&RuntimeHealth::shed_batches, "shed_batches"},
+    {&RuntimeHealth::shed_packets, "shed"},
+    {&RuntimeHealth::backpressure_events, "backpressure_events", false},
+    {&RuntimeHealth::backoff_sleeps, "backoff_sleeps", false},
+    {&RuntimeHealth::workers_killed, "workers_killed"},
+    {&RuntimeHealth::forced_detaches, "workers_detached"},
+    {&RuntimeHealth::abandoned_packets, "abandoned"},
+    {&RuntimeHealth::recovered, "workers_recovered"},
+    {&RuntimeHealth::replayed_after_restore, "replayed_after_restore"},
+    {&RuntimeHealth::lost_to_crash, "lost_to_crash"},
 };
 
 /// DartStats' own counters; `runtime` is covered by kHealthFields.
-inline constexpr std::uint64_t DartStats::* kStatFields[] = {
-    &DartStats::packets_processed,
-    &DartStats::filtered_packets,
-    &DartStats::seq_candidates,
-    &DartStats::ack_candidates,
-    &DartStats::syn_ignored,
-    &DartStats::rt_new_flows,
-    &DartStats::rt_flow_overwrites,
-    &DartStats::rt_idle_timeouts,
-    &DartStats::seq_tracked,
-    &DartStats::seq_in_order,
-    &DartStats::seq_hole_reanchors,
-    &DartStats::seq_retransmissions,
-    &DartStats::wraparound_resets,
-    &DartStats::ack_advances,
-    &DartStats::ack_duplicates,
-    &DartStats::ack_below_left,
-    &DartStats::ack_optimistic,
-    &DartStats::ack_no_entry,
-    &DartStats::pt_inserted,
-    &DartStats::pt_evictions,
-    &DartStats::pt_lookup_hits,
-    &DartStats::pt_lookup_misses,
-    &DartStats::recirculations,
-    &DartStats::dual_role_recirculations,
-    &DartStats::drops_budget,
-    &DartStats::drops_stale,
-    &DartStats::drops_cycle,
-    &DartStats::drops_useless,
-    &DartStats::drops_shadow,
-    &DartStats::drops_policy,
-    &DartStats::samples,
+inline constexpr StatField<DartStats> kStatFields[] = {
+    {&DartStats::packets_processed, "processed"},
+    {&DartStats::filtered_packets, "filtered_packets"},
+    {&DartStats::seq_candidates, "seq_candidates"},
+    {&DartStats::ack_candidates, "ack_candidates"},
+    {&DartStats::syn_ignored, "syn_ignored"},
+    {&DartStats::rt_new_flows, "rt_new_flows"},
+    {&DartStats::rt_flow_overwrites, "rt_flow_overwrites"},
+    {&DartStats::rt_idle_timeouts, "rt_idle_timeouts"},
+    {&DartStats::seq_tracked, "seq_tracked"},
+    {&DartStats::seq_in_order, "seq_in_order"},
+    {&DartStats::seq_hole_reanchors, "seq_hole_reanchors"},
+    {&DartStats::seq_retransmissions, "seq_retransmissions"},
+    {&DartStats::wraparound_resets, "wraparound_resets"},
+    {&DartStats::ack_advances, "ack_advances"},
+    {&DartStats::ack_duplicates, "ack_duplicates"},
+    {&DartStats::ack_below_left, "ack_below_left"},
+    {&DartStats::ack_optimistic, "ack_optimistic"},
+    {&DartStats::ack_no_entry, "ack_no_entry"},
+    {&DartStats::pt_inserted, "pt_inserted"},
+    {&DartStats::pt_evictions, "pt_evictions"},
+    {&DartStats::pt_lookup_hits, "pt_lookup_hits"},
+    {&DartStats::pt_lookup_misses, "pt_lookup_misses"},
+    {&DartStats::recirculations, "recirculations"},
+    {&DartStats::dual_role_recirculations, "dual_role_recirculations"},
+    {&DartStats::drops_budget, "drops_budget"},
+    {&DartStats::drops_stale, "drops_stale"},
+    {&DartStats::drops_cycle, "drops_cycle"},
+    {&DartStats::drops_useless, "drops_useless"},
+    {&DartStats::drops_shadow, "drops_shadow"},
+    {&DartStats::drops_policy, "drops_policy"},
+    {&DartStats::samples, "samples"},
 };
 
 /// Every counter, RuntimeHealth included: the field count that both the

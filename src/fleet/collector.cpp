@@ -1,8 +1,9 @@
 #include "fleet/collector.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -12,30 +13,6 @@
 namespace dart::fleet {
 
 namespace {
-
-/// Value of the sample `name{vantage="<vantage>"}`, or `fallback`.
-double labeled_value(const std::vector<telemetry::PromSample>& samples,
-                     const std::string& name, const std::string& vantage,
-                     double fallback = 0.0) {
-  for (const auto& sample : samples) {
-    if (sample.name != name) continue;
-    auto it = sample.labels.find("vantage");
-    if (it != sample.labels.end() && it->second == vantage) {
-      return sample.value;
-    }
-  }
-  return fallback;
-}
-
-std::uint64_t as_count(double value) {
-  if (value <= 0.0) return 0;
-  // Counters near 2^64 survive the text round-trip as the double closest
-  // to 2^64; llround would overflow (UB), so saturate explicitly. Doubles
-  // in [2^63, 2^64) convert directly without rounding help.
-  if (value >= 18446744073709551615.0) return ~std::uint64_t{0};
-  if (value >= 9223372036854775808.0) return static_cast<std::uint64_t>(value);
-  return static_cast<std::uint64_t>(std::llround(value));
-}
 
 /// Shortest round-trippable rendering, byte-for-byte the telemetry
 /// exporter's discipline — the fleet quantile block must be byte-stable.
@@ -248,16 +225,7 @@ bool FleetCollector::apply_frame(std::uint64_t vantage,
       // for exactly the envelope cursor (the per-vantage identity, summed
       // without wrap-around), and a histogram section's mass must be the
       // cumulative sample count.
-      const core::RuntimeHealth& health = frame.stats.runtime;
-      std::uint64_t unaccounted = frame.header.cursor;
-      bool balanced = true;
-      for (const std::uint64_t part :
-           {frame.stats.packets_processed, health.shed_packets,
-            health.abandoned_packets, health.lost_to_crash}) {
-        balanced = balanced && part <= unaccounted;
-        if (balanced) unaccounted -= part;
-      }
-      if (!balanced || unaccounted != 0 ||
+      if (!frame.stats.accounts_for(frame.header.cursor) ||
           (frame.has_rtt_histogram &&
            frame.rtt_histogram.total() != frame.stats.samples)) {
         quarantine(pending.file, vantage, QuarantineReason::kStatsMismatch,
@@ -584,62 +552,11 @@ std::string FleetCollector::skew_report_text() const {
 
 bool check_fleet_identity(const std::string& report_text,
                           std::string* error) {
-  const auto samples = telemetry::parse_prometheus(report_text);
-  const auto set_error = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-
-  std::vector<std::string> names;
-  for (const auto& sample : samples) {
-    if (sample.name != "fleet_vantage_state") continue;
-    auto it = sample.labels.find("vantage");
-    if (it != sample.labels.end()) names.push_back(it->second);
-  }
-  if (names.empty()) {
-    return set_error("no fleet_vantage_state samples found");
-  }
-
-  std::uint64_t sum_routed = 0;
-  std::uint64_t sum_accounted = 0;
-  for (const auto& name : names) {
-    const std::uint64_t routed =
-        as_count(labeled_value(samples, "fleet_routed_total", name));
-    const std::uint64_t accounted =
-        as_count(labeled_value(samples, "fleet_processed_total", name)) +
-        as_count(labeled_value(samples, "fleet_shed_total", name)) +
-        as_count(labeled_value(samples, "fleet_abandoned_total", name)) +
-        as_count(labeled_value(samples, "fleet_lost_to_crash_total", name)) +
-        as_count(
-            labeled_value(samples, "fleet_lost_to_vantage_total", name));
-    if (routed != accounted) {
-      return set_error("identity violated for vantage \"" + name +
-                       "\": accounted " + std::to_string(accounted) +
-                       " != routed " + std::to_string(routed));
-    }
-    sum_routed += routed;
-    sum_accounted += accounted;
-  }
-  const std::uint64_t agg_routed =
-      as_count(telemetry::prom_value(samples, "fleet_routed_total"));
-  const std::uint64_t agg_accounted =
-      as_count(telemetry::prom_value(samples, "fleet_processed_total")) +
-      as_count(telemetry::prom_value(samples, "fleet_shed_total")) +
-      as_count(telemetry::prom_value(samples, "fleet_abandoned_total")) +
-      as_count(
-          telemetry::prom_value(samples, "fleet_lost_to_crash_total")) +
-      as_count(
-          telemetry::prom_value(samples, "fleet_lost_to_vantage_total"));
-  if (agg_routed != agg_accounted) {
-    return set_error("aggregate identity violated: accounted " +
-                     std::to_string(agg_accounted) + " != routed " +
-                     std::to_string(agg_routed));
-  }
-  if (agg_routed != sum_routed || agg_accounted != sum_accounted) {
-    return set_error("aggregate rows disagree with per-vantage sums");
-  }
-  if (error != nullptr) error->clear();
-  return true;
+  static constexpr std::string_view kTerms[] = {
+      "processed", "shed", "abandoned", "lost_to_crash", "lost_to_vantage"};
+  return telemetry::check_routed_identity(
+      telemetry::parse_prometheus(report_text), "fleet_", "vantage", kTerms,
+      error);
 }
 
 }  // namespace dart::fleet

@@ -253,7 +253,9 @@ class FleetCollector {
 /// Verify the extended accounting identity inside a rendered (or reparsed)
 /// fleet report: per labeled vantage and in aggregate,
 ///   processed + shed + abandoned + lost_to_crash + lost_to_vantage
-///     == routed.
+///     == routed,
+/// with every aggregate row the sum of its vantage rows
+/// (telemetry::check_routed_identity over the fleet_ rows).
 /// On failure returns false and describes the first violation in `error`.
 bool check_fleet_identity(const std::string& report_text, std::string* error);
 

@@ -1,13 +1,26 @@
 #include "telemetry/export.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "core/stats.hpp"
+
 namespace dart::telemetry {
 namespace {
+
+std::uint64_t as_count(double value) {
+  if (value <= 0.0) return 0;
+  // Counters near 2^64 survive the text round-trip as the double closest
+  // to 2^64; llround would overflow (UB), so saturate explicitly. Doubles
+  // in [2^63, 2^64) convert directly without rounding help.
+  if (value >= 18446744073709551615.0) return ~std::uint64_t{0};
+  if (value >= 9223372036854775808.0) return static_cast<std::uint64_t>(value);
+  return static_cast<std::uint64_t>(std::llround(value));
+}
 
 /// Shortest round-trippable rendering: %.17g is byte-stable for identical
 /// doubles, which is all the determinism contract needs.
@@ -215,6 +228,72 @@ double prom_value(const std::vector<PromSample>& samples,
     if (sample.name == name && sample.labels.empty()) return sample.value;
   }
   return fallback;
+}
+
+double labeled_value(const std::vector<PromSample>& samples,
+                     const std::string& name, const std::string& label,
+                     const std::string& value) {
+  for (const PromSample& sample : samples) {
+    if (sample.name != name) continue;
+    const auto it = sample.labels.find(label);
+    if (it != sample.labels.end() && it->second == value) return sample.value;
+  }
+  return 0.0;
+}
+
+bool check_routed_identity(const std::vector<PromSample>& samples,
+                           const std::string& prefix,
+                           const std::string& label,
+                           std::span<const std::string_view> terms,
+                           std::string* error) {
+  std::vector<std::string> names{prefix + "routed_total"};
+  for (const std::string_view term : terms) {
+    names.push_back(prefix + std::string(term) + "_total");
+  }
+  // Each label value's row of `names` ("" keys the aggregate row), and
+  // each name's labelled values.
+  std::map<std::string, std::vector<std::uint64_t>> rows;
+  std::vector<std::vector<std::uint64_t>> labelled(names.size());
+  for (const PromSample& sample : samples) {
+    const auto name = std::find(names.begin(), names.end(), sample.name);
+    const auto key = sample.labels.find(label);
+    const bool aggregate = sample.labels.empty();
+    if (name == names.end() || (!aggregate && key == sample.labels.end())) {
+      continue;
+    }
+    const std::size_t i = static_cast<std::size_t>(name - names.begin());
+    std::vector<std::uint64_t>& row = rows[aggregate ? "" : key->second];
+    row.resize(names.size());
+    row[i] = as_count(sample.value);
+    if (!aggregate) labelled[i].push_back(row[i]);
+  }
+  const auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return false;
+  };
+  if (rows.count("") == 0) return fail("no aggregate " + names[0] + " row");
+  for (const auto& [key, row] : rows) {
+    if (core::sums_to(std::span(row).subspan(1), row[0])) continue;
+    std::string message = "identity violated for ";
+    message += key.empty() ? "the aggregate" : label + " \"" + key + '"';
+    message += ": routed " + std::to_string(row[0]) + " !=";
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      message += i == 1 ? " " : " + ";
+      message += terms[i - 1];
+      message += ' ' + std::to_string(row[i]);
+    }
+    return fail(message);
+  }
+  // Once any row is labelled, each aggregate value is the sum of its
+  // labelled values.
+  for (std::size_t i = 0; rows.size() > 1 && i < names.size(); ++i) {
+    if (!core::sums_to(labelled[i], rows[""][i])) {
+      return fail("aggregate " + names[i] + " != the sum of its " + label +
+                  " rows");
+    }
+  }
+  if (error != nullptr) error->clear();
+  return true;
 }
 
 bool write_atomic(const std::string& path, const std::string& content) {

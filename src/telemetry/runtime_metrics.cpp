@@ -3,50 +3,28 @@
 namespace dart::telemetry {
 
 RuntimeMetrics::RuntimeMetrics(Registry& reg) : registry(&reg) {
-  const auto det = [](const char* help) {
-    FamilyOptions opts;
-    opts.help = help;
-    opts.deterministic = true;
-    return opts;
-  };
   const auto live = [](const char* help) {
-    FamilyOptions opts;
-    opts.help = help;
-    opts.deterministic = false;
-    return opts;
+    return FamilyOptions{.help = help, .deterministic = false};
   };
 
   routed = &reg.counter("dart_routed_total",
-                        det("packets enqueued to the shard by the router, "
-                            "shed included"));
-  processed = &reg.counter(
-      "dart_processed_total",
-      det("packets processed and merged (authoritative, post-quiesce)"));
-  samples = &reg.counter("dart_samples_total",
-                         det("RTT samples emitted by the merged monitors"));
-  recirculations = &reg.counter(
-      "dart_recirculations_total",
-      det("packet-tracker recirculations (paper metric, per-packet when "
-          "divided by dart_processed_total)"));
-  shed = &reg.counter("dart_shed_total",
-                      det("packets dropped by the overload policy"));
-  abandoned = &reg.counter(
-      "dart_abandoned_total",
-      det("packets handed to a worker that was later force-detached"));
-  lost_to_crash = &reg.counter(
-      "dart_lost_to_crash_total",
-      det("packets whose effects were rolled back by crash recovery"));
-  workers_killed = &reg.counter("dart_workers_killed_total",
-                                det("workers that exited mid-replay"));
-  workers_detached = &reg.counter(
-      "dart_workers_detached_total",
-      det("workers abandoned at join timeout"));
-  workers_recovered = &reg.counter(
-      "dart_workers_recovered_total",
-      det("workers restarted from a checkpoint"));
-  replayed_after_restore = &reg.counter(
-      "dart_replayed_after_restore_total",
-      det("packets re-queued from a dead worker to its successor"));
+                        {.help = "packets enqueued to the shard by the "
+                                 "router, shed included"});
+  auto settled_family = settled.begin();
+  const auto add = [&](const auto& field, const char* help) {
+    std::string name = "dart_";
+    name += field.name;
+    name += "_total";
+    *settled_family++ = &reg.counter(
+        name, {.help = help, .deterministic = field.deterministic});
+  };
+  for (const auto& field : core::kStatFields) {
+    add(field, "Dart monitor counter (core::DartStats), settled at quiesce");
+  }
+  for (const auto& field : core::kHealthFields) {
+    add(field, "runtime health counter (core::RuntimeHealth), settled at "
+               "quiesce");
+  }
 
   worker_batches = &reg.counter(
       "dart_worker_batches_total",
@@ -70,46 +48,33 @@ RuntimeMetrics::RuntimeMetrics(Registry& reg) : registry(&reg) {
   checkpoint_rejected = &reg.counter(
       "dart_checkpoint_rejected_total",
       live("checkpoint contributions rejected (stale epoch or fencing)"));
-
-  {
-    FamilyOptions opts = live("approximate shard ring occupancy at last "
-                              "router flush");
-    ring_occupancy = &reg.gauge("dart_ring_occupancy", opts);
-  }
-  {
-    HistogramOptions opts;
-    opts.help = "wall-clock latency of one worker batch (ns)";
-    batch_latency = &reg.histogram("dart_batch_latency_ns", opts);
-  }
-  {
-    HistogramOptions opts;
-    opts.help = "packets per dequeued ring batch (SoA hot-path fill level)";
-    batch_fill = &reg.histogram("dart_batch_fill", opts);
-  }
-  {
-    HistogramOptions opts;
-    opts.help = "wall-clock latency of one checkpoint commit (ns)";
-    opts.slots = 1;  // the coordinator is a single writer
-    opts.max_value = sec(100);
-    commit_latency = &reg.histogram("dart_commit_latency_ns", opts);
-  }
+  ring_occupancy = &reg.gauge(
+      "dart_ring_occupancy",
+      live("approximate shard ring occupancy at last router flush"));
+  batch_latency = &reg.histogram(
+      "dart_batch_latency_ns",
+      {.help = "wall-clock latency of one worker batch (ns)"});
+  batch_fill = &reg.histogram(
+      "dart_batch_fill",
+      {.help = "packets per dequeued ring batch (SoA hot-path fill level)"});
+  commit_latency = &reg.histogram(
+      "dart_commit_latency_ns",
+      {.help = "wall-clock latency of one checkpoint commit (ns)",
+       .slots = 1,  // the coordinator is a single writer
+       .max_value = sec(100)});
 }
 
 void RuntimeMetrics::fold_authoritative(std::size_t shard,
                                         std::uint64_t routed_to_shard,
                                         const core::DartStats& result) {
   routed->at(shard).set(routed_to_shard);
-  processed->at(shard).set(result.packets_processed);
-  samples->at(shard).set(result.samples);
-  recirculations->at(shard).set(result.recirculations);
-  shed->at(shard).set(result.runtime.shed_packets);
-  abandoned->at(shard).set(result.runtime.abandoned_packets);
-  lost_to_crash->at(shard).set(result.runtime.lost_to_crash);
-  workers_killed->at(shard).set(result.runtime.workers_killed);
-  workers_detached->at(shard).set(result.runtime.forced_detaches);
-  workers_recovered->at(shard).set(result.runtime.recovered);
-  replayed_after_restore->at(shard).set(
-      result.runtime.replayed_after_restore);
+  auto settled_family = settled.begin();
+  for (const auto& field : core::kStatFields) {
+    (*settled_family++)->at(shard).set(result.*field.member);
+  }
+  for (const auto& field : core::kHealthFields) {
+    (*settled_family++)->at(shard).set(result.runtime.*field.member);
+  }
 }
 
 }  // namespace dart::telemetry

@@ -2,20 +2,25 @@
 //
 // Two disjoint tiers, split by where truth lives:
 //
-//  * **Authoritative** (deterministic): every counter derived from the
-//    merged per-shard DartStats/RuntimeHealth at quiesce time. Live
+//  * **Authoritative** (settled): dart_routed_total, plus one
+//    dart_<name>_total family per counter of core::kStatFields and
+//    core::kHealthFields, under the name the table gives it. Live
 //    increments of these would double-count rolled-back crash windows and
 //    count work a force-detached worker did but the merge discarded, so
 //    they are written exactly once, by fold_authoritative(), after the
-//    runtime's own accounting has settled. These satisfy the identity
+//    runtime's own accounting has settled. They satisfy the identity
 //        processed + shed + abandoned + lost_to_crash == routed
-//    and are what deterministic-only snapshots export.
+//    and, except the two the tables mark timing-dependent
+//    (backpressure_events, backoff_sleeps: they count waits, not
+//    packets), are what deterministic-only snapshots export.
 //
 //  * **Live** (wall-clock): heartbeat counters, gauges, and latency
 //    histograms written from the hot paths as work happens. They exist for
 //    dart-top's moving picture and may legitimately disagree with the
 //    authoritative tier mid-run (and, after crashes, even at the end).
 #pragma once
+
+#include <array>
 
 #include "core/stats.hpp"
 #include "telemetry/registry.hpp"
@@ -31,16 +36,8 @@ struct RuntimeMetrics {
 
   // -- Authoritative tier (set by fold_authoritative) --
   CounterFamily* routed = nullptr;
-  CounterFamily* processed = nullptr;
-  CounterFamily* samples = nullptr;
-  CounterFamily* recirculations = nullptr;
-  CounterFamily* shed = nullptr;
-  CounterFamily* abandoned = nullptr;
-  CounterFamily* lost_to_crash = nullptr;
-  CounterFamily* workers_killed = nullptr;
-  CounterFamily* workers_detached = nullptr;
-  CounterFamily* workers_recovered = nullptr;
-  CounterFamily* replayed_after_restore = nullptr;
+  /// One family per table entry: kStatFields, then kHealthFields.
+  std::array<CounterFamily*, core::kStatCounters> settled{};
 
   // -- Live tier --
   CounterFamily* worker_batches = nullptr;
@@ -57,7 +54,7 @@ struct RuntimeMetrics {
 
   /// Write one shard's authoritative counters from its merged result.
   /// `routed_to_shard` is the router-side count of packets enqueued to the
-  /// shard (shed included); the remaining terms come from `result`.
+  /// shard (shed included); every other family comes from `result`.
   void fold_authoritative(std::size_t shard, std::uint64_t routed_to_shard,
                           const core::DartStats& result);
 };

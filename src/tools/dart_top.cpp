@@ -5,33 +5,36 @@
 //   dart-top render <file> [--check]          one-shot table
 //   dart-top watch <file> [--interval-ms N]   re-render as the file changes
 //                         [--iterations N]
-//   dart-top demo [--shards N] [--seed S]     run a seeded campus workload
-//                 [--out FILE] [--json FILE]  through the instrumented
-//                 [--deterministic] [--check] runtime, export, and render
+//   dart-top demo [--shards N] [--seed S]     replay a seeded campus
+//                 [--out FILE] [--json FILE]  workload through dartd's
+//                 [--deterministic] [--check] EpochRunner, export, render
 //
 // --check verifies the accounting identity
 //     processed + shed + abandoned + lost_to_crash == routed
-// per shard and in aggregate; a violation exits nonzero, which is what the
+// per shard and in aggregate, and that each aggregate row is the sum of
+// its shard rows (telemetry::check_routed_identity, the check dart-fleet
+// runs on its reports); a violation exits nonzero, which is what the
 // ctest entries assert. `render` and `watch` work on any snapshot file,
-// whichever process exported it.
+// whichever process exported it, and `render --check` also reads a
+// `dartd replay --out` report, whose dart_*_total rows are the same.
 // Numeric flags take the whole token as a decimal number in range.
 // Exit codes: 0 ok, 1 identity violation / unreadable file, 2 usage error
 // (a bad flag value included).
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "daemon/epoch_runner.hpp"
+#include "daemon/replay_source.hpp"
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
 #include "telemetry/export.hpp"
@@ -47,6 +50,7 @@ using dart::tools::flag_value;
 /// Names the tool in usage errors.
 constexpr std::string_view kTool = "dart-top";
 
+using dart::telemetry::labeled_value;
 using dart::telemetry::PromSample;
 
 void print_usage(std::ostream& out) {
@@ -74,92 +78,28 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-double labeled_value(const std::vector<PromSample>& samples,
-                     const std::string& name, const std::string& shard) {
-  for (const PromSample& sample : samples) {
-    if (sample.name == name && sample.labels.count("shard") != 0 &&
-        sample.labels.at("shard") == shard) {
-      return sample.value;
-    }
-  }
-  return 0.0;
-}
-
-double quantile_value(const std::vector<PromSample>& samples,
-                      const std::string& name, const std::string& quantile) {
-  for (const PromSample& sample : samples) {
-    if (sample.name == name && sample.labels.count("quantile") != 0 &&
-        sample.labels.at("quantile") == quantile) {
-      return sample.value;
-    }
-  }
-  return 0.0;
-}
-
-std::set<std::string> shard_labels(const std::vector<PromSample>& samples) {
-  // Sorted numerically so shard 10 renders after shard 9.
-  std::set<std::string> raw;
-  for (const PromSample& sample : samples) {
-    const auto it = sample.labels.find("shard");
-    if (it != sample.labels.end()) raw.insert(it->second);
-  }
-  return raw;
-}
-
-/// processed + shed + abandoned + lost_to_crash == routed, per shard and
-/// merged. Returns true when the snapshot satisfies it everywhere.
-bool check_identity(const std::vector<PromSample>& samples,
-                    std::ostream& err) {
-  bool ok = true;
-  const double routed = prom_value(samples, "dart_routed_total");
-  const double sum = prom_value(samples, "dart_processed_total") +
-                     prom_value(samples, "dart_shed_total") +
-                     prom_value(samples, "dart_abandoned_total") +
-                     prom_value(samples, "dart_lost_to_crash_total");
-  if (sum != routed) {
-    err << "identity violated (aggregate): processed+shed+abandoned+lost = "
-        << sum << " != routed = " << routed << "\n";
-    ok = false;
-  }
-  for (const std::string& shard : shard_labels(samples)) {
-    const double s_routed = labeled_value(samples, "dart_routed_total", shard);
-    const double s_sum =
-        labeled_value(samples, "dart_processed_total", shard) +
-        labeled_value(samples, "dart_shed_total", shard) +
-        labeled_value(samples, "dart_abandoned_total", shard) +
-        labeled_value(samples, "dart_lost_to_crash_total", shard);
-    if (s_sum != s_routed) {
-      err << "identity violated (shard " << shard << "): " << s_sum
-          << " != " << s_routed << "\n";
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 void render(const std::vector<PromSample>& samples, std::ostream& out) {
   out << "dart-top — sharded runtime snapshot\n";
-  const std::set<std::string> labels = shard_labels(samples);
-  std::vector<std::string> shards(labels.begin(), labels.end());
-  // Numeric order for display.
-  std::sort(shards.begin(), shards.end(),
-            [](const std::string& a, const std::string& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              return a < b;
-            });
+  // Shard labels by (width, text): numeric order, so 10 follows 9.
+  std::set<std::pair<std::size_t, std::string>> shards;
+  for (const PromSample& sample : samples) {
+    const auto it = sample.labels.find("shard");
+    if (it == sample.labels.end()) continue;
+    shards.emplace(it->second.size(), it->second);
+  }
 
   std::printf("%-6s %12s %12s %10s %10s %10s %10s %8s\n", "shard", "routed",
               "processed", "shed", "abandoned", "lost", "batches", "ring");
-  for (const std::string& shard : shards) {
+  for (const auto& key : shards) {
+    const std::string& shard = key.second;
+    const auto at = [&](const char* name) {
+      return labeled_value(samples, name, "shard", shard);
+    };
     std::printf("%-6s %12.0f %12.0f %10.0f %10.0f %10.0f %10.0f %8.0f\n",
-                shard.c_str(),
-                labeled_value(samples, "dart_routed_total", shard),
-                labeled_value(samples, "dart_processed_total", shard),
-                labeled_value(samples, "dart_shed_total", shard),
-                labeled_value(samples, "dart_abandoned_total", shard),
-                labeled_value(samples, "dart_lost_to_crash_total", shard),
-                labeled_value(samples, "dart_worker_batches_total", shard),
-                labeled_value(samples, "dart_ring_occupancy", shard));
+                shard.c_str(), at("dart_routed_total"),
+                at("dart_processed_total"), at("dart_shed_total"),
+                at("dart_abandoned_total"), at("dart_lost_to_crash_total"),
+                at("dart_worker_batches_total"), at("dart_ring_occupancy"));
   }
   std::printf("%-6s %12.0f %12.0f %10.0f %10.0f %10.0f %10.0f %8s\n", "all",
               prom_value(samples, "dart_routed_total"),
@@ -169,14 +109,17 @@ void render(const std::vector<PromSample>& samples, std::ostream& out) {
               prom_value(samples, "dart_lost_to_crash_total"),
               prom_value(samples, "dart_worker_batches_total"), "-");
 
+  const auto quantile = [&samples](const char* name, const char* q) {
+    return labeled_value(samples, name, "quantile", q);
+  };
   const double batch_count =
       prom_value(samples, "dart_batch_latency_ns_count");
   if (batch_count > 0) {
     out << "batch latency (ns): p50="
-        << quantile_value(samples, "dart_batch_latency_ns", "0.5")
-        << " p90=" << quantile_value(samples, "dart_batch_latency_ns", "0.9")
-        << " p99=" << quantile_value(samples, "dart_batch_latency_ns", "0.99")
-        << " over " << batch_count << " batches\n";
+        << quantile("dart_batch_latency_ns", "0.5")
+        << " p90=" << quantile("dart_batch_latency_ns", "0.9")
+        << " p99=" << quantile("dart_batch_latency_ns", "0.99") << " over "
+        << batch_count << " batches\n";
   }
   const double commits =
       prom_value(samples, "dart_checkpoint_commits_total");
@@ -184,7 +127,7 @@ void render(const std::vector<PromSample>& samples, std::ostream& out) {
     out << "checkpoints: " << commits << " committed, "
         << prom_value(samples, "dart_checkpoint_rejected_total")
         << " rejected, commit p99(ns)="
-        << quantile_value(samples, "dart_commit_latency_ns", "0.99") << "\n";
+        << quantile("dart_commit_latency_ns", "0.99") << "\n";
   }
   const double samples_total = prom_value(samples, "dart_samples_total");
   out << "rtt samples: " << samples_total << "  recirculations: "
@@ -195,17 +138,29 @@ void render(const std::vector<PromSample>& samples, std::ostream& out) {
       << prom_value(samples, "dart_governor_backoffs_total") << "\n";
 }
 
+/// Render a Prometheus snapshot and, with `check`, verify the routed
+/// identity over its dart_ rows: 0 when it holds (or is not asked for).
+int show(const std::string& text, bool check) {
+  const std::vector<PromSample> samples =
+      dart::telemetry::parse_prometheus(text);
+  render(samples, std::cout);
+  std::string error;
+  if (check && !dart::telemetry::check_routed_identity(
+                   samples, "dart_", "shard",
+                   dart::telemetry::kAccountedTerms, &error)) {
+    std::cerr << "dart-top: " << error << "\n";
+    return 1;
+  }
+  return 0;
+}
+
 int render_file(const std::string& path, bool check) {
   std::string text;
   if (!read_file(path, text)) {
     std::cerr << "dart-top: cannot read " << path << "\n";
     return 1;
   }
-  const std::vector<PromSample> samples =
-      dart::telemetry::parse_prometheus(text);
-  render(samples, std::cout);
-  if (check && !check_identity(samples, std::cerr)) return 1;
-  return 0;
+  return show(text, check);
 }
 
 int run_watch(const std::string& path, std::uint64_t interval_ms,
@@ -246,19 +201,15 @@ int run_demo(std::uint32_t shards, std::uint64_t seed,
   workload.seed = seed;
   workload.connections = 1500;
   workload.duration = dart::sec(6);
-  const dart::trace::Trace trace = dart::gen::build_campus(workload);
+  dart::daemon::ReplaySource source(dart::gen::build_campus(workload));
 
   dart::telemetry::Registry registry(shards);
   dart::telemetry::RuntimeMetrics metrics(registry);
-
-  dart::runtime::ShardedConfig config;
+  dart::daemon::DaemonConfig config;
+  config.dart.leg = dart::core::LegMode::kBoth;
   config.shards = shards;
   config.telemetry = &metrics;
-  dart::core::DartConfig dart_config;
-  dart_config.leg = dart::core::LegMode::kBoth;
-  dart::runtime::ShardedMonitor monitor(config, dart_config);
-  monitor.process_all(trace.packets());
-  monitor.finish();
+  dart::daemon::EpochRunner(config).run_cycle(source, nullptr);
 
   dart::telemetry::SnapshotOptions options;
   options.deterministic_only = deterministic;
@@ -275,11 +226,7 @@ int run_demo(std::uint32_t shards, std::uint64_t seed,
     std::cerr << "dart-top: cannot write " << json_path << "\n";
     return 1;
   }
-  const std::vector<PromSample> samples =
-      dart::telemetry::parse_prometheus(prom);
-  render(samples, std::cout);
-  if (check && !check_identity(samples, std::cerr)) return 1;
-  return 0;
+  return show(prom, check);
 }
 
 }  // namespace

@@ -104,7 +104,9 @@ Format frame_format() {
   frame.header = {2, 5, 4, 9000, fleet::FrameKind::kEpoch};
   frame.has_stats = true;
   std::uint64_t value = 100;
-  for (const auto field : core::kStatFields) frame.stats.*field = value++;
+  for (const auto& field : core::kStatFields) {
+    frame.stats.*field.member = value++;
+  }
   frame.has_rtt_histogram = true;
   frame.rtt_histogram = {4.0, 0.05, 20'000, 80'000, {1, 0, 6, 2}};
   Format format;

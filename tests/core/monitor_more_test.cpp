@@ -55,8 +55,8 @@ TEST(DartStatsSummary, MentionsKeyCounters) {
 DartStats numbered(std::uint64_t base) {
   DartStats stats;
   std::uint64_t next = base;
-  for (const auto field : kStatFields) stats.*field = next++;
-  for (const auto field : kHealthFields) stats.runtime.*field = next++;
+  for (const auto& field : kStatFields) stats.*field.member = next++;
+  for (const auto& field : kHealthFields) stats.runtime.*field.member = next++;
   return stats;
 }
 

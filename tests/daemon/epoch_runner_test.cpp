@@ -25,6 +25,7 @@
 #include "daemon/replay_source.hpp"
 #include "gen/workload.hpp"
 #include "runtime/sharded_monitor.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/runtime_metrics.hpp"
 
@@ -62,16 +63,14 @@ std::uint64_t report_value(const std::string& report,
   return 0;
 }
 
+// The routed identity per shard and in aggregate, with each aggregate row
+// the sum of its shard rows: the check dart-top --check runs.
 void expect_identity(const std::string& report) {
-  const std::uint64_t routed = report_value(report, "dart_routed_total");
-  const std::uint64_t processed =
-      report_value(report, "dart_processed_total");
-  const std::uint64_t shed = report_value(report, "dart_shed_total");
-  const std::uint64_t abandoned =
-      report_value(report, "dart_abandoned_total");
-  const std::uint64_t lost =
-      report_value(report, "dart_lost_to_crash_total");
-  EXPECT_EQ(processed + shed + abandoned + lost, routed);
+  std::string error;
+  EXPECT_TRUE(telemetry::check_routed_identity(
+      telemetry::parse_prometheus(report), "dart_", "shard",
+      telemetry::kAccountedTerms, &error))
+      << error;
 }
 
 // The report's dart_rtt_ns* lines, in order.

@@ -21,8 +21,10 @@ constexpr std::size_t kFrameCrcStart = kSealedCrcStart;
 core::DartStats sample_stats() {
   core::DartStats stats;
   std::uint64_t value = 1000;
-  for (const auto field : core::kStatFields) stats.*field = value++;
-  for (const auto field : core::kHealthFields) stats.runtime.*field = value++;
+  for (const auto& field : core::kStatFields) stats.*field.member = value++;
+  for (const auto& field : core::kHealthFields) {
+    stats.runtime.*field.member = value++;
+  }
   return stats;
 }
 

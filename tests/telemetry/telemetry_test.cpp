@@ -4,7 +4,9 @@
 
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -250,7 +252,7 @@ TEST(RuntimeMetricsFamilies, RegisterOnceAndShareRegistry) {
   EXPECT_EQ(first.routed, second.routed);
   EXPECT_EQ(first.routed->slots(), 4U);
   EXPECT_EQ(first.commit_latency->slots(), 1U) << "coordinator is global";
-  EXPECT_TRUE(first.processed->deterministic());
+  EXPECT_TRUE(registry.counter("dart_processed_total").deterministic());
   EXPECT_FALSE(first.worker_packets->deterministic());
 }
 
@@ -265,17 +267,121 @@ TEST(RuntimeMetricsFamilies, FoldWritesTheIdentityCounters) {
   result.runtime.lost_to_crash = 1;
   metrics.fold_authoritative(1, /*routed_to_shard=*/100, result);
 
+  const auto at_shard_1 = [&registry](const std::string& name) {
+    return registry.counter(name).at(1).value();
+  };
   EXPECT_EQ(metrics.routed->at(1).value(), 100U);
-  EXPECT_EQ(metrics.processed->at(1).value(), 90U);
-  EXPECT_EQ(metrics.shed->at(1).value(), 7U);
-  EXPECT_EQ(metrics.abandoned->at(1).value(), 2U);
-  EXPECT_EQ(metrics.lost_to_crash->at(1).value(), 1U);
-  EXPECT_EQ(metrics.samples->at(1).value(), 30U);
+  EXPECT_EQ(at_shard_1("dart_processed_total"), 90U);
+  EXPECT_EQ(at_shard_1("dart_shed_total"), 7U);
+  EXPECT_EQ(at_shard_1("dart_abandoned_total"), 2U);
+  EXPECT_EQ(at_shard_1("dart_lost_to_crash_total"), 1U);
+  EXPECT_EQ(at_shard_1("dart_samples_total"), 30U);
   // The exported identity.
-  EXPECT_EQ(metrics.processed->at(1).value() + metrics.shed->at(1).value() +
-                metrics.abandoned->at(1).value() +
-                metrics.lost_to_crash->at(1).value(),
+  EXPECT_EQ(at_shard_1("dart_processed_total") + at_shard_1("dart_shed_total") +
+                at_shard_1("dart_abandoned_total") +
+                at_shard_1("dart_lost_to_crash_total"),
             metrics.routed->at(1).value());
+}
+
+// Every counter of both stats tables reaches the exported text under the
+// table's name, per shard and as the aggregate; only the two counters of
+// waits leave the deterministic tier.
+TEST(RuntimeMetricsFamilies, FoldExportsEveryTableCounter) {
+  Registry registry(2);
+  RuntimeMetrics metrics(registry);
+  core::DartStats result;
+  std::map<std::string, std::uint64_t> expected;  // name -> distinct value
+  std::uint64_t value = 1000;
+  for (const auto& field : core::kStatFields) {
+    result.*field.member = value;
+    expected["dart_" + std::string(field.name) + "_total"] = value++;
+  }
+  for (const auto& field : core::kHealthFields) {
+    result.runtime.*field.member = value;
+    expected["dart_" + std::string(field.name) + "_total"] = value++;
+  }
+  ASSERT_EQ(expected.size(), core::kStatCounters) << "names are unique";
+  metrics.fold_authoritative(1, /*routed_to_shard=*/5, result);
+
+  const std::vector<PromSample> samples =
+      parse_prometheus(to_prometheus(registry.snapshot()));
+  for (const auto& [name, want] : expected) {
+    EXPECT_EQ(labeled_value(samples, name, "shard", "1"),
+              static_cast<double>(want))
+        << name;
+    EXPECT_EQ(prom_value(samples, name, -1.0), static_cast<double>(want))
+        << name;
+  }
+
+  std::set<std::string> deterministic;
+  for (const CounterSnapshot& counter :
+       registry.snapshot({.deterministic_only = true}).counters) {
+    deterministic.insert(counter.name);
+  }
+  std::set<std::string> missing;
+  for (const auto& entry : expected) {
+    if (deterministic.count(entry.first) == 0) missing.insert(entry.first);
+  }
+  EXPECT_EQ(missing, (std::set<std::string>{"dart_backoff_sleeps_total",
+                                            "dart_backpressure_events_total"}));
+  EXPECT_EQ(deterministic.count("dart_routed_total"), 1U);
+}
+
+constexpr char kTwoShards[] =
+    "dart_routed_total{shard=\"0\"} 10\n"
+    "dart_routed_total{shard=\"1\"} 20\n"
+    "dart_routed_total 30\n"
+    "dart_processed_total{shard=\"0\"} 9\n"
+    "dart_processed_total{shard=\"1\"} 20\n"
+    "dart_processed_total 29\n"
+    "dart_shed_total{shard=\"0\"} 1\n"
+    "dart_shed_total 1\n";
+
+bool identity_holds(const std::string& text, std::string* error) {
+  return check_routed_identity(parse_prometheus(text), "dart_", "shard",
+                               kAccountedTerms, error);
+}
+
+TEST(RoutedIdentity, AcceptsBalancedRowsAndNamesTheBrokenShard) {
+  std::string error = "stale";
+  EXPECT_TRUE(identity_holds(kTwoShards, &error)) << error;
+  EXPECT_TRUE(error.empty());
+  // One unlabelled aggregate, no shard rows: a one-slot export.
+  EXPECT_TRUE(identity_holds("dart_routed_total 4\ndart_processed_total 4\n",
+                             &error))
+      << error;
+
+  std::string text = kTwoShards;
+  const std::string honest = "dart_processed_total{shard=\"1\"} 20";
+  text.replace(text.find(honest), honest.size(),
+               "dart_processed_total{shard=\"1\"} 19");
+  EXPECT_FALSE(identity_holds(text, &error));
+  EXPECT_NE(error.find("shard \"1\""), std::string::npos) << error;
+}
+
+TEST(RoutedIdentity, AggregateRowsMustSumTheirShardRows) {
+  // Every row balances on its own, but the aggregate is not the sum of
+  // the shard rows.
+  std::string error;
+  EXPECT_FALSE(identity_holds(
+      "dart_routed_total{shard=\"0\"} 10\n"
+      "dart_processed_total{shard=\"0\"} 10\n"
+      "dart_routed_total 12\n"
+      "dart_processed_total 12\n",
+      &error));
+  EXPECT_NE(error.find("sum of its shard rows"), std::string::npos) << error;
+}
+
+TEST(RoutedIdentity, RefusesMissingRoutedRowAndWrappedSums) {
+  std::string error;
+  // A live-tier-only export has no identity rows to check.
+  EXPECT_FALSE(identity_holds("dart_worker_batches_total 3\n", &error));
+  EXPECT_NE(error.find("dart_routed_total"), std::string::npos) << error;
+  // 2^63 + 2^63 wraps to 0 in u64 arithmetic; it must not balance 0.
+  EXPECT_FALSE(identity_holds("dart_routed_total 0\n"
+                              "dart_processed_total 9223372036854775808\n"
+                              "dart_shed_total 9223372036854775808\n",
+                              &error));
 }
 
 }  // namespace
